@@ -154,13 +154,25 @@ impl BenchReport {
 
     /// Writes `BENCH_<name>.json` at the workspace root.
     pub fn write(self) {
+        let json = self.to_json();
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("../../BENCH_{}.json", self.name));
+        std::fs::write(&path, json).expect("write BENCH json");
+        eprintln!("[i2p-bench] wrote {}", path.display());
+    }
+
+    /// The artifact's JSON text as of now: knobs, section wall clocks,
+    /// per-iteration timings and the counter deltas since [`report`].
+    /// Keys and string values are quoted by `i2p_telemetry::json`, so
+    /// the text parses back with `i2p_telemetry::json::parse`.
+    pub fn to_json(&self) -> String {
         let total = self.started.elapsed().as_secs_f64();
         let deltas = i2p_telemetry::counters::snapshot().delta_since(&self.baseline);
         let mut json = String::from("{\n");
-        let _ = writeln!(json, "  \"schema\": {BENCH_SCHEMA:?},");
-        let _ = writeln!(json, "  \"bench\": {:?},", self.name);
+        let _ = writeln!(json, "  \"schema\": {},", quoted(BENCH_SCHEMA));
+        let _ = writeln!(json, "  \"bench\": {},", quoted(&self.name));
         json.push_str("  \"knobs\": {\n");
-        render_pairs(&mut json, self.knobs.iter().map(|(k, v)| (k.as_str(), format!("{v:?}"))));
+        render_pairs(&mut json, self.knobs.iter().map(|(k, v)| (k.as_str(), quoted(v))));
         json.push_str("  },\n");
         let _ = writeln!(json, "  \"total_wall_s\": {total:.3},");
         json.push_str("  \"sections_wall_s\": {\n");
@@ -172,17 +184,37 @@ impl BenchReport {
         json.push_str("  \"counters\": {\n");
         render_pairs(&mut json, deltas.entries().filter(|(_, v)| *v > 0).map(|(k, v)| (k, v.to_string())));
         json.push_str("  }\n}\n");
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join(format!("../../BENCH_{}.json", self.name));
-        std::fs::write(&path, json).expect("write BENCH json");
-        eprintln!("[i2p-bench] wrote {}", path.display());
+        json
     }
+}
+
+/// `s` as a JSON string literal.
+fn quoted(s: &str) -> String {
+    let mut out = String::new();
+    i2p_telemetry::json::push_string(&mut out, s);
+    out
 }
 
 fn render_pairs<'k>(json: &mut String, pairs: impl Iterator<Item = (&'k str, String)>) {
     let pairs: Vec<_> = pairs.collect();
     for (i, (key, value)) in pairs.iter().enumerate() {
         let comma = if i + 1 == pairs.len() { "" } else { "," };
-        let _ = writeln!(json, "    {key:?}: {value}{comma}");
+        let _ = writeln!(json, "    {}: {value}{comma}", quoted(key));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use i2p_telemetry::json::{parse, Value};
+
+    #[test]
+    fn knob_strings_survive_a_json_round_trip() {
+        let tricky = "quote \" backslash \\ control \u{1} tab \t";
+        let mut report = report("escape");
+        report.knob("tricky \"key\"", tricky);
+        let doc = parse(&report.to_json()).expect("BENCH json parses");
+        let knob = doc.field("knobs").and_then(|k| k.field("tricky \"key\""));
+        assert_eq!(knob, Some(&Value::Str(tricky.to_string())));
     }
 }

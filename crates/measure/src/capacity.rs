@@ -3,6 +3,7 @@
 
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
+use crate::observed::ObservedRouterInfo;
 use crate::source::SnapshotSource;
 use i2p_data::{BandwidthClass, Caps};
 use i2p_sim::world::World;
@@ -34,22 +35,40 @@ pub fn capacity_histogram_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> CapacityHistogram {
-    let mut totals = [0usize; 7];
-    let day_count = days.clone().count().max(1);
+    let mut fold = CapacityFold::new(days.clone().count());
     let k = src.vantage_count();
     for d in days {
-        src.for_each_observation_ref(d, k, &mut |rec| {
-            for ch in rec.caps.chars() {
-                if let Some(b) = BandwidthClass::from_letter(ch) {
-                    totals[idx(b)] += 1;
-                }
+        src.for_each_observation_ref(d, k, &mut |rec| fold.observe(rec));
+    }
+    fold.finish()
+}
+
+/// Fig. 9's accumulator: published-letter counts summed over a window.
+#[derive(Clone, Debug)]
+pub struct CapacityFold {
+    totals: [usize; 7],
+    days: usize,
+}
+
+impl CapacityFold {
+    /// An empty fold over a window of `days` days.
+    pub fn new(days: usize) -> Self {
+        CapacityFold { totals: [0; 7], days: days.max(1) }
+    }
+
+    /// Counts one observation's published bandwidth letters.
+    pub fn observe(&mut self, rec: &ObservedRouterInfo) {
+        for ch in rec.caps.chars() {
+            if let Some(b) = BandwidthClass::from_letter(ch) {
+                self.totals[idx(b)] += 1;
             }
-        });
+        }
     }
-    for t in &mut totals {
-        *t /= day_count;
+
+    /// The daily averages.
+    pub fn finish(&self) -> CapacityHistogram {
+        CapacityHistogram { counts: self.totals.map(|t| t / self.days), days: self.days }
     }
-    CapacityHistogram { counts: totals, days: day_count }
 }
 
 /// Table 1: percentage of routers per bandwidth letter within the
@@ -76,9 +95,22 @@ pub fn bandwidth_table(world: &World, fleet: &Fleet, day: u64) -> BandwidthTable
 
 /// [`bandwidth_table`] off any source.
 pub fn bandwidth_table_from<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> BandwidthTable {
-    let mut counts = [[0usize; 7]; 4]; // ff, reach, unreach, total
-    let mut sizes = [0usize; 4];
-    src.for_each_observation_ref(day, src.vantage_count(), &mut |rec| {
+    let mut fold = BandwidthFold::default();
+    src.for_each_observation_ref(day, src.vantage_count(), &mut |rec| fold.observe(rec));
+    fold.finish()
+}
+
+/// Table 1's accumulator for one day: per-letter counts and sizes of
+/// the floodfill, reachable, unreachable and total groups.
+#[derive(Clone, Debug, Default)]
+pub struct BandwidthFold {
+    counts: [[usize; 7]; 4], // ff, reach, unreach, total
+    sizes: [usize; 4],
+}
+
+impl BandwidthFold {
+    /// Counts one observation into every group it belongs to.
+    pub fn observe(&mut self, rec: &ObservedRouterInfo) {
         let caps: Caps = rec.parsed_caps();
         let mut groups = [3usize, 0, 0];
         let mut n_groups = 1;
@@ -90,29 +122,30 @@ pub fn bandwidth_table_from<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> Ba
         n_groups += 1;
         let groups = &groups[..n_groups];
         for &g in groups {
-            sizes[g] += 1;
+            self.sizes[g] += 1;
         }
         for ch in rec.caps.chars() {
             if let Some(b) = BandwidthClass::from_letter(ch) {
                 for &g in groups {
-                    counts[g][idx(b)] += 1;
+                    self.counts[g][idx(b)] += 1;
                 }
             }
         }
-    });
-    let pct = |g: usize| -> [f64; 7] {
-        let mut out = [0.0; 7];
-        for i in 0..7 {
-            out[i] = 100.0 * counts[g][i] as f64 / sizes[g].max(1) as f64;
+    }
+
+    /// The per-group percentages.
+    pub fn finish(&self) -> BandwidthTable {
+        let pct = |g: usize| -> [f64; 7] {
+            let size = self.sizes[g].max(1) as f64;
+            self.counts[g].map(|c| 100.0 * c as f64 / size)
+        };
+        BandwidthTable {
+            floodfill: pct(0),
+            reachable: pct(1),
+            unreachable: pct(2),
+            total: pct(3),
+            group_sizes: self.sizes,
         }
-        out
-    };
-    BandwidthTable {
-        floodfill: pct(0),
-        reachable: pct(1),
-        unreachable: pct(2),
-        total: pct(3),
-        group_sizes: sizes,
     }
 }
 
@@ -140,23 +173,39 @@ pub fn floodfill_estimate(world: &World, fleet: &Fleet, day: u64) -> FloodfillEs
 
 /// [`floodfill_estimate`] off any source.
 pub fn floodfill_estimate_from<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> FloodfillEstimate {
-    let mut ff = 0usize;
-    let mut qualified = 0usize;
-    src.for_each_observation_ref(day, src.vantage_count(), &mut |rec| {
+    let mut fold = FloodfillFold::default();
+    src.for_each_observation_ref(day, src.vantage_count(), &mut |rec| fold.observe(rec));
+    fold.finish()
+}
+
+/// The §5.3.1 estimate's accumulator for one day: observed and
+/// qualified floodfills.
+#[derive(Clone, Debug, Default)]
+pub struct FloodfillFold {
+    floodfills: usize,
+    qualified: usize,
+}
+
+impl FloodfillFold {
+    /// Counts one observation.
+    pub fn observe(&mut self, rec: &ObservedRouterInfo) {
         let caps = rec.parsed_caps();
         if caps.floodfill {
-            ff += 1;
+            self.floodfills += 1;
             if caps.qualified_floodfill() {
-                qualified += 1;
+                self.qualified += 1;
             }
         }
-    });
-    let share = qualified as f64 / ff.max(1) as f64;
-    FloodfillEstimate {
-        observed_floodfills: ff,
-        qualified_share: share,
-        qualified_floodfills: qualified,
-        estimated_population: qualified as f64 / 0.06,
+    }
+
+    /// The estimate.
+    pub fn finish(&self) -> FloodfillEstimate {
+        FloodfillEstimate {
+            observed_floodfills: self.floodfills,
+            qualified_share: self.qualified as f64 / self.floodfills.max(1) as f64,
+            qualified_floodfills: self.qualified,
+            estimated_population: self.qualified as f64 / 0.06,
+        }
     }
 }
 

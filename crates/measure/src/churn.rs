@@ -47,55 +47,102 @@ pub fn churn_curves(world: &World, fleet: &Fleet, days: u64, horizon: usize) -> 
 
 /// [`churn_curves`] off any source, over the source's own day range.
 pub fn churn_curves_from<S: SnapshotSource + ?Sized>(src: &S, horizon: usize) -> ChurnCurves {
-    // Sighting matrix: peer -> sorted days sighted. Survival needs only
-    // membership, so no observation records are materialized at all.
+    // Survival needs only membership, so no observation records are
+    // materialized at all.
     let span = src.days();
     let k = src.vantage_count();
-    let mut sightings: FxHashMap<u32, Vec<u64>> = FxHashMap::default();
-    for d in span.clone() {
-        src.for_each_union_id(d, k, &mut |id| {
-            sightings.entry(id).or_default().push(d);
-        });
+    let mut fold = ChurnFold::new(span.clone(), horizon);
+    for d in span {
+        src.for_each_union_id(d, k, &mut |id| fold.observe(id, d));
     }
-    let max_first = span.end.saturating_sub(horizon as u64);
-    let mut cont_hist = vec![0usize; horizon + 1];
-    let mut int_hist = vec![0usize; horizon + 1];
-    let mut cohort = 0usize;
-    for days_seen in sightings.values() {
-        let first = days_seen[0]; // i2plint: allow(index-literal) -- sighting lists are created non-empty: first insert pushes a day
-        if first > max_first {
-            continue;
+    fold.finish()
+}
+
+/// One peer's sightings, in days since the window start: the first and
+/// last sighted day and the run of consecutive days from the first.
+/// The run stops growing at the first gap, which is exactly when it
+/// falls short of `last - first + 1` — so that comparison is the
+/// broken flag, and the state packs into 12 bytes (16 with its map key)
+/// however long the window is.
+#[derive(Clone, Copy, Debug)]
+struct Sightings {
+    first: u32,
+    last: u32,
+    streak: u32,
+}
+
+impl Sightings {
+    fn see(&mut self, day: u32) {
+        let unbroken = self.streak == self.last - self.first + 1;
+        if unbroken && day == self.last + 1 {
+            self.streak += 1;
         }
-        cohort += 1;
-        // Continuous streak from first sighting.
-        let mut streak = 1usize;
-        for w in days_seen.windows(2) {
-            if w[1] == w[0] + 1 { // i2plint: allow(index-literal) -- windows(2) yields exactly 2 elements
-                streak += 1;
-            } else {
-                break;
+        self.last = day;
+    }
+}
+
+/// Fig. 7's accumulator: one packed sighting state per peer. Days must
+/// arrive ascending, each peer at most once per day — the order every
+/// [`SnapshotSource`] day walk yields.
+#[derive(Clone, Debug)]
+pub struct ChurnFold {
+    days: std::ops::Range<u64>,
+    horizon: usize,
+    peers: FxHashMap<u32, Sightings>,
+}
+
+impl ChurnFold {
+    /// An empty fold over the window `days`, following each peer for
+    /// `horizon` days.
+    pub fn new(days: std::ops::Range<u64>, horizon: usize) -> Self {
+        ChurnFold { days, horizon, peers: FxHashMap::default() }
+    }
+
+    /// Records that peer `id` was sighted on `day`.
+    pub fn observe(&mut self, id: u32, day: u64) {
+        // Offsets within one study window fit a u32 by a wide margin.
+        let day = (day - self.days.start) as u32;
+        self.peers
+            .entry(id)
+            .and_modify(|s| s.see(day))
+            .or_insert(Sightings { first: day, last: day, streak: 1 });
+    }
+
+    /// The survival curves. Only peers first seen early enough to have
+    /// `horizon` days of follow-up join the cohort, so late joiners do
+    /// not truncate the curves.
+    pub fn finish(&self) -> ChurnCurves {
+        let horizon = self.horizon;
+        let max_first = self.days.end.saturating_sub(horizon as u64);
+        let mut cont_hist = vec![0usize; horizon + 1];
+        let mut int_hist = vec![0usize; horizon + 1];
+        let mut cohort = 0usize;
+        for s in self.peers.values() {
+            if self.days.start + u64::from(s.first) > max_first {
+                continue;
             }
+            cohort += 1;
+            // Intermittent span: first to last sighting, inclusive.
+            let span = (s.last - s.first) as usize + 1;
+            cont_hist[(s.streak as usize).min(horizon)] += 1;
+            int_hist[span.min(horizon)] += 1;
         }
-        // Intermittent span: first to last sighting, inclusive.
-        let span = (days_seen[days_seen.len() - 1] - first) as usize + 1;
-        cont_hist[streak.min(horizon)] += 1;
-        int_hist[span.min(horizon)] += 1;
-    }
-    // Convert histograms to survival percentages: S(n) = %{duration > n}.
-    let to_survival = |hist: &[usize]| -> Vec<f64> {
-        let total = cohort.max(1) as f64;
-        let mut remaining = cohort;
-        let mut out = Vec::with_capacity(horizon + 1);
-        for n in 0..=horizon {
-            out.push(100.0 * remaining as f64 / total);
-            remaining -= hist[n.min(hist.len() - 1)];
+        // Convert histograms to survival percentages: S(n) = %{duration > n}.
+        let to_survival = |hist: &[usize]| -> Vec<f64> {
+            let total = cohort.max(1) as f64;
+            let mut remaining = cohort;
+            let mut out = Vec::with_capacity(horizon + 1);
+            for n in 0..=horizon {
+                out.push(100.0 * remaining as f64 / total);
+                remaining -= hist[n.min(hist.len() - 1)];
+            }
+            out
+        };
+        ChurnCurves {
+            continuous: to_survival(&cont_hist),
+            intermittent: to_survival(&int_hist),
+            cohort,
         }
-        out
-    };
-    ChurnCurves {
-        continuous: to_survival(&cont_hist),
-        intermittent: to_survival(&int_hist),
-        cohort,
     }
 }
 

@@ -5,12 +5,17 @@
 //! countries before counting them … If two IP addresses of the same
 //! peer reside in the same ASN/country, we count the peer only once.
 //! Otherwise, each different IP is counted."
+//!
+//! Both figures finish from the per-peer map of [`crate::ipchurn`]
+//! ([`GeoReport::from_stats`], [`AsReport::from_stats`]), the one
+//! accumulator they share with Figs. 8 and 12.
 
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
-use crate::ipchurn::collect_ip_stats_from;
+use crate::ipchurn::{collect_ip_stats_from, IpMap};
 use crate::source::SnapshotSource;
 use i2p_data::FxHashMap;
+use i2p_geoip::GeoDb;
 use i2p_sim::world::World;
 
 /// A ranked distribution row.
@@ -52,48 +57,54 @@ pub fn country_distribution_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> GeoReport {
-    let geo = src.geo();
-    let stats = collect_ip_stats_from(src, days.clone());
-    let mut per_country: FxHashMap<usize, usize> = FxHashMap::default();
-    let mut unresolved = 0usize;
-    for s in stats.values() {
-        // The §5.3.2 rule: one count per (peer, country).
-        for &c in &s.countries {
-            *per_country.entry(c).or_default() += 1;
-        }
-        // Addresses without any resolution.
-        if s.countries.is_empty() && !s.ips.is_empty() {
-            unresolved += s.ips.len();
-        }
-    }
-    let total: usize = per_country.values().sum();
-    let mut items: Vec<(usize, usize)> = per_country.into_iter().collect();
-    items.sort_by_key(|item| std::cmp::Reverse(item.1));
-    let mut cum = 0usize;
-    let mut censored_peers = 0;
-    let mut censored_countries = 0;
-    let rows = items
-        .iter()
-        .map(|&(c, n)| {
-            cum += n;
-            if geo.is_censored(c) {
-                censored_peers += n;
-                censored_countries += 1;
+    GeoReport::from_stats(&collect_ip_stats_from(src, days), src.geo())
+}
+
+impl GeoReport {
+    /// Fig. 10 off a finished per-peer [`IpMap`] (the accumulator is
+    /// [`crate::ipchurn::IpFold`], shared with Figs. 8, 11 and 12).
+    pub fn from_stats(stats: &IpMap, geo: &GeoDb) -> GeoReport {
+        let mut per_country: FxHashMap<usize, usize> = FxHashMap::default();
+        let mut unresolved = 0usize;
+        for s in stats.values() {
+            // The §5.3.2 rule: one count per (peer, country).
+            for &c in &s.countries {
+                *per_country.entry(c).or_default() += 1;
             }
-            RankedRow {
-                label: geo.country_name(c).to_string(),
-                peers: n,
-                cumulative_pct: 100.0 * cum as f64 / total.max(1) as f64,
+            // Addresses without any resolution.
+            if s.countries.is_empty() && !s.ips.is_empty() {
+                unresolved += s.ips.len();
             }
-        })
-        .collect::<Vec<_>>();
-    GeoReport {
-        countries_observed: rows.len(),
-        rows,
-        total,
-        censored_peers,
-        censored_countries,
-        unresolved_addresses: unresolved,
+        }
+        let total: usize = per_country.values().sum();
+        let mut items: Vec<(usize, usize)> = per_country.into_iter().collect();
+        items.sort_by_key(|item| std::cmp::Reverse(item.1));
+        let mut cum = 0usize;
+        let mut censored_peers = 0;
+        let mut censored_countries = 0;
+        let rows = items
+            .iter()
+            .map(|&(c, n)| {
+                cum += n;
+                if geo.is_censored(c) {
+                    censored_peers += n;
+                    censored_countries += 1;
+                }
+                RankedRow {
+                    label: geo.country_name(c).to_string(),
+                    peers: n,
+                    cumulative_pct: 100.0 * cum as f64 / total.max(1) as f64,
+                }
+            })
+            .collect::<Vec<_>>();
+        GeoReport {
+            countries_observed: rows.len(),
+            rows,
+            total,
+            censored_peers,
+            censored_countries,
+            unresolved_addresses: unresolved,
+        }
     }
 }
 
@@ -117,29 +128,35 @@ pub fn as_distribution_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> AsReport {
-    let stats = collect_ip_stats_from(src, days);
-    let mut per_as: FxHashMap<u32, usize> = FxHashMap::default();
-    for s in stats.values() {
-        for &a in &s.ases {
-            *per_as.entry(a).or_default() += 1;
-        }
-    }
-    let total: usize = per_as.values().sum();
-    let mut items: Vec<(u32, usize)> = per_as.into_iter().collect();
-    items.sort_by_key(|item| std::cmp::Reverse(item.1));
-    let mut cum = 0usize;
-    let rows = items
-        .iter()
-        .map(|&(a, n)| {
-            cum += n;
-            RankedRow {
-                label: a.to_string(),
-                peers: n,
-                cumulative_pct: 100.0 * cum as f64 / total.max(1) as f64,
+    AsReport::from_stats(&collect_ip_stats_from(src, days))
+}
+
+impl AsReport {
+    /// Fig. 11 off a finished per-peer [`IpMap`].
+    pub fn from_stats(stats: &IpMap) -> AsReport {
+        let mut per_as: FxHashMap<u32, usize> = FxHashMap::default();
+        for s in stats.values() {
+            for &a in &s.ases {
+                *per_as.entry(a).or_default() += 1;
             }
-        })
-        .collect();
-    AsReport { rows, total }
+        }
+        let total: usize = per_as.values().sum();
+        let mut items: Vec<(u32, usize)> = per_as.into_iter().collect();
+        items.sort_by_key(|item| std::cmp::Reverse(item.1));
+        let mut cum = 0usize;
+        let rows = items
+            .iter()
+            .map(|&(a, n)| {
+                cum += n;
+                RankedRow {
+                    label: a.to_string(),
+                    peers: n,
+                    cumulative_pct: 100.0 * cum as f64 / total.max(1) as f64,
+                }
+            })
+            .collect();
+        AsReport { rows, total }
+    }
 }
 
 #[cfg(test)]

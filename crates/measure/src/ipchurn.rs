@@ -8,8 +8,10 @@
 
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
+use crate::observed::ObservedRouterInfo;
 use crate::source::SnapshotSource;
 use i2p_data::{FxHashMap, FxHashSet, PeerIp};
+use i2p_geoip::GeoDb;
 use i2p_sim::world::World;
 
 /// Per-peer address/AS accumulation over the window.
@@ -44,43 +46,72 @@ pub struct IpChurnReport {
     pub max_countries: usize,
 }
 
+/// The per-peer IP map Figs. 8, 10, 11 and 12 are all computed from.
+pub type IpMap = FxHashMap<u32, PeerIpStats>;
+
 /// Accumulates per-peer IP/AS observations over a window.
-pub fn collect_ip_stats(
-    world: &World,
-    fleet: &Fleet,
-    days: std::ops::Range<u64>,
-) -> FxHashMap<u32, PeerIpStats> {
+pub fn collect_ip_stats(world: &World, fleet: &Fleet, days: std::ops::Range<u64>) -> IpMap {
     let engine = HarvestEngine::build(world, fleet, days.clone());
     collect_ip_stats_from(&engine, days)
 }
 
-/// [`collect_ip_stats`] off any source. A record publishes an address
-/// iff its `ipv4` field is set (capture fills it exactly when the peer
-/// publishes that day), so the observation stream carries everything
-/// the accumulation needs.
+/// [`collect_ip_stats`] off any source.
 pub fn collect_ip_stats_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
-) -> FxHashMap<u32, PeerIpStats> {
-    let geo = src.geo();
+) -> IpMap {
     let k = src.vantage_count();
-    let mut stats: FxHashMap<u32, PeerIpStats> = FxHashMap::default();
+    let mut fold = IpFold::new(src.geo());
     for day in days {
-        src.for_each_observation_ref(day, k, &mut |rec| {
-            if rec.ipv4.is_none() {
-                return;
-            }
-            let entry = stats.entry(rec.peer_id).or_default();
-            for ip in rec.ips() {
-                entry.ips.insert(ip);
-                if let Some(loc) = geo.lookup(ip) {
-                    entry.ases.insert(geo.asn(loc.asn_id));
+        src.for_each_observation_ref(day, k, &mut |rec| fold.observe(rec));
+    }
+    fold.finish()
+}
+
+/// The accumulator behind [`IpMap`]. A record publishes an address iff
+/// its `ipv4` field is set (capture fills it exactly when the peer
+/// publishes that day), so the observation stream carries everything
+/// the accumulation needs.
+///
+/// Fig. 10/11 rank their rows with a stable sort over hash-map
+/// iteration order, and that order depends on the order keys were
+/// inserted. Every caller therefore feeds the fold in one order — days
+/// ascending, peer ids ascending within a day, IPv4 before IPv6 — which
+/// is what keeps a shared map byte-identical to a per-figure one.
+#[derive(Clone, Debug)]
+pub struct IpFold<'g> {
+    geo: &'g GeoDb,
+    peers: IpMap,
+}
+
+impl<'g> IpFold<'g> {
+    /// An empty map resolving addresses against `geo`.
+    pub fn new(geo: &'g GeoDb) -> Self {
+        IpFold { geo, peers: IpMap::default() }
+    }
+
+    /// Folds one observation in; unknown-IP records are skipped.
+    pub fn observe(&mut self, rec: &ObservedRouterInfo) {
+        if rec.ipv4.is_none() {
+            return;
+        }
+        let entry = self.peers.entry(rec.peer_id).or_default();
+        for ip in rec.ips() {
+            // A repeat address resolves to an AS and a country the
+            // sets already hold: re-inserting them would change nothing.
+            if entry.ips.insert(ip) {
+                if let Some(loc) = self.geo.lookup(ip) {
+                    entry.ases.insert(self.geo.asn(loc.asn_id));
                     entry.countries.insert(loc.country);
                 }
             }
-        });
+        }
     }
-    stats
+
+    /// The finished map.
+    pub fn finish(self) -> IpMap {
+        self.peers
+    }
 }
 
 /// Builds the Fig. 8 / Fig. 12 report.
@@ -94,36 +125,42 @@ pub fn ip_churn_report_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> IpChurnReport {
-    let stats = collect_ip_stats_from(src, days);
-    const IP_BUCKETS: usize = 16;
-    const AS_BUCKETS: usize = 10;
-    let mut ip_hist = vec![0usize; IP_BUCKETS + 1];
-    let mut as_hist = vec![0usize; AS_BUCKETS + 1];
-    let mut multi = 0;
-    let mut over100 = 0;
-    let mut max_ases = 0;
-    let mut max_countries = 0;
-    for s in stats.values() {
-        let n_ips = s.ips.len();
-        ip_hist[n_ips.min(IP_BUCKETS)] += 1;
-        if n_ips >= 2 {
-            multi += 1;
-            as_hist[s.ases.len().min(AS_BUCKETS)] += 1;
+    IpChurnReport::from_stats(&collect_ip_stats_from(src, days))
+}
+
+impl IpChurnReport {
+    /// The Fig. 8 / Fig. 12 report of a finished [`IpMap`].
+    pub fn from_stats(stats: &IpMap) -> IpChurnReport {
+        const IP_BUCKETS: usize = 16;
+        const AS_BUCKETS: usize = 10;
+        let mut ip_hist = vec![0usize; IP_BUCKETS + 1];
+        let mut as_hist = vec![0usize; AS_BUCKETS + 1];
+        let mut multi = 0;
+        let mut over100 = 0;
+        let mut max_ases = 0;
+        let mut max_countries = 0;
+        for s in stats.values() {
+            let n_ips = s.ips.len();
+            ip_hist[n_ips.min(IP_BUCKETS)] += 1;
+            if n_ips >= 2 {
+                multi += 1;
+                as_hist[s.ases.len().min(AS_BUCKETS)] += 1;
+            }
+            if n_ips > 100 {
+                over100 += 1;
+            }
+            max_ases = max_ases.max(s.ases.len());
+            max_countries = max_countries.max(s.countries.len());
         }
-        if n_ips > 100 {
-            over100 += 1;
+        IpChurnReport {
+            ip_hist,
+            as_hist,
+            known_ip_peers: stats.len(),
+            multi_ip_peers: multi,
+            over_100_ips: over100,
+            max_ases,
+            max_countries,
         }
-        max_ases = max_ases.max(s.ases.len());
-        max_countries = max_countries.max(s.countries.len());
-    }
-    IpChurnReport {
-        ip_hist,
-        as_hist,
-        known_ip_peers: stats.len(),
-        multi_ip_peers: multi,
-        over_100_ips: over100,
-        max_ases,
-        max_countries,
     }
 }
 

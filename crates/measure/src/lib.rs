@@ -44,7 +44,9 @@
 //! * [`source`] — the replay abstraction: [`source::SnapshotSource`] is
 //!   the query surface the figure pipelines consume, implemented by the
 //!   live [`engine::HarvestEngine`] and by `i2p-store`'s loaded
-//!   snapshots, with bit-identical figure output either way.
+//!   snapshots, with bit-identical figure output either way. Each
+//!   figure analysis also exposes its accumulator (a `*Fold` with a
+//!   `finish`), so one day-major walk can feed them all (DESIGN.md §14).
 //! * [`report`] — text renderers that print each figure/table in the
 //!   paper's layout, plus machine-readable CSV twins.
 //! * [`adversary`] — the unified adversary catalog: a common trait +

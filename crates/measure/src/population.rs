@@ -3,10 +3,14 @@
 //! Each figure has a `*_from` variant that runs off any
 //! [`SnapshotSource`] — a live engine or a loaded `i2p-store` snapshot —
 //! with bit-identical results; the `(world, fleet, …)` entrypoints are
-//! thin wrappers that fill an engine and delegate.
+//! thin wrappers that fill an engine and delegate. Figs. 4–6 also expose
+//! their accumulators ([`CoverageFold`], [`CensusFold`], [`OverlapFold`]):
+//! each `*_from` is a loop over one, and the CLI's day-major figure pass
+//! feeds the same folds (DESIGN.md §14).
 
 use crate::engine::HarvestEngine;
 use crate::fleet::{Fleet, Vantage, VantageMode};
+use crate::observed::ObservedRouterInfo;
 use crate::source::SnapshotSource;
 use i2p_data::{FxHashSet, PeerIp};
 use i2p_sim::world::World;
@@ -109,16 +113,41 @@ pub fn cumulative_by_router_count_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> Vec<(usize, usize)> {
-    let day_count = days.clone().count().max(1);
-    // One cumulative-OR pass per day yields the whole 1..=n curve at
-    // once; the naive path re-harvested every (day, prefix) pair.
-    let mut totals = vec![0usize; src.vantage_count()];
+    let mut fold = CoverageFold::new(src.vantage_count());
     for d in days {
-        for (t, c) in totals.iter_mut().zip(src.coverage_curve(d)) {
+        fold.add_day(&src.coverage_curve(d));
+    }
+    fold.finish()
+}
+
+/// Fig. 4's accumulator: the per-day cumulative coverage curves
+/// ([`SnapshotSource::coverage_curve`] — one cumulative-OR pass yields
+/// the whole 1..=n curve of a day), summed over the window's days.
+#[derive(Clone, Debug)]
+pub struct CoverageFold {
+    totals: Vec<usize>,
+    days: usize,
+}
+
+impl CoverageFold {
+    /// An empty fold over a fleet of `vantages` routers.
+    pub fn new(vantages: usize) -> Self {
+        CoverageFold { totals: vec![0; vantages], days: 0 }
+    }
+
+    /// Adds one day's curve.
+    pub fn add_day(&mut self, curve: &[usize]) {
+        for (t, c) in self.totals.iter_mut().zip(curve) {
             *t += c;
         }
+        self.days += 1;
     }
-    totals.into_iter().enumerate().map(|(i, t)| (i + 1, t / day_count)).collect()
+
+    /// `(routers, peers)` averaged over the days added.
+    pub fn finish(&self) -> Vec<(usize, usize)> {
+        let days = self.days.max(1);
+        self.totals.iter().enumerate().map(|(i, t)| (i + 1, t / days)).collect()
+    }
 }
 
 /// One day of the Fig. 5 census.
@@ -148,16 +177,30 @@ pub fn daily_census(world: &World, fleet: &Fleet, day: u64) -> DailyCensus {
 
 /// [`daily_census`] off any source (full-fleet union on `day`).
 pub fn daily_census_from<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> DailyCensus {
-    let mut v4: FxHashSet<PeerIp> = FxHashSet::default();
-    let mut v6: FxHashSet<PeerIp> = FxHashSet::default();
-    let mut census = DailyCensus::default();
-    src.for_each_observation_ref(day, src.vantage_count(), &mut |rec| {
+    let mut fold = CensusFold::default();
+    src.for_each_observation_ref(day, src.vantage_count(), &mut |rec| fold.observe(rec));
+    fold.finish()
+}
+
+/// Fig. 5/6's accumulator for one day: peer, address and unknown-IP
+/// counts over that day's observations.
+#[derive(Clone, Debug, Default)]
+pub struct CensusFold {
+    v4: FxHashSet<PeerIp>,
+    v6: FxHashSet<PeerIp>,
+    census: DailyCensus,
+}
+
+impl CensusFold {
+    /// Counts one observation of the day.
+    pub fn observe(&mut self, rec: &ObservedRouterInfo) {
+        let census = &mut self.census;
         census.peers += 1;
         if let Some(ip) = rec.ipv4 {
-            v4.insert(ip);
+            self.v4.insert(ip);
         }
         if let Some(ip) = rec.ipv6 {
-            v6.insert(ip);
+            self.v6.insert(ip);
         }
         if rec.is_unknown_ip() {
             census.unknown_ip += 1;
@@ -167,11 +210,17 @@ pub fn daily_census_from<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> Daily
                 census.hidden += 1;
             }
         }
-    });
-    census.ipv4 = v4.len();
-    census.ipv6 = v6.len();
-    census.all_ips = v4.len() + v6.len();
-    census
+    }
+
+    /// The day's census.
+    pub fn finish(self) -> DailyCensus {
+        DailyCensus {
+            ipv4: self.v4.len(),
+            ipv6: self.v6.len(),
+            all_ips: self.v4.len() + self.v6.len(),
+            ..self.census
+        }
+    }
 }
 
 /// Fig. 6's overlap group: peers seen as firewalled on one day and
@@ -190,19 +239,36 @@ pub fn firewalled_hidden_overlap_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> usize {
-    let mut fw: FxHashSet<u32> = FxHashSet::default();
-    let mut hid: FxHashSet<u32> = FxHashSet::default();
+    let mut fold = OverlapFold::default();
     let k = src.vantage_count();
     for d in days {
-        src.for_each_observation_ref(d, k, &mut |rec| {
-            if rec.is_firewalled() {
-                fw.insert(rec.peer_id);
-            } else if rec.is_hidden() {
-                hid.insert(rec.peer_id);
-            }
-        });
+        src.for_each_observation_ref(d, k, &mut |rec| fold.observe(rec));
     }
-    fw.intersection(&hid).count()
+    fold.finish()
+}
+
+/// Fig. 6's overlap accumulator: the peers ever seen firewalled and the
+/// peers ever seen hidden, over every day observed.
+#[derive(Clone, Debug, Default)]
+pub struct OverlapFold {
+    firewalled: FxHashSet<u32>,
+    hidden: FxHashSet<u32>,
+}
+
+impl OverlapFold {
+    /// Counts one observation.
+    pub fn observe(&mut self, rec: &ObservedRouterInfo) {
+        if rec.is_firewalled() {
+            self.firewalled.insert(rec.peer_id);
+        } else if rec.is_hidden() {
+            self.hidden.insert(rec.peer_id);
+        }
+    }
+
+    /// Peers seen in both groups.
+    pub fn finish(&self) -> usize {
+        self.firewalled.intersection(&self.hidden).count()
+    }
 }
 
 #[cfg(test)]

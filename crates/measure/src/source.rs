@@ -67,6 +67,25 @@ impl Coverage {
             self.cells_expected,
         )
     }
+
+    /// Folds one day of `src` into the ledger: one `count_one` per
+    /// vantage. [`SnapshotSource::coverage`] is this fold over every
+    /// day; the figure pass (`i2pscope::cli::render_figures`) calls it
+    /// from its own day walk instead of sweeping the days twice.
+    pub fn add_day<S: SnapshotSource + ?Sized>(&mut self, src: &S, day: u64) {
+        let n_v = src.vantage_count();
+        let observed = (0..n_v).filter(|&v| src.count_one(v, day) > 0).count();
+        self.days_expected += 1;
+        self.cells_expected += n_v;
+        self.cells_observed += observed;
+        if observed == n_v {
+            self.days_full += 1;
+        } else if observed > 0 {
+            self.days_partial += 1;
+        } else {
+            self.days_dark += 1;
+        }
+    }
 }
 
 /// A queryable harvested dataset: either a live [`HarvestEngine`] or a
@@ -108,23 +127,9 @@ pub trait SnapshotSource {
 
     /// The dataset's (vantage, day) coverage ledger; see [`Coverage`].
     fn coverage(&self) -> Coverage {
-        let days = self.days();
-        let n_v = self.vantage_count();
-        let mut cov = Coverage {
-            days_expected: days.clone().count(),
-            cells_expected: days.clone().count() * n_v,
-            ..Coverage::default()
-        };
-        for day in days {
-            let observed = (0..n_v).filter(|&v| self.count_one(v, day) > 0).count();
-            cov.cells_observed += observed;
-            if observed == n_v {
-                cov.days_full += 1;
-            } else if observed > 0 {
-                cov.days_partial += 1;
-            } else {
-                cov.days_dark += 1;
-            }
+        let mut cov = Coverage::default();
+        for day in self.days() {
+            cov.add_day(self, day);
         }
         cov
     }

@@ -49,11 +49,53 @@ pub(crate) struct DaySegment {
     /// One observation per union row.
     pub observations: Vec<ObservedRouterInfo>,
     /// The matching `RouterInfo::encode` wire records.
-    pub router_infos: Vec<Vec<u8>>,
+    pub router_infos: WireRecords,
     /// Per-vantage bitsets: bit `i` set iff the vantage saw row `i`.
     pub lanes: Vec<Vec<u64>>,
     /// Words per lane (`rows / 64`, rounded up).
     pub words: usize,
+}
+
+/// A day's `RouterInfo::encode` wire records: record `i` is
+/// `bytes[spans[i].0..spans[i].1]`. A decoded segment keeps its whole
+/// body as `bytes` and points into it, so loading a day copies no
+/// record; a capture packs its encodings back to back. Either way a day
+/// is a few allocations, not one per row: a lazy replay decodes one day
+/// at a time while the figure pass's accumulators grow across all days,
+/// and per-row buffers freed in between fragmented the heap, so
+/// resident memory crept up pass after pass (DESIGN.md §14).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct WireRecords {
+    bytes: Vec<u8>,
+    spans: Vec<(usize, usize)>,
+}
+
+impl WireRecords {
+    /// Records at `spans` inside a decoded segment `body`.
+    pub fn in_body(body: Vec<u8>, spans: Vec<(usize, usize)>) -> WireRecords {
+        WireRecords { bytes: body, spans }
+    }
+
+    /// Appends one record.
+    pub fn push(&mut self, record: &[u8]) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(record);
+        self.spans.push((start, self.bytes.len()));
+    }
+
+    /// The records in row order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        self.spans.iter().map(|&(start, end)| &self.bytes[start..end])
+    }
+}
+
+/// Equal when the record sequences are: a decoded day and the capture
+/// it was encoded from hold the same records in differently laid out
+/// buffers.
+impl PartialEq for WireRecords {
+    fn eq(&self, other: &WireRecords) -> bool {
+        self.iter().eq(other.iter())
+    }
 }
 
 /// A loaded or freshly captured harvest snapshot.
@@ -93,10 +135,10 @@ impl Snapshot {
         for day in span {
             let mut observations = Vec::new();
             engine.for_each_observation(day, vantages.len(), |rec| observations.push(rec));
-            let router_infos: Vec<Vec<u8>> = observations
-                .iter()
-                .map(|obs| archive_router_info(obs, &mut idents).encode())
-                .collect();
+            let mut router_infos = WireRecords::default();
+            for obs in &observations {
+                router_infos.push(&archive_router_info(obs, &mut idents).encode());
+            }
             let words = observations.len().div_ceil(64);
             let lanes: Vec<Vec<u64>> = (0..vantages.len())
                 .map(|v| {
@@ -360,7 +402,7 @@ impl SnapshotSource for Snapshot {
 /// [`crate::LazySnapshot::verify_router_infos`] are built from.
 pub(crate) fn verify_segment_router_infos(seg: &DaySegment) -> Result<usize, StoreError> {
     let mut verified = 0usize;
-    for (obs, bytes) in seg.observations.iter().zip(&seg.router_infos) {
+    for (obs, bytes) in seg.observations.iter().zip(seg.router_infos.iter()) {
         let ri = RouterInfo::decode(bytes)?;
         if !ri.verify() {
             return Err(StoreError::Corrupt { what: "routerinfo signature" });

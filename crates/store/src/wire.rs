@@ -4,7 +4,7 @@ use crate::format::{
     checksum, CHECKSUM_LEN, FLAG_INTRODUCERS, FLAG_IPV4, FLAG_IPV6, FLAG_MASK, MAGIC,
     SEGMENT_TAG, TRAILER_TAG, VERSION,
 };
-use crate::snapshot::{mode_from_tag, mode_tag, DaySegment, Snapshot, SnapshotMeta};
+use crate::snapshot::{mode_from_tag, mode_tag, DaySegment, Snapshot, SnapshotMeta, WireRecords};
 use crate::StoreError;
 use i2p_data::codec::{Reader, Writer};
 use i2p_data::{Caps, CapsString, Hash256, PeerIp};
@@ -76,7 +76,7 @@ fn encode_segment(seg: &DaySegment) -> Vec<u8> {
     // and the full RouterInfo wire record.
     w.varint(seg.observations.len() as u64);
     let mut prev_id = 0u32;
-    for (i, (obs, ri)) in seg.observations.iter().zip(&seg.router_infos).enumerate() {
+    for (i, (obs, ri)) in seg.observations.iter().zip(seg.router_infos.iter()).enumerate() {
         let delta = if i == 0 { obs.peer_id as u64 } else { (obs.peer_id - prev_id) as u64 };
         w.varint(delta);
         prev_id = obs.peer_id;
@@ -185,7 +185,7 @@ fn read_element(
             if r.bytes(CHECKSUM_LEN, "snapshot.segment-checksum")? != checksum(body).as_slice() {
                 return Err(StoreError::Corrupt { what: "segment checksum" });
             }
-            Ok(Element::Segment(decode_segment(body, n_vantages)?))
+            Ok(Element::Segment(decode_segment(body.to_vec(), n_vantages)?))
         }
         TRAILER_TAG => {
             // Position bookkeeping: the checksum covers everything
@@ -335,8 +335,10 @@ fn decode_header(bytes: &[u8]) -> Result<SnapshotMeta, StoreError> {
     })
 }
 
-pub(crate) fn decode_segment(bytes: &[u8], n_vantages: usize) -> Result<DaySegment, StoreError> {
-    let mut r = Reader::new(bytes);
+/// Decodes one checksummed segment body. The segment keeps `body`: its
+/// RouterInfo records are located in it, not copied out.
+pub(crate) fn decode_segment(body: Vec<u8>, n_vantages: usize) -> Result<DaySegment, StoreError> {
+    let mut r = Reader::new(&body);
     let day = r.u64("segment.day")?;
     let n_rows = r.varint("segment.row-count")? as usize;
     if n_rows > r.remaining() {
@@ -344,7 +346,7 @@ pub(crate) fn decode_segment(bytes: &[u8], n_vantages: usize) -> Result<DaySegme
         return Err(StoreError::Corrupt { what: "row count" });
     }
     let mut observations = Vec::with_capacity(n_rows);
-    let mut router_infos = Vec::with_capacity(n_rows);
+    let mut spans = Vec::with_capacity(n_rows);
     let mut prev_id = 0u64;
     for i in 0..n_rows {
         let delta = r.varint("row.id-delta")?;
@@ -373,7 +375,8 @@ pub(crate) fn decode_segment(bytes: &[u8], n_vantages: usize) -> Result<DaySegme
         let ipv6 =
             if flags & FLAG_IPV6 != 0 { Some(decode_ip(&mut r, "row.ipv6")?) } else { None };
         let ri_len = r.varint("row.routerinfo-len")? as usize;
-        let ri = r.bytes(ri_len, "row.routerinfo")?.to_vec();
+        let ri_start = body.len() - r.remaining();
+        r.bytes(ri_len, "row.routerinfo")?;
         observations.push(ObservedRouterInfo {
             hash,
             peer_id: peer_id as u32,
@@ -383,7 +386,7 @@ pub(crate) fn decode_segment(bytes: &[u8], n_vantages: usize) -> Result<DaySegme
             has_introducers: flags & FLAG_INTRODUCERS != 0,
             day,
         });
-        router_infos.push(ri);
+        spans.push((ri_start, ri_start + ri_len));
     }
     let words = n_rows.div_ceil(64);
     let mut lanes = Vec::with_capacity(n_vantages);
@@ -402,6 +405,7 @@ pub(crate) fn decode_segment(bytes: &[u8], n_vantages: usize) -> Result<DaySegme
     if !r.is_empty() {
         return Err(StoreError::Corrupt { what: "segment trailing bytes" });
     }
+    let router_infos = WireRecords::in_body(body, spans);
     Ok(DaySegment { day, observations, router_infos, lanes, words })
 }
 

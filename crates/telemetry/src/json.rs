@@ -62,6 +62,29 @@ impl Value {
     }
 }
 
+/// Appends `s` to `out` as a JSON string literal (RFC 8259): quotes and
+/// backslashes escaped, control characters as `\n`/`\r`/`\t` or
+/// `\u00XX`. Run manifests, Chrome traces and `BENCH_*.json` artifacts
+/// all quote through this, so [`parse`] reads their strings back
+/// unchanged.
+pub fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
 /// Nesting deeper than this is rejected; telemetry artifacts are a
 /// handful of levels deep and a runaway input must not blow the stack.
 const MAX_DEPTH: u32 = 64;

@@ -30,24 +30,6 @@ pub struct RunInfo {
     pub knobs: Vec<(String, String)>,
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn render_span(
     out: &mut String,
     spans: &[SpanRecord],
@@ -59,7 +41,7 @@ fn render_span(
     let pad = " ".repeat(indent);
     out.push_str(&pad);
     out.push_str("{\"name\": ");
-    push_json_str(out, span.name);
+    json::push_string(out, span.name);
     out.push_str(&format!(
         ", \"tid\": {}, \"start_us\": {}, \"dur_us\": {}, \"children\": [",
         span.tid, span.start_us, span.dur_us
@@ -111,15 +93,15 @@ pub fn manifest_json(
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": ");
-    push_json_str(&mut out, SCHEMA);
+    json::push_string(&mut out, SCHEMA);
     out.push_str(",\n  \"command\": ");
-    push_json_str(&mut out, &run.command);
+    json::push_string(&mut out, &run.command);
     out.push_str(",\n  \"knobs\": {");
     for (i, (key, value)) in run.knobs.iter().enumerate() {
         out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        push_json_str(&mut out, key);
+        json::push_string(&mut out, key);
         out.push_str(": ");
-        push_json_str(&mut out, value);
+        json::push_string(&mut out, value);
     }
     if !run.knobs.is_empty() {
         out.push_str("\n  ");
@@ -127,7 +109,7 @@ pub fn manifest_json(
     out.push_str("},\n  \"counters\": {");
     for (i, (name, value)) in counters.entries().enumerate() {
         out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        push_json_str(&mut out, name);
+        json::push_string(&mut out, name);
         out.push_str(&format!(": {value}"));
     }
     out.push_str("\n  },\n  \"timing\": {\n");
@@ -141,7 +123,7 @@ pub fn manifest_json(
     for (i, (name, agg)) in timing.tallies.iter().enumerate() {
         out.push_str(if i > 0 { ",\n      " } else { "\n      " });
         out.push_str("{\"name\": ");
-        push_json_str(&mut out, name);
+        json::push_string(&mut out, name);
         out.push_str(&format!(", \"calls\": {}, \"total_us\": {}}}", agg.calls, agg.total_us));
     }
     if !timing.tallies.is_empty() {
@@ -151,7 +133,7 @@ pub fn manifest_json(
     for (i, (name, value)) in timing.gauges.iter().enumerate() {
         out.push_str(if i > 0 { ",\n      " } else { "\n      " });
         out.push_str("{\"name\": ");
-        push_json_str(&mut out, name);
+        json::push_string(&mut out, name);
         out.push_str(&format!(", \"value\": {value}}}"));
     }
     if !timing.gauges.is_empty() {
@@ -176,7 +158,7 @@ pub fn chrome_trace_json(timing: &TimingReport) -> String {
     for (i, span) in timing.spans.iter().enumerate() {
         out.push_str(if i > 0 { ",\n " } else { "\n " });
         out.push_str("{\"name\": ");
-        push_json_str(&mut out, span.name);
+        json::push_string(&mut out, span.name);
         out.push_str(&format!(
             ", \"cat\": \"i2pscope\", \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"ts\": {}, \"dur\": {}}}",
             span.tid, span.start_us, span.dur_us

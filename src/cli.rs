@@ -13,11 +13,12 @@
 //! same placement model; uniform stays the oracle).
 
 use i2p_faults::{FaultPlane, FaultSpec};
+use i2p_geoip::GeoDb;
 use i2p_measure::adversary::{self, AdversaryLab};
 use i2p_measure::engine::HarvestEngine;
 use i2p_measure::fleet::Fleet;
 use i2p_measure::keyspace::{KeyspaceConfig, VisibilityModel};
-use i2p_measure::source::SnapshotSource;
+use i2p_measure::source::{Coverage, SnapshotSource};
 use i2p_measure::usability::{evaluate, UsabilityConfig};
 use i2p_measure::{capacity, churn, geo, ipchurn, population, report, sybil};
 use i2p_sim::world::{World, WorldConfig};
@@ -253,139 +254,229 @@ fn titled_csv(title: &str, csv: String) -> String {
 /// loaded snapshot — deterministically: identical sources give
 /// byte-identical output (the CI smoke and `tests/store_replay.rs`
 /// hold live vs replayed renders to `==`).
+///
+/// Every figure is a fold over the same per-day observation stream, so
+/// the selected figures share one day-major pass over the source
+/// (DESIGN.md §14) and render from its accumulators.
 pub fn render_figures(src: &dyn SnapshotSource, format: Format, figs: &[FigId]) -> String {
+    let pass = FigurePass::run(src, figs);
     let mut out = String::new();
     // Degraded-mode annotation: a partial harvest (vantage outages,
     // recovered snapshot prefix, …) says so up front, in both formats.
     // Full datasets render byte-identically to a build without this
     // check — the annotation only exists when a cell is dark.
-    let cov = src.coverage();
-    if cov.is_degraded() {
+    if pass.coverage.is_degraded() {
         match format {
             Format::Text => {
-                let _ = writeln!(out, "{}\n", cov.annotation());
+                let _ = writeln!(out, "{}\n", pass.coverage.annotation());
             }
             Format::Csv => {
-                let _ = writeln!(out, "# {}", cov.annotation());
+                let _ = writeln!(out, "# {}", pass.coverage.annotation());
             }
         }
     }
-    out.push_str(&render_figure_blocks(src, format, figs));
-    out
-}
-
-fn render_figure_blocks(src: &dyn SnapshotSource, format: Format, figs: &[FigId]) -> String {
-    let span = src.days();
-    let n_days = span.clone().count() as u64;
-    // Fig. 5/6 sample every `step` days (≤ ~10 rows); Table 1 and the
-    // floodfill estimate use the window's middle day. All derived from
-    // the source's own range, so live and replay agree by construction.
-    let step = (n_days / 10).max(1) as usize;
-    let mid_day = span.start + n_days / 2;
-    let horizon = (n_days.saturating_sub(1)).min(30) as usize;
-    let churn_days: Vec<usize> =
-        [1, 2, 3, 5, 7, 10, 14, 21, 30].into_iter().filter(|&d| d <= horizon).collect();
-
-    let mut out = String::new();
-    // Fig. 5/6 share the sampled census series and Fig. 8/12 share the
-    // full-window IP-churn pass — the two heaviest analyses in the
-    // suite — so compute each once and reuse across both figures.
-    let mut census_series = None;
-    let mut ip_report = None;
     for fig in figs {
         // Telemetry is observation only: the span times the render and
-        // the counter tallies it; neither can touch `block`, which is
+        // the counter tallies it; neither can touch the block, which is
         // what keeps `--telemetry` renders byte-identical to plain ones
         // (pinned by tests/telemetry.rs).
         let _span = i2p_telemetry::span(fig.span_name());
         i2p_telemetry::count_one(i2p_telemetry::Counter::FigureRenders);
-        let block = match fig {
+        out.push_str(&pass.render(*fig, format));
+        out.push('\n');
+    }
+    out
+}
+
+/// The figure suite's accumulators after one walk over a source's days.
+/// Folds of figures that are not selected stay empty and are never fed,
+/// so no figure's bytes depend on which other figures were selected.
+struct FigurePass<'s> {
+    geo: &'s GeoDb,
+    coverage: Coverage,
+    /// Fig. 4.
+    curve: population::CoverageFold,
+    /// Fig. 5/6: the census of every `step`-th day.
+    census: Vec<(u64, population::DailyCensus)>,
+    /// Fig. 6.
+    overlap: population::OverlapFold,
+    /// Fig. 7, following peers for `horizon` days.
+    survival: churn::ChurnFold,
+    horizon: usize,
+    /// Figs. 8, 10, 11 and 12.
+    ips: ipchurn::IpMap,
+    /// Fig. 9.
+    letters: capacity::CapacityFold,
+    /// Table 1, over the window's middle day.
+    bandwidth: capacity::BandwidthFold,
+    floodfill: capacity::FloodfillFold,
+}
+
+impl<'s> FigurePass<'s> {
+    /// Walks `src`'s days once, ascending. Per day that is the coverage
+    /// ledger's `count_one` calls, at most one `coverage_curve` (Fig. 4)
+    /// and at most one observation walk, which feeds every selected
+    /// fold — or, when only Fig. 7 needs the day, one union-id walk. On
+    /// a lazy snapshot each day segment is therefore decoded once.
+    fn run(src: &'s dyn SnapshotSource, figs: &[FigId]) -> FigurePass<'s> {
+        let _span = i2p_telemetry::span("measure.figure_pass");
+        let wants = |any: &[FigId]| figs.iter().any(|f| any.contains(f));
+        let want_curve = wants(&[FigId::Fig4]);
+        let want_census = wants(&[FigId::Fig5, FigId::Fig6]);
+        let want_overlap = wants(&[FigId::Fig6]);
+        let want_churn = wants(&[FigId::Fig7]);
+        let want_ips = wants(&[FigId::Fig8, FigId::Fig10, FigId::Fig11, FigId::Fig12]);
+        let want_capacity = wants(&[FigId::Fig9]);
+        let want_table1 = wants(&[FigId::Table1]);
+
+        let span = src.days();
+        let n_days = span.clone().count() as u64;
+        // Fig. 5/6 sample every `step` days (≤ ~10 rows); Table 1 and the
+        // floodfill estimate use the window's middle day. All derived from
+        // the source's own range, so live and replay agree by construction.
+        let step = (n_days / 10).max(1);
+        let mid_day = span.start + n_days / 2;
+        let horizon = (n_days.saturating_sub(1)).min(30) as usize;
+        let k = src.vantage_count();
+
+        let mut coverage = Coverage::default();
+        let mut curve = population::CoverageFold::new(k);
+        let mut census = Vec::new();
+        let mut overlap = population::OverlapFold::default();
+        let mut survival = churn::ChurnFold::new(span.clone(), horizon);
+        let mut ips = ipchurn::IpFold::new(src.geo());
+        let mut letters = capacity::CapacityFold::new(n_days as usize);
+        let mut bandwidth = capacity::BandwidthFold::default();
+        let mut floodfill = capacity::FloodfillFold::default();
+        for day in span.clone() {
+            coverage.add_day(src, day);
+            if want_curve {
+                curve.add_day(&src.coverage_curve(day));
+            }
+            let census_day = want_census && (day - span.start) % step == 0;
+            let table1_day = want_table1 && day == mid_day;
+            if census_day || want_overlap || want_ips || want_capacity || table1_day {
+                let mut today = population::CensusFold::default();
+                src.for_each_observation_ref(day, k, &mut |rec| {
+                    if census_day {
+                        today.observe(rec);
+                    }
+                    if want_overlap {
+                        overlap.observe(rec);
+                    }
+                    if want_churn {
+                        survival.observe(rec.peer_id, day);
+                    }
+                    if want_ips {
+                        ips.observe(rec);
+                    }
+                    if want_capacity {
+                        letters.observe(rec);
+                    }
+                    if table1_day {
+                        bandwidth.observe(rec);
+                        floodfill.observe(rec);
+                    }
+                });
+                if census_day {
+                    census.push((day, today.finish()));
+                }
+            } else if want_churn {
+                src.for_each_union_id(day, k, &mut |id| survival.observe(id, day));
+            }
+        }
+        FigurePass {
+            geo: src.geo(),
+            coverage,
+            curve,
+            census,
+            overlap,
+            survival,
+            horizon,
+            ips: ips.finish(),
+            letters,
+            bandwidth,
+            floodfill,
+        }
+    }
+
+    /// Finishes and renders one figure's block.
+    fn render(&self, fig: FigId, format: Format) -> String {
+        match fig {
             FigId::Fig4 => {
-                let curve = population::cumulative_by_router_count_from(src, span.clone());
+                let curve = self.curve.finish();
                 match format {
                     Format::Text => report::render_fig4(&curve),
                     Format::Csv => titled_csv("Figure 4", report::csv_fig4(&curve)),
                 }
             }
-            FigId::Fig5 | FigId::Fig6 => {
-                let series: &Vec<_> = census_series.get_or_insert_with(|| {
-                    span.clone()
-                        .step_by(step)
-                        .map(|d| (d, population::daily_census_from(src, d)))
-                        .collect()
-                });
-                if *fig == FigId::Fig5 {
-                    match format {
-                        Format::Text => report::render_fig5(series),
-                        Format::Csv => titled_csv("Figure 5", report::csv_fig5(series)),
-                    }
-                } else {
-                    let overlap =
-                        population::firewalled_hidden_overlap_from(src, span.clone());
-                    match format {
-                        Format::Text => report::render_fig6(series, overlap),
-                        Format::Csv => {
-                            titled_csv("Figure 6", report::csv_fig6(series, overlap))
-                        }
-                    }
+            FigId::Fig5 => match format {
+                Format::Text => report::render_fig5(&self.census),
+                Format::Csv => titled_csv("Figure 5", report::csv_fig5(&self.census)),
+            },
+            FigId::Fig6 => {
+                let overlap = self.overlap.finish();
+                match format {
+                    Format::Text => report::render_fig6(&self.census, overlap),
+                    Format::Csv => titled_csv("Figure 6", report::csv_fig6(&self.census, overlap)),
                 }
             }
             FigId::Fig7 => {
-                let curves = churn::churn_curves_from(src, horizon);
+                let curves = self.survival.finish();
+                let churn_days: Vec<usize> = [1, 2, 3, 5, 7, 10, 14, 21, 30]
+                    .into_iter()
+                    .filter(|&d| d <= self.horizon)
+                    .collect();
                 match format {
                     Format::Text => report::render_fig7(&curves, &churn_days),
                     Format::Csv => titled_csv("Figure 7", report::csv_fig7(&curves, &churn_days)),
                 }
             }
-            FigId::Fig8 | FigId::Fig12 => {
-                let rep = ip_report
-                    .get_or_insert_with(|| ipchurn::ip_churn_report_from(src, span.clone()));
-                if *fig == FigId::Fig8 {
-                    match format {
-                        Format::Text => report::render_fig8(rep),
-                        Format::Csv => titled_csv("Figure 8", report::csv_fig8(rep)),
-                    }
-                } else {
-                    match format {
-                        Format::Text => report::render_fig12(rep),
-                        Format::Csv => titled_csv("Figure 12", report::csv_fig12(rep)),
-                    }
+            FigId::Fig8 => {
+                let rep = ipchurn::IpChurnReport::from_stats(&self.ips);
+                match format {
+                    Format::Text => report::render_fig8(&rep),
+                    Format::Csv => titled_csv("Figure 8", report::csv_fig8(&rep)),
                 }
             }
             FigId::Fig9 => {
-                let hist = capacity::capacity_histogram_from(src, span.clone());
+                let hist = self.letters.finish();
                 match format {
                     Format::Text => report::render_fig9(&hist),
                     Format::Csv => titled_csv("Figure 9", report::csv_fig9(&hist)),
                 }
             }
             FigId::Fig10 => {
-                let rep = geo::country_distribution_from(src, span.clone());
+                let rep = geo::GeoReport::from_stats(&self.ips, self.geo);
                 match format {
                     Format::Text => report::render_fig10(&rep, 20),
                     Format::Csv => titled_csv("Figure 10", report::csv_fig10(&rep, 20)),
                 }
             }
             FigId::Fig11 => {
-                let rep = geo::as_distribution_from(src, span.clone());
+                let rep = geo::AsReport::from_stats(&self.ips);
                 match format {
                     Format::Text => report::render_fig11(&rep, 20),
                     Format::Csv => titled_csv("Figure 11", report::csv_fig11(&rep, 20)),
                 }
             }
+            FigId::Fig12 => {
+                let rep = ipchurn::IpChurnReport::from_stats(&self.ips);
+                match format {
+                    Format::Text => report::render_fig12(&rep),
+                    Format::Csv => titled_csv("Figure 12", report::csv_fig12(&rep)),
+                }
+            }
             FigId::Table1 => {
-                let table = capacity::bandwidth_table_from(src, mid_day);
-                let est = capacity::floodfill_estimate_from(src, mid_day);
+                let table = self.bandwidth.finish();
+                let est = self.floodfill.finish();
                 match format {
                     Format::Text => report::render_table1(&table, &est),
                     Format::Csv => titled_csv("Table 1", report::csv_table1(&table, &est)),
                 }
             }
-        };
-        out.push_str(&block);
-        out.push('\n');
+        }
     }
-    out
 }
 
 /// The deterministic audit line every dataset-producing command prints:

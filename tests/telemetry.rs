@@ -18,8 +18,9 @@
 //!
 //! Note on globals: `timing::enable()` is process-wide and sticky, so
 //! every on-vs-off comparison renders its "off" output *first* within
-//! one test, and counter tests take deltas under
-//! `counters::exclusive` (the suite runs multi-threaded).
+//! one test, and every test that moves counters runs under
+//! `counters::exclusive` (the suite runs multi-threaded, and an exact
+//! delta taken beside unlocked work would count that work too).
 
 use i2p_faults::FaultSpec;
 use i2pscope::cli::{self, FigId, Format, Knobs, Model};
@@ -41,31 +42,39 @@ fn knobs(threads: usize) -> Knobs {
 
 #[test]
 fn figures_and_audit_are_byte_identical_with_telemetry_on() {
-    let k = knobs(0);
-    // "Off" renders first: enable() is sticky, so order matters.
-    let text_off = cli::figures_live_audited(&k, Format::Text, &FigId::ALL);
-    let csv_off = cli::figures_live_audited(&k, Format::Csv, &FigId::ALL);
-    timing::enable();
-    let text_on = cli::figures_live_audited(&k, Format::Text, &FigId::ALL);
-    let csv_on = cli::figures_live_audited(&k, Format::Csv, &FigId::ALL);
-    assert_eq!(text_off, text_on, "text figures drift when telemetry is enabled");
-    assert_eq!(csv_off, csv_on, "CSV figures drift when telemetry is enabled");
+    // Moves the process-wide counters: hold the counter lock so the
+    // exact-delta tests beside it never see this work.
+    counters::exclusive(|| {
+        let k = knobs(0);
+        // "Off" renders first: enable() is sticky, so order matters.
+        let text_off = cli::figures_live_audited(&k, Format::Text, &FigId::ALL);
+        let csv_off = cli::figures_live_audited(&k, Format::Csv, &FigId::ALL);
+        timing::enable();
+        let text_on = cli::figures_live_audited(&k, Format::Text, &FigId::ALL);
+        let csv_on = cli::figures_live_audited(&k, Format::Csv, &FigId::ALL);
+        assert_eq!(text_off, text_on, "text figures drift when telemetry is enabled");
+        assert_eq!(csv_off, csv_on, "CSV figures drift when telemetry is enabled");
+    });
 }
 
 #[test]
 fn snapshot_encoding_is_byte_identical_with_telemetry_on() {
-    let k = knobs(0);
-    let world = k.world();
-    let fleet = k.fleet();
-    let engine = i2pscope::measure::engine::HarvestEngine::build(&world, &fleet, 0..k.days);
-    let bytes_off = Snapshot::capture(&engine).to_bytes().expect("encode");
-    timing::enable();
-    let engine = i2pscope::measure::engine::HarvestEngine::build(&world, &fleet, 0..k.days);
-    let bytes_on = Snapshot::capture(&engine).to_bytes().expect("encode");
-    assert_eq!(bytes_off, bytes_on, ".i2ps encoding drifts when telemetry is enabled");
-    // And the archive round-trips regardless of the plane's state.
-    let decoded = Snapshot::from_bytes(&bytes_on).expect("decode");
-    assert!(decoded.verify_router_infos().expect("verify") > 0);
+    // Moves the process-wide counters: hold the counter lock so the
+    // exact-delta tests beside it never see this work.
+    counters::exclusive(|| {
+        let k = knobs(0);
+        let world = k.world();
+        let fleet = k.fleet();
+        let engine = i2pscope::measure::engine::HarvestEngine::build(&world, &fleet, 0..k.days);
+        let bytes_off = Snapshot::capture(&engine).to_bytes().expect("encode");
+        timing::enable();
+        let engine = i2pscope::measure::engine::HarvestEngine::build(&world, &fleet, 0..k.days);
+        let bytes_on = Snapshot::capture(&engine).to_bytes().expect("encode");
+        assert_eq!(bytes_off, bytes_on, ".i2ps encoding drifts when telemetry is enabled");
+        // And the archive round-trips regardless of the plane's state.
+        let decoded = Snapshot::from_bytes(&bytes_on).expect("decode");
+        assert!(decoded.verify_router_infos().expect("verify") > 0);
+    });
 }
 
 #[test]
@@ -94,28 +103,32 @@ fn sweep_counters_are_thread_invariant_and_count_cells() {
 
 #[test]
 fn manifest_validates_and_covers_the_four_core_crates() {
-    timing::enable();
-    let k = knobs(0);
-    // A figures run plus the calibration probe — exactly what the
-    // binary does for `i2pscope figures --telemetry`.
-    let _ = cli::figures_live(&k, Format::Text, &[FigId::Fig4]);
-    probe::calibrate();
-    let text = cli::telemetry_manifest("figures", &k);
-    let summary = manifest::validate_manifest(&text).expect("manifest validates");
-    assert_eq!(summary.schema, "i2p-telemetry/1");
-    assert_eq!(summary.command, "figures");
-    let covered = summary.crates_covered();
-    for needed in ["measure", "store", "netdb", "transport"] {
-        assert!(covered.iter().any(|c| c == needed), "span tree misses {needed}: {covered:?}");
-    }
-    assert!(summary.span_count >= 4, "span tree too small: {}", summary.span_count);
-    // Every counter the manifest archives must echo u64 lexemes; the
-    // knob echo must include the fault spec (degraded runs carry their
-    // fault totals and their spec side by side).
-    assert!(summary.knobs.iter().any(|(k, _)| k == "faults"));
-    let trace = cli::telemetry_trace();
-    let events = manifest::validate_trace(&trace).expect("trace parses");
-    assert!(events >= 4, "trace too small: {events}");
+    // Moves the process-wide counters: hold the counter lock so the
+    // exact-delta tests beside it never see this work.
+    counters::exclusive(|| {
+        timing::enable();
+        let k = knobs(0);
+        // A figures run plus the calibration probe — exactly what the
+        // binary does for `i2pscope figures --telemetry`.
+        let _ = cli::figures_live(&k, Format::Text, &[FigId::Fig4]);
+        probe::calibrate();
+        let text = cli::telemetry_manifest("figures", &k);
+        let summary = manifest::validate_manifest(&text).expect("manifest validates");
+        assert_eq!(summary.schema, "i2p-telemetry/1");
+        assert_eq!(summary.command, "figures");
+        let covered = summary.crates_covered();
+        for needed in ["measure", "store", "netdb", "transport"] {
+            assert!(covered.iter().any(|c| c == needed), "span tree misses {needed}: {covered:?}");
+        }
+        assert!(summary.span_count >= 4, "span tree too small: {}", summary.span_count);
+        // Every counter the manifest archives must echo u64 lexemes; the
+        // knob echo must include the fault spec (degraded runs carry their
+        // fault totals and their spec side by side).
+        assert!(summary.knobs.iter().any(|(k, _)| k == "faults"));
+        let trace = cli::telemetry_trace();
+        let events = manifest::validate_trace(&trace).expect("trace parses");
+        assert!(events >= 4, "trace too small: {events}");
+    });
 }
 
 #[test]
