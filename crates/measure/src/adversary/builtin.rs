@@ -3,11 +3,13 @@
 //! ([`AdaptiveCensor`], [`GeoCensor`]) the composed scenarios are built
 //! from.
 //!
-//! Each of the five wraps its module's *existing* sweep entrypoint —
-//! `censor::blocking_matrix_swept`, `attack::sweep_attacks`,
+//! Each of the five wraps its module's *existing* entrypoint —
+//! `censor::blocking_matrix`, `attack::sweep_attacks`,
 //! `closedloop::closed_loop_sweep`, `sybil::run`,
-//! `bridges::sweep_bridges` — so the legacy functions stay the parity
-//! oracles and the trait adds composition, not a second implementation.
+//! `bridges::sweep_bridges` — so the trait adds composition, not a
+//! second implementation. The registry tests hold each run to its
+//! module's reference: the per-cell blacklist definition for the
+//! censor's one-walk matrix, the legacy serial drivers for the rest.
 //! Scenario grids are derived from the lab's geometry (fleet size,
 //! window length) by `pub` helpers, so tests can reproduce the exact
 //! grid a registered run used.
@@ -115,14 +117,8 @@ impl Adversary for Censor {
     fn run(&self, lab: &AdversaryLab<'_>) -> AdversaryOutcome {
         let routers = Self::router_grid(lab);
         let windows = Self::window_grid(lab);
-        let series = censor::blocking_matrix_swept(
-            lab.world,
-            lab.fleet,
-            lab.eval_day,
-            &routers,
-            &windows,
-            lab.threads,
-        );
+        let series =
+            censor::blocking_matrix(lab.world, lab.fleet, lab.eval_day, &routers, &windows);
         let max_rate = series
             .iter()
             .flat_map(|s| s.points.iter().map(|&(_, r)| r))

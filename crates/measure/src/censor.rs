@@ -11,7 +11,6 @@
 
 use crate::engine::HarvestEngine;
 use crate::fleet::{self, Fleet};
-use crate::lab;
 use i2p_crypto::DetRng;
 use i2p_data::{FxHashMap, FxHashSet, PeerIp};
 use i2p_sim::params;
@@ -83,6 +82,16 @@ pub fn victim_view(world: &World, eval_day: u64, salt: u64) -> VictimView {
     VictimView { known_ips }
 }
 
+/// First day of the blacklist window of `window_days` days ending on
+/// `eval_day`, clamped at day 0.
+fn window_start(eval_day: u64, window_days: u64) -> u64 {
+    assert!(
+        window_days >= 1,
+        "censor blacklist: window_days must be at least 1 day, got {window_days}"
+    );
+    eval_day.saturating_sub(window_days - 1)
+}
+
 /// The censor's blacklist: all peer IPs observed by the first `n`
 /// routers of `fleet` within the window ending at `eval_day`.
 pub fn censor_blacklist(
@@ -92,25 +101,24 @@ pub fn censor_blacklist(
     window_days: u64,
     eval_day: u64,
 ) -> FxHashSet<PeerIp> {
-    let from = eval_day.saturating_sub(window_days - 1);
+    let from = window_start(eval_day, window_days);
     // Only the first `n_routers` lanes are ever read, so only they are
-    // filled (the Fig. 13 matrix shares a full fill via
-    // `censor_blacklist_from_engine` instead).
+    // filled.
     let prefix = fleet.vantages[..n_routers.min(fleet.vantages.len())].to_vec();
     let engine = HarvestEngine::with_vantages(world, prefix, from..eval_day + 1);
     censor_blacklist_from_engine(&engine, n_routers, window_days, eval_day)
 }
 
 /// [`censor_blacklist`] against a pre-filled engine, so a sweep over
-/// (router count × window) pairs — the whole Fig. 13 matrix — pays for
-/// the sighting draws exactly once.
+/// blacklists (attack, bridge and closed-loop grids) pays for the
+/// sighting draws exactly once.
 pub fn censor_blacklist_from_engine(
     engine: &HarvestEngine<'_>,
     n_routers: usize,
     window_days: u64,
     eval_day: u64,
 ) -> FxHashSet<PeerIp> {
-    let from = eval_day.saturating_sub(window_days - 1);
+    let from = window_start(eval_day, window_days);
     let mut ips = FxHashSet::default();
     for day in from..=eval_day {
         union_published_ips(engine, day, n_routers, &mut ips);
@@ -146,11 +154,19 @@ pub fn union_published_ips(
 /// Blocking rate: share of the victim's known IPs on the blacklist
 /// (§6.2.1).
 pub fn blocking_rate(victim: &VictimView, blacklist: &FxHashSet<PeerIp>) -> f64 {
-    if victim.known_ips.is_empty() {
+    let blocked = victim.known_ips.iter().filter(|ip| blacklist.contains(ip)).count();
+    rate_pct(blocked, victim.known_ips.len())
+}
+
+/// The blocking-rate formula: `blocked` of the victim's `known`
+/// addresses, in percent (0 for a victim that knows none). Shared by
+/// [`blocking_rate`] and [`blocking_matrix`], so both give the same
+/// `f64` for the same counts.
+fn rate_pct(blocked: usize, known: usize) -> f64 {
+    if known == 0 {
         return 0.0;
     }
-    let blocked = victim.known_ips.iter().filter(|ip| blacklist.contains(ip)).count();
-    100.0 * blocked as f64 / victim.known_ips.len() as f64
+    100.0 * blocked as f64 / known as f64
 }
 
 /// One Fig. 13 series: blocking rate vs number of censor routers for a
@@ -163,7 +179,16 @@ pub struct BlockingSeries {
     pub points: Vec<(usize, f64)>,
 }
 
-/// Computes the full Fig. 13 matrix.
+/// Computes the full Fig. 13 matrix: one series per entry of `windows`
+/// and one point per entry of `router_counts`, both in the order given.
+/// Every cell equals `blocking_rate` of the victim against
+/// `censor_blacklist_from_engine` for that (routers, window) pair, but
+/// all cells come from one fill and one backward walk over it
+/// (DESIGN.md §15).
+///
+/// # Panics
+///
+/// If a window is shorter than 1 day.
 pub fn blocking_matrix(
     world: &World,
     fleet: &Fleet,
@@ -171,63 +196,93 @@ pub fn blocking_matrix(
     router_counts: &[usize],
     windows: &[u64],
 ) -> Vec<BlockingSeries> {
+    let _span = i2p_telemetry::span("measure.censor_matrix");
+    let starts: Vec<u64> = windows.iter().map(|&w| window_start(eval_day, w)).collect();
     let victim = victim_view(world, eval_day, VICTIM_SALT);
     // One fill covering the longest window serves every matrix cell.
-    let max_window = windows.iter().copied().max().unwrap_or(1);
-    let from = eval_day.saturating_sub(max_window - 1);
+    let from = starts.iter().copied().min().unwrap_or(eval_day);
     let engine = HarvestEngine::build(world, fleet, from..eval_day + 1);
+    let blocked = blocked_per_prefix(&engine, &victim, &starts);
+    let nv = fleet.vantages.len();
+    let known = victim.known_ips.len();
     windows
         .iter()
-        .map(|&w| BlockingSeries {
+        .zip(&blocked)
+        .map(|(&w, blocked)| BlockingSeries {
             window_days: w,
             points: router_counts
                 .iter()
-                .map(|&n| {
-                    let bl = censor_blacklist_from_engine(&engine, n, w, eval_day);
-                    (n, blocking_rate(&victim, &bl))
-                })
+                .map(|&n| (n, rate_pct(blocked[n.min(nv)], known)))
                 .collect(),
         })
         .collect()
 }
 
-/// [`blocking_matrix`] with its (window × routers) cells spread across
-/// the scenario lab: one engine fill and one victim build, then every
-/// cell's blacklist union runs as an independent `lab::sweep` work
-/// item. Bit-identical to the serial oracle at any thread count — the
-/// registered `censor` adversary runs through this path and the golden
-/// suite pins the equality.
+/// [`blocking_matrix`] with a thread count that is ignored, since the
+/// walk runs on one thread. Kept only because the repository benchmark
+/// (`perfbench/`) calls this name.
 pub fn blocking_matrix_swept(
     world: &World,
     fleet: &Fleet,
     eval_day: u64,
     router_counts: &[usize],
     windows: &[u64],
-    threads: usize,
+    _threads: usize,
 ) -> Vec<BlockingSeries> {
-    let victim = victim_view(world, eval_day, VICTIM_SALT);
-    let max_window = windows.iter().copied().max().unwrap_or(1);
-    let from = eval_day.saturating_sub(max_window - 1);
-    let engine = HarvestEngine::build(world, fleet, from..eval_day + 1);
-    let cells: Vec<(u64, usize)> = windows
-        .iter()
-        .flat_map(|&w| router_counts.iter().map(move |&n| (w, n)))
-        .collect();
-    let rates = lab::sweep(&(&engine, &victim), &cells, threads, |&(engine, victim), &(w, n), _| {
-        blocking_rate(victim, &censor_blacklist_from_engine(engine, n, w, eval_day))
-    });
-    windows
-        .iter()
-        .enumerate()
-        .map(|(wi, &w)| BlockingSeries {
-            window_days: w,
-            points: router_counts
-                .iter()
-                .enumerate()
-                .map(|(ni, &n)| (n, rates[wi * router_counts.len() + ni]))
-                .collect(),
-        })
-        .collect()
+    blocking_matrix(world, fleet, eval_day, router_counts, windows)
+}
+
+/// The Fig. 13 walk over the engine's days, which must reach back to
+/// every window start in `starts`. For each start (aligned with
+/// `starts`), `blocked[k]` is the number of victim addresses on the
+/// blacklist of the engine's first `k` vantages over the window from
+/// that start to the engine's last day, for `k` in `0..=vantages`.
+///
+/// Walking from the last day backwards, each victim address keeps the
+/// lowest first-sighting vantage index seen so far: the address is on
+/// the `k`-router blacklist of the days walked iff that index is below
+/// `k`. On reaching a window's first day, a histogram of the indices
+/// gives every router count at once through its prefix sums.
+fn blocked_per_prefix(
+    engine: &HarvestEngine<'_>,
+    victim: &VictimView,
+    starts: &[u64],
+) -> Vec<Vec<usize>> {
+    let geo = &engine.world().geo;
+    let nv = engine.vantages().len();
+    let slot: FxHashMap<PeerIp, usize> =
+        victim.known_ips.iter().enumerate().map(|(i, &ip)| (ip, i)).collect();
+    // `nv` marks an address no vantage has seen yet.
+    let mut first = vec![nv; slot.len()];
+    let mut blocked = vec![Vec::new(); starts.len()];
+    for day in engine.days().rev() {
+        let d = day as i64;
+        engine.for_each_first_sighting(day, |peer, v| {
+            if !peer.publishes_ip(d) {
+                return;
+            }
+            for ip in std::iter::once(peer.ipv4_on(d, geo)).chain(peer.ipv6_on(d, geo)) {
+                if let Some(&i) = slot.get(&ip) {
+                    first[i] = first[i].min(v);
+                }
+            }
+        });
+        if !starts.contains(&day) {
+            continue;
+        }
+        // The histogram shifted by one, summed in place.
+        let mut prefix = vec![0usize; nv + 1];
+        for &v in first.iter().filter(|&&v| v < nv) {
+            prefix[v + 1] += 1;
+        }
+        for k in 1..=nv {
+            prefix[k] += prefix[k - 1];
+        }
+        for (b, _) in blocked.iter_mut().zip(starts).filter(|&(_, &s)| s == day) {
+            b.clone_from(&prefix);
+        }
+    }
+    blocked
 }
 
 #[cfg(test)]
@@ -282,19 +337,53 @@ mod tests {
     }
 
     #[test]
-    fn swept_matrix_matches_serial_oracle() {
+    fn walk_matches_per_cell_definition() {
         let (w, fleet) = setup();
-        let serial = blocking_matrix(&w, &fleet, 35, &[1, 5, 10], &[1, 5]);
-        for threads in [1, 4] {
-            let swept = blocking_matrix_swept(&w, &fleet, 35, &[1, 5, 10], &[1, 5], threads);
-            assert_eq!(serial.len(), swept.len());
-            for (a, b) in serial.iter().zip(&swept) {
-                assert_eq!(a.window_days, b.window_days);
-                // Exact f64 equality: the lab distributes the cells, it
-                // must not change them.
-                assert_eq!(a.points, b.points, "threads {threads}");
+        let eval = 35;
+        // Unsorted and duplicate entries, no routers, more routers than
+        // the fleet has, and a window reaching back past day 0.
+        let routers = [3, 0, 1, 20, 7, 25, 1];
+        let windows = [5, 1, 40, 5, 30, 2];
+        let series = blocking_matrix(&w, &fleet, eval, &routers, &windows);
+        let victim = victim_view(&w, eval, VICTIM_SALT);
+        let engine = HarvestEngine::build(&w, &fleet, 0..eval + 1);
+        assert_eq!(series.len(), windows.len());
+        for (s, &win) in series.iter().zip(&windows) {
+            assert_eq!(s.window_days, win);
+            let ns: Vec<usize> = s.points.iter().map(|&(n, _)| n).collect();
+            assert_eq!(ns, routers);
+            for &(n, rate) in &s.points {
+                let bl = censor_blacklist_from_engine(&engine, n, win, eval);
+                let want = blocking_rate(&victim, &bl);
+                assert_eq!(rate.to_bits(), want.to_bits(), "{n} routers, {win}-day window");
             }
         }
+        assert_eq!(series[0].points[1].1, 0.0, "no routers block nothing");
+        assert!(series[2].points[3].1 > 90.0, "the whole fleet over the whole history");
+    }
+
+    fn tiny_world() -> World {
+        World::generate(WorldConfig { days: 4, scale: 0.01, seed: 61 })
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1 day")]
+    fn matrix_rejects_zero_day_window() {
+        blocking_matrix(&tiny_world(), &Fleet::alternating(2), 3, &[1, 2], &[1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1 day")]
+    fn blacklist_rejects_zero_day_window() {
+        censor_blacklist(&tiny_world(), &Fleet::alternating(2), 2, 0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1 day")]
+    fn engine_blacklist_rejects_zero_day_window() {
+        let w = tiny_world();
+        let engine = HarvestEngine::build(&w, &Fleet::alternating(2), 0..4);
+        censor_blacklist_from_engine(&engine, 2, 0, 3);
     }
 
     #[test]

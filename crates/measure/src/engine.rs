@@ -9,7 +9,8 @@
 //! `i2p_sim::world::DayIndex`, so offline and long-dead peers cost
 //! nothing), then answers membership questions by word-wise OR +
 //! popcount. Fig. 4's 40-prefix coverage curve becomes one cumulative-OR
-//! pass; Fig. 13's (routers × windows) blacklist matrix reuses one fill.
+//! pass; Fig. 13's (routers × windows) blacklist matrix is one walk of
+//! [`HarvestEngine::for_each_first_sighting`] over one fill.
 //!
 //! Three further cost levers:
 //!
@@ -418,6 +419,43 @@ impl<'w> HarvestEngine<'w> {
             for (j, &w) in acc[..len].iter().enumerate() {
                 if w != 0 {
                     f(start + j, w);
+                }
+            }
+            start += len;
+        }
+    }
+
+    /// Visits every peer the whole fleet saw on `day` exactly once, with
+    /// the lowest vantage index whose lane holds it. A peer is in the
+    /// union of the first `k` vantages iff that index is below `k`, so
+    /// one walk answers every fleet prefix at once (the Fig. 13 matrix,
+    /// `censor::blocking_matrix`). Streams the lanes in
+    /// [`STREAM_WORDS`] blocks like `for_each_union_word`; within a
+    /// block, peers come vantage by vantage, ascending by position.
+    pub fn for_each_first_sighting(&self, day: u64, mut f: impl FnMut(&'w PeerRecord, usize)) {
+        let di = self.di(day);
+        let base = self.day_off[di];
+        let words = self.day_words[di];
+        let ids = &self.day_ids[di];
+        let peers = &self.world.peers;
+        i2p_telemetry::count(
+            i2p_telemetry::Counter::BitsetWordsOr,
+            (words * self.vantages.len()) as u64,
+        );
+        i2p_telemetry::count(
+            i2p_telemetry::Counter::EngineShardBlocks,
+            words.div_ceil(STREAM_WORDS) as u64,
+        );
+        let mut acc = [0u64; STREAM_WORDS];
+        let mut start = 0usize;
+        while start < words {
+            let len = STREAM_WORDS.min(words - start);
+            acc[..len].fill(0);
+            for (v, lane) in self.lanes.iter().enumerate() {
+                let lane = &lane[base + start..base + start + len];
+                for (j, (a, &w)) in acc[..len].iter_mut().zip(lane).enumerate() {
+                    for_each_set_bit_in(start + j, w & !*a, |i| f(&peers[ids[i] as usize], v));
+                    *a |= w;
                 }
             }
             start += len;
@@ -883,6 +921,18 @@ mod tests {
         let ids = engine.union_prefix_ids(0, 3);
         assert_eq!(ids.len(), engine.count_union(0));
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending, duplicate-free");
+        // Each union id once, with the smallest vantage that holds it.
+        let lanes: Vec<BTreeSet<u32>> =
+            (0..3).map(|v| engine.vantage_ids(v, 0).into_iter().collect()).collect();
+        let mut first = Vec::new();
+        engine.for_each_first_sighting(0, |peer, v| first.push((peer.id, v)));
+        first.sort_unstable();
+        let visited: Vec<u32> = first.iter().map(|&(id, _)| id).collect();
+        assert_eq!(visited, ids, "every union id exactly once");
+        for &(id, v) in &first {
+            let lowest = lanes.iter().position(|lane| lane.contains(&id));
+            assert_eq!(lowest, Some(v), "peer {id}");
+        }
     }
 
     #[test]

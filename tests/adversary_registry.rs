@@ -3,7 +3,8 @@
 //! The trait refactor's contract: the five registered paper attacks are
 //! *plumbing* over the legacy entrypoints, not reimplementations — so
 //! each trait-path figure must be byte-identical to the legacy oracle
-//! run with the same grid. On top of that, the composed scenarios pin
+//! run with the same grid (for the censor, the per-cell blacklist
+//! definition of Fig. 13). On top of that, the composed scenarios pin
 //! the lab-wide determinism guarantees: rebuild ≡ rerun bit for bit,
 //! 1 ≡ N sweep threads, and capture → store → replay roundtrips with
 //! identical figures.
@@ -12,7 +13,7 @@ use i2pscope::cli::{self, FigId, Format};
 use i2pscope::measure::adversary::{
     parse_spec, Adversary, AdversaryLab, Bridges, Censor, ClosedLoop, Deanon, SybilEclipse,
 };
-use i2pscope::measure::{attack, bridges, censor, closedloop, report, sybil, Fleet};
+use i2pscope::measure::{attack, bridges, censor, closedloop, report, sybil, Fleet, HarvestEngine};
 use i2pscope::sim::world::{World, WorldConfig};
 use i2pscope::store::Snapshot;
 
@@ -31,13 +32,25 @@ fn censor_trait_path_matches_legacy_oracle() {
     let (world, fleet) = fixture();
     let lab = lab_over(&world, &fleet, 1);
     let run = Censor.run(&lab);
-    let series = censor::blocking_matrix(
-        &world,
-        &fleet,
-        lab.eval_day,
-        &Censor::router_grid(&lab),
-        &Censor::window_grid(&lab),
-    );
+    // The per-cell definition: one blacklist per (window, routers) cell
+    // over a shared fill, scored against the victim's known addresses —
+    // not the one-walk matrix the registered run goes through.
+    let eval = lab.eval_day;
+    let victim = censor::victim_view(&world, eval, censor::VICTIM_SALT);
+    let engine = HarvestEngine::build(&world, &fleet, 0..eval + 1);
+    let series: Vec<censor::BlockingSeries> = Censor::window_grid(&lab)
+        .into_iter()
+        .map(|w| censor::BlockingSeries {
+            window_days: w,
+            points: Censor::router_grid(&lab)
+                .into_iter()
+                .map(|n| {
+                    let bl = censor::censor_blacklist_from_engine(&engine, n, w, eval);
+                    (n, censor::blocking_rate(&victim, &bl))
+                })
+                .collect(),
+        })
+        .collect();
     assert_eq!(run.figure, report::render_fig13(&series));
     assert_eq!(run.csv, report::csv_fig13(&series));
 }

@@ -7,6 +7,8 @@
 //!   at every worker count, renders the full figure suite
 //!   byte-identical to the sequential unsharded oracle, under both
 //!   visibility models.
+//! * **One-walk Fig. 13 ≡ per-cell definition at scale 1** — all 100
+//!   cells of the benchmark's blocking matrix, bit for bit.
 //! * **Lazy ≡ eager replay** — `figures --from` through the
 //!   segment-on-demand [`LazySnapshot`] renders byte-identical to the
 //!   eager whole-file loader.
@@ -18,7 +20,7 @@
 use i2pscope::cli::{self, FigId, Format, Knobs, Model};
 use i2pscope::measure::fleet::Fleet;
 use i2pscope::measure::keyspace::VisibilityModel;
-use i2pscope::measure::{HarvestEngine, KeyspaceConfig};
+use i2pscope::measure::{censor, HarvestEngine, KeyspaceConfig};
 use i2pscope::sim::world::{World, WorldConfig};
 use i2pscope::store::Snapshot;
 use i2pscope::telemetry::counters::{self, Counter};
@@ -97,6 +99,38 @@ fn sharded_figures_match_oracle_at_scale_one() {
             }
         }
     }
+}
+
+/// Fig. 13 at the benchmark's size (scale 1, 40 days, routers 1..=20 ×
+/// windows of 1/5/10/20/30 days, eval day 35): the one-walk matrix
+/// equals the per-cell blacklist definition bit for bit in all 100
+/// cells.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "100 scale-1 per-cell blacklists are minutes unoptimised; CI runs this via `cargo test --release --test scale_parity`"
+)]
+fn fig13_walk_matches_per_cell_definition_at_scale_one() {
+    let eval = 35u64;
+    let world = World::generate(WorldConfig { days: 40, scale: 1.0, seed: SEED });
+    let fleet = Fleet::alternating(20);
+    let routers: Vec<usize> = (1..=20).collect();
+    let windows = [1u64, 5, 10, 20, 30];
+    let series = censor::blocking_matrix(&world, &fleet, eval, &routers, &windows);
+    let victim = censor::victim_view(&world, eval, censor::VICTIM_SALT);
+    let engine = HarvestEngine::build(&world, &fleet, eval + 1 - 30..eval + 1);
+    let mut cells = 0;
+    for (s, &w) in series.iter().zip(&windows) {
+        assert_eq!(s.window_days, w);
+        for (&(n, rate), &want_n) in s.points.iter().zip(&routers) {
+            assert_eq!(n, want_n);
+            let bl = censor::censor_blacklist_from_engine(&engine, n, w, eval);
+            let want = censor::blocking_rate(&victim, &bl);
+            assert_eq!(rate.to_bits(), want.to_bits(), "{n} routers, {w}-day window");
+            cells += 1;
+        }
+    }
+    assert_eq!(cells, 100);
 }
 
 /// `figures --from` replays through the lazy segment-on-demand reader;

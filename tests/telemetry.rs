@@ -11,7 +11,9 @@
 //!    per-work-item contributions, so a run at 1 thread and a run at
 //!    N threads produce byte-equal counter totals.
 //!
-//! Plus the manifest contract: after the calibration probe, a run
+//! Plus the span tree's shape — the censor's Fig. 13 matrix runs under
+//! its own `measure.censor_matrix` span, with its engine fill beneath
+//! it — and the manifest contract: after the calibration probe, a run
 //! manifest validates against the `i2p-telemetry/1` schema and its
 //! span tree covers the four core crates (measure, store, netdb,
 //! transport), and the Chrome trace export parses.
@@ -90,6 +92,31 @@ fn counters_are_byte_equal_across_thread_counts() {
         assert_eq!(one, many, "counter {name} varies with thread count");
     }
     assert!(delta_one.total() > 0, "the adversary run moved no counters");
+}
+
+#[test]
+fn censor_matrix_span_holds_its_engine_fill() {
+    // Moves the process-wide counters: hold the counter lock so the
+    // exact-delta tests beside it never see this work.
+    counters::exclusive(|| {
+        timing::enable();
+        cli::adversary(&knobs(1), "censor", Format::Text, None).expect("run");
+        let report = timing::report();
+        let matrix: Vec<u32> = report
+            .spans
+            .iter()
+            .filter(|s| s.name == "measure.censor_matrix")
+            .map(|s| s.id)
+            .collect();
+        assert!(!matrix.is_empty(), "the censor run recorded no measure.censor_matrix span");
+        assert!(
+            report
+                .spans
+                .iter()
+                .any(|s| s.name == "measure.engine_fill" && matrix.contains(&s.parent)),
+            "no measure.engine_fill span under measure.censor_matrix"
+        );
+    });
 }
 
 #[test]
