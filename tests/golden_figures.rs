@@ -91,6 +91,21 @@ fn world() -> World {
     World::generate(WorldConfig { days: DAYS, scale: SCALE, seed: SEED })
 }
 
+/// The pinned Fig. 14 lab: one replicate per rate on one thread, so
+/// every scenario continues the warm substrate's own RNG stream.
+fn fig14_config() -> UsabilityConfig {
+    UsabilityConfig {
+        relays: 24,
+        floodfills: 6,
+        fetches_per_rate: 3,
+        blocking_rates: vec![0.0, 0.65, 0.97],
+        replicates: 1,
+        threads: 1,
+        seed: SEED,
+        ..Default::default()
+    }
+}
+
 #[test]
 fn golden_main_figure_suite_uniform() {
     // Figures 4–12 + Table 1 through the CLI pipeline (what `i2pscope
@@ -119,16 +134,7 @@ fn golden_extended_renderers() {
     let fig2 = population::single_router_experiment(&world, 0x601);
     let fig3 = population::bandwidth_sweep(&world, 2..5);
     let fig13 = blocking_matrix(&world, &fleet, 8, &[1, 3, 6], &[1, 3]);
-    let fig14 = evaluate(&UsabilityConfig {
-        relays: 24,
-        floodfills: 6,
-        fetches_per_rate: 3,
-        blocking_rates: vec![0.0, 0.65, 0.97],
-        replicates: 1,
-        threads: 1,
-        seed: SEED,
-        ..Default::default()
-    });
+    let fig14 = evaluate(&fig14_config());
     let sybil = sybil::run(
         &world,
         &fleet,
@@ -149,6 +155,17 @@ fn golden_extended_renderers() {
     let _ = write!(csv, "{}", report::csv_sybil(&sybil));
     check_golden("extended.txt", &text);
     check_golden("extended.csv", &csv);
+}
+
+#[test]
+fn golden_fig14_forked_replicates() {
+    // Replicates 1 and 2 of every rate run on `TestNet::fork(label)`
+    // rather than a plain clone, spread over two sweep workers: pins the
+    // forked path's bytes, which the single-replicate golden above never
+    // reaches.
+    let fig14 = evaluate(&UsabilityConfig { replicates: 3, threads: 2, ..fig14_config() });
+    check_golden("fig14_replicates.txt", &report::render_fig14(&fig14));
+    check_golden("fig14_replicates.csv", &report::csv_fig14(&fig14));
 }
 
 #[test]
