@@ -27,6 +27,7 @@ use i2p_router::router::Eepsite;
 use i2p_router::{NetMsg, TestNet};
 use i2p_transport::{BlockList, CensorMode};
 use i2p_tunnel::pool::TunnelDirection;
+use std::sync::Arc;
 
 /// Experiment configuration.
 #[derive(Clone, Debug)]
@@ -255,7 +256,7 @@ fn warm_substrate_with_seed(cfg: &UsabilityConfig, seed: u64) -> WarmSubstrate {
     for i in 0..cfg.relays {
         let ri = net.router(i).make_router_info(net.now());
         let now = net.now();
-        net.router_mut(victim).learn_router(ri, now);
+        net.router_mut(victim).learn_router(Arc::new(ri), now);
     }
 
     let dest = net.router(server).hash();

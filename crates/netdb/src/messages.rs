@@ -6,14 +6,20 @@
 //! (Hoang et al. §2.1.2.)
 
 use i2p_data::{Hash256, LeaseSet, RouterInfo};
+use std::sync::Arc;
 
 /// The record carried by a [`DatabaseStore`].
+///
+/// A signed record never changes, so it travels behind an [`Arc`]:
+/// every store, flood, lookup reply and forked network holds a pointer
+/// to the one copy instead of a deep clone. Nothing mutates a shared
+/// record; a changed record is a new, re-signed one.
 #[derive(Clone, Debug, PartialEq)]
 pub enum NetDbPayload {
     /// A router's contact record.
-    RouterInfo(RouterInfo),
+    RouterInfo(Arc<RouterInfo>),
     /// A destination's lease record.
-    LeaseSet(LeaseSet),
+    LeaseSet(Arc<LeaseSet>),
 }
 
 impl NetDbPayload {
@@ -105,7 +111,7 @@ pub struct SearchReply {
     /// Hashes of floodfills closer to the key.
     pub closer: Vec<Hash256>,
     /// RouterInfos bundled in the reply (exploration harvest).
-    pub routers: Vec<RouterInfo>,
+    pub routers: Vec<Arc<RouterInfo>>,
 }
 
 #[cfg(test)]
@@ -133,7 +139,7 @@ mod tests {
     fn search_key_matches_hash() {
         let mut rng = DetRng::new(1);
         let r = ri(&mut rng);
-        let p = NetDbPayload::RouterInfo(r.clone());
+        let p = NetDbPayload::RouterInfo(Arc::new(r.clone()));
         assert_eq!(p.search_key(), r.hash());
         assert!(p.verify());
         assert_eq!(p.freshness(), 42);
@@ -151,7 +157,7 @@ mod tests {
                 Lease { gateway: Hash256::digest(b"g2"), tunnel_id: 2, end_date: SimTime(900) },
             ],
         );
-        let p = NetDbPayload::LeaseSet(ls);
+        let p = NetDbPayload::LeaseSet(Arc::new(ls));
         assert_eq!(p.freshness(), 900);
     }
 }

@@ -15,6 +15,7 @@
 use crate::messages::NetDbPayload;
 use crate::routing_key::RoutingKey;
 use i2p_data::{Duration, FxHashMap, Hash256, LeaseSet, RouterInfo, SimTime};
+use std::sync::Arc;
 
 /// How many floodfills a record is published/flooded to (§4.2).
 pub const REPLICATION: usize = 3;
@@ -110,7 +111,7 @@ impl NetDbStore {
     }
 
     /// Looks up a RouterInfo.
-    pub fn router_info(&self, key: &Hash256) -> Option<&RouterInfo> {
+    pub fn router_info(&self, key: &Hash256) -> Option<&Arc<RouterInfo>> {
         match &self.router_infos.get(key)?.payload {
             NetDbPayload::RouterInfo(ri) => Some(ri),
             _ => None,
@@ -118,7 +119,7 @@ impl NetDbStore {
     }
 
     /// Looks up a LeaseSet.
-    pub fn lease_set(&self, key: &Hash256) -> Option<&LeaseSet> {
+    pub fn lease_set(&self, key: &Hash256) -> Option<&Arc<LeaseSet>> {
         match &self.lease_sets.get(key)?.payload {
             NetDbPayload::LeaseSet(ls) => Some(ls),
             _ => None,
@@ -136,7 +137,7 @@ impl NetDbStore {
     }
 
     /// Iterates over stored RouterInfos.
-    pub fn router_infos(&self) -> impl Iterator<Item = &RouterInfo> {
+    pub fn router_infos(&self) -> impl Iterator<Item = &Arc<RouterInfo>> {
         self.router_infos.values().filter_map(|e| match &e.payload {
             NetDbPayload::RouterInfo(ri) => Some(ri),
             _ => None,
@@ -147,7 +148,7 @@ impl NetDbStore {
     /// hash is the map key, so callers on hot paths (tunnel hop
     /// candidate collection runs per build attempt) get it for free
     /// instead of re-deriving a SHA-256 per record per visit.
-    pub fn router_infos_keyed(&self) -> impl Iterator<Item = (&Hash256, &RouterInfo)> {
+    pub fn router_infos_keyed(&self) -> impl Iterator<Item = (&Hash256, &Arc<RouterInfo>)> {
         self.router_infos.iter().filter_map(|(k, e)| match &e.payload {
             NetDbPayload::RouterInfo(ri) => Some((k, ri)),
             _ => None,
@@ -238,7 +239,7 @@ mod tests {
         let (ri, _) = ri_at(&mut rng, SimTime(5));
         let h = ri.hash();
         assert_eq!(
-            store.offer(NetDbPayload::RouterInfo(ri), SimTime(10)),
+            store.offer(NetDbPayload::RouterInfo(Arc::new(ri)), SimTime(10)),
             StoreOutcome::StoredNewer
         );
         assert!(store.router_info(&h).is_some());
@@ -267,15 +268,15 @@ mod tests {
             "0.9.34",
         );
         assert_eq!(
-            store.offer(NetDbPayload::RouterInfo(new.clone()), SimTime(0)),
+            store.offer(NetDbPayload::RouterInfo(Arc::new(new.clone())), SimTime(0)),
             StoreOutcome::StoredNewer
         );
         assert_eq!(
-            store.offer(NetDbPayload::RouterInfo(old), SimTime(0)),
+            store.offer(NetDbPayload::RouterInfo(Arc::new(old)), SimTime(0)),
             StoreOutcome::Stale
         );
         assert_eq!(
-            store.offer(NetDbPayload::RouterInfo(new.clone()), SimTime(0)),
+            store.offer(NetDbPayload::RouterInfo(Arc::new(new.clone())), SimTime(0)),
             StoreOutcome::Stale,
             "equal freshness is stale (>= rule)"
         );
@@ -289,7 +290,7 @@ mod tests {
         let (mut ri, _) = ri_at(&mut rng, SimTime(5));
         ri.signature[0] ^= 1;
         assert_eq!(
-            store.offer(NetDbPayload::RouterInfo(ri), SimTime(0)),
+            store.offer(NetDbPayload::RouterInfo(Arc::new(ri)), SimTime(0)),
             StoreOutcome::BadSignature
         );
         assert_eq!(store.router_count(), 0);
@@ -301,7 +302,7 @@ mod tests {
         let mut rng = DetRng::new(4);
         let (ri, _) = ri_at(&mut rng, SimTime(0));
         let h = ri.hash();
-        store.offer(NetDbPayload::RouterInfo(ri), SimTime(0));
+        store.offer(NetDbPayload::RouterInfo(Arc::new(ri)), SimTime(0));
         assert_eq!(store.expire(SimTime(Duration::from_mins(59).as_millis())), 0);
         assert!(store.router_info(&h).is_some());
         assert_eq!(store.expire(SimTime(Duration::from_mins(61).as_millis())), 1);
@@ -313,7 +314,7 @@ mod tests {
         let mut store = NetDbStore::new(StoreConfig { floodfill: false });
         let mut rng = DetRng::new(5);
         let (ri, _) = ri_at(&mut rng, SimTime(0));
-        store.offer(NetDbPayload::RouterInfo(ri), SimTime(0));
+        store.offer(NetDbPayload::RouterInfo(Arc::new(ri)), SimTime(0));
         assert_eq!(store.expire(SimTime(Duration::from_hours(2).as_millis())), 0);
         assert_eq!(store.expire(SimTime(Duration::from_hours(25).as_millis())), 1);
     }
@@ -324,7 +325,7 @@ mod tests {
         let mut rng = DetRng::new(6);
         for _ in 0..5 {
             let (ri, _) = ri_at(&mut rng, SimTime(0));
-            store.offer(NetDbPayload::RouterInfo(ri), SimTime(0));
+            store.offer(NetDbPayload::RouterInfo(Arc::new(ri)), SimTime(0));
         }
         assert_eq!(store.router_count(), 5);
         store.clear();

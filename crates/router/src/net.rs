@@ -31,6 +31,7 @@ use i2p_tunnel::garlic::GarlicMessage;
 use i2p_data::FxHashMap;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// A message between routers.
 #[derive(Clone, Debug)]
@@ -236,12 +237,14 @@ impl Ord for QueuedEvent {
 
 /// The in-memory network.
 ///
-/// `Clone` gives the scenario lab its substrate forks: a clone is a
-/// fully independent network sharing nothing with the original, and —
-/// because every map in the stack hashes deterministically — continuing
-/// a clone is bit-identical to continuing the original. Use
-/// [`TestNet::fork`] to also re-split the RNG so forks diverge
-/// reproducibly.
+/// `Clone` gives the scenario lab its substrate forks: a clone shares
+/// only the signed netDb records (immutable, behind `Arc`) with the
+/// original and copies everything mutable — routers' stores, profiles,
+/// k-buckets and tunnel pools, the event queue, the fabric — so the two
+/// evolve independently. Because every map in the stack hashes
+/// deterministically, continuing a clone is bit-identical to continuing
+/// the original. Use [`TestNet::fork`] to also re-split the RNG so forks
+/// diverge reproducibly.
 #[derive(Clone)]
 pub struct TestNet {
     /// The IP substrate (install a blocklist here to censor).
@@ -312,8 +315,8 @@ impl TestNet {
         self.rng.fork(label)
     }
 
-    /// Forks the network into an independent scenario: a deep clone
-    /// whose root RNG is re-split by `label`, so every downstream
+    /// Forks the network into an independent scenario: a clone (see
+    /// [`TestNet`]) whose root RNG is re-split by `label`, so every downstream
     /// stream (event handling, experiment drivers via [`TestNet::fork_rng`])
     /// diverges from the parent and from forks with other labels, while
     /// the same `label` always reproduces the same fork. Time, routers,
@@ -397,7 +400,7 @@ impl TestNet {
         let infos: Vec<_> = self
             .routers
             .iter()
-            .map(|r| r.make_router_info(self.now))
+            .map(|r| Arc::new(r.make_router_info(self.now)))
             .collect();
         for s in &mut self.reseeds {
             s.set_known(infos.clone());
@@ -425,7 +428,7 @@ impl TestNet {
     pub fn bootstrap_from_file(&mut self, idx: usize, file: &crate::reseed::ReseedFile) -> usize {
         let now = self.now;
         for ri in &file.routers {
-            self.routers[idx].learn_router(ri.clone(), now);
+            self.routers[idx].learn_router(Arc::new(ri.clone()), now);
         }
         file.routers.len()
     }

@@ -12,6 +12,7 @@
 
 use i2p_crypto::{hmac_sha256, DetRng};
 use i2p_data::{PeerIp, RouterInfo, SimTime};
+use std::sync::Arc;
 
 /// RouterInfos per reseed answer (≈75 each from two servers, §4.2).
 pub const RESEED_ANSWER_SIZE: usize = 75;
@@ -24,7 +25,7 @@ pub struct ReseedServer {
     /// Known RouterInfos (the server is "equivalent to any other peer …
     /// with the extra ability to announce a small portion of known
     /// routers", §2.1.2).
-    known: Vec<RouterInfo>,
+    known: Vec<Arc<RouterInfo>>,
     /// Whether the censor blocks this server (reseed blocking, §6.1).
     pub blocked: bool,
 }
@@ -36,7 +37,7 @@ impl ReseedServer {
     }
 
     /// Refreshes the server's known set.
-    pub fn set_known(&mut self, known: Vec<RouterInfo>) {
+    pub fn set_known(&mut self, known: Vec<Arc<RouterInfo>>) {
         self.known = known;
     }
 
@@ -48,7 +49,7 @@ impl ReseedServer {
     /// Answers a reseed request from `source`. Deterministic per source
     /// IP: repeated requests from the same address yield the same subset,
     /// defeating cheap crawling (§4). Returns `None` when blocked.
-    pub fn answer(&self, source: PeerIp) -> Option<Vec<RouterInfo>> {
+    pub fn answer(&self, source: PeerIp) -> Option<Vec<Arc<RouterInfo>>> {
         if self.blocked {
             return None;
         }
@@ -104,6 +105,12 @@ impl ReseedFile {
         }
         let created = SimTime(u64::from_be_bytes(b[4..12].try_into().ok()?));
         let n = u32::from_be_bytes(b[12..16].try_into().ok()?) as usize;
+        // Every record carries at least its 4-byte length prefix, so a
+        // count the remaining bytes cannot hold is refused before it
+        // sizes an allocation.
+        if n > (b.len() - 16) / 4 {
+            return None;
+        }
         let mut pos = 16;
         let mut routers = Vec::with_capacity(n);
         for _ in 0..n {
@@ -126,21 +133,26 @@ mod tests {
     use i2p_data::caps::{BandwidthClass, Caps};
     use i2p_data::ident::RouterIdentity;
 
-    fn make_routers(n: usize, seed: u64) -> Vec<RouterInfo> {
+    fn make_routers(n: usize, seed: u64) -> Vec<Arc<RouterInfo>> {
         let mut rng = DetRng::new(seed);
         (0..n)
             .map(|_| {
                 let (ident, secrets) = RouterIdentity::generate(&mut rng);
-                RouterInfo::new_signed(
+                Arc::new(RouterInfo::new_signed(
                     ident,
                     &secrets,
                     SimTime(1),
                     vec![],
                     Caps::standard(BandwidthClass::L),
                     "0.9.34",
-                )
+                ))
             })
             .collect()
+    }
+
+    fn reseed_file(n: usize, seed: u64, created: SimTime) -> ReseedFile {
+        let routers = make_routers(n, seed).iter().map(|ri| RouterInfo::clone(ri)).collect();
+        ReseedFile::export(routers, created)
     }
 
     #[test]
@@ -189,7 +201,7 @@ mod tests {
 
     #[test]
     fn reseed_file_roundtrip() {
-        let file = ReseedFile::export(make_routers(5, 14), SimTime(777));
+        let file = reseed_file(5, 14, SimTime(777));
         let bytes = file.to_bytes();
         let back = ReseedFile::from_bytes(&bytes).unwrap();
         assert_eq!(back, file);
@@ -198,9 +210,26 @@ mod tests {
     #[test]
     fn reseed_file_rejects_garbage() {
         assert!(ReseedFile::from_bytes(b"nope").is_none());
-        let file = ReseedFile::export(make_routers(2, 15), SimTime(1));
+        let file = reseed_file(2, 15, SimTime(1));
         let mut bytes = file.to_bytes();
         bytes.push(0);
+        assert!(ReseedFile::from_bytes(&bytes).is_none());
+    }
+
+    #[test]
+    fn reseed_file_rejects_inflated_count() {
+        // A bare header claiming u32::MAX records: sizing the record
+        // vector from the claim alone would ask for hundreds of GB.
+        let mut bare = b"su3\x00".to_vec();
+        bare.extend_from_slice(&1u64.to_be_bytes());
+        bare.extend_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(bare.len(), 16);
+        assert!(ReseedFile::from_bytes(&bare).is_none());
+        // A real file whose count claims more records than it holds.
+        let mut bytes = reseed_file(2, 16, SimTime(1)).to_bytes();
+        bytes[12..16].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(ReseedFile::from_bytes(&bytes).is_none());
+        bytes[12..16].copy_from_slice(&3u32.to_be_bytes());
         assert!(ReseedFile::from_bytes(&bytes).is_none());
     }
 }

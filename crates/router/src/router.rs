@@ -23,6 +23,7 @@ use i2p_tunnel::garlic::{Clove, DeliveryInstructions, GarlicMessage};
 use i2p_data::FxHashMap;
 use i2p_tunnel::pool::{TunnelDirection, TunnelPool};
 use i2p_tunnel::select::{select_hops, HopCandidate};
+use std::sync::Arc;
 
 /// Minimum uptime before the automatic floodfill health check passes
 /// (stability/uptime tests, Hoang et al. §2.1.2).
@@ -49,9 +50,12 @@ pub struct Eepsite {
 
 /// One emulated router.
 ///
-/// `Clone` supports the scenario lab's substrate forking: a cloned
-/// router is an independent copy, and all internal maps hash
-/// deterministically, so a clone replays exactly like the original.
+/// `Clone` supports the scenario lab's substrate forking. The signed
+/// records in the netDb store are shared immutably (`Arc`), and
+/// everything mutable — store maps, k-buckets, profiles, tunnel pools,
+/// pending builds — is copied, so a clone evolves independently of the
+/// original. All internal maps hash deterministically, so a clone
+/// replays exactly like the original.
 #[derive(Clone)]
 pub struct Router {
     /// Public identity.
@@ -181,7 +185,7 @@ impl Router {
 
     /// Ingests a RouterInfo (from reseed, lookup reply, store, …),
     /// updating the floodfill table and profiles.
-    pub fn learn_router(&mut self, ri: RouterInfo, now: SimTime) {
+    pub fn learn_router(&mut self, ri: Arc<RouterInfo>, now: SimTime) {
         let hash = ri.hash();
         if hash == self.hash() {
             return;
@@ -208,7 +212,7 @@ impl Router {
     /// Publishes our RouterInfo to the netDb (direct DSM to the closest
     /// floodfills).
     pub fn publish_self(&mut self, now: SimTime) -> Vec<Outbound> {
-        let ri = self.make_router_info(now);
+        let ri = Arc::new(self.make_router_info(now));
         let key = ri.hash();
         // Keep our own record locally too.
         self.store.offer(NetDbPayload::RouterInfo(ri.clone()), now);
@@ -239,7 +243,7 @@ impl Router {
             })
             .take(16)
             .collect();
-        let ls = LeaseSet::new_signed(self.identity, &self.secrets, leases);
+        let ls = Arc::new(LeaseSet::new_signed(self.identity, &self.secrets, leases));
         let key = ls.dest_hash();
         self.store.offer(NetDbPayload::LeaseSet(ls.clone()), now);
         self.publish_targets(&key, now)
@@ -485,7 +489,7 @@ impl Router {
         // Sample by reference, clone only the picked records — this runs
         // on every lookup, and cloning the whole store to keep 8 records
         // dominated the reply path.
-        let all: Vec<&RouterInfo> = self.store.router_infos().collect();
+        let all: Vec<&Arc<RouterInfo>> = self.store.router_infos().collect();
         let sample_n = 8.min(all.len());
         let routers = rng
             .sample_indices(all.len(), sample_n)
@@ -778,7 +782,8 @@ impl Router {
 
     /// Exports a manual-reseed view of our netDb (§6.1).
     pub fn export_reseed(&self, now: SimTime) -> crate::reseed::ReseedFile {
-        crate::reseed::ReseedFile::export(self.store.router_infos().cloned().collect(), now)
+        let routers = self.store.router_infos().map(|ri| RouterInfo::clone(ri)).collect();
+        crate::reseed::ReseedFile::export(routers, now)
     }
 }
 

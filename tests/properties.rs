@@ -260,7 +260,7 @@ proptest! {
                                    Caps::standard(BandwidthClass::L), "0.9.34")
         }).collect();
         let mut srv = i2pscope::router::ReseedServer::new(seed);
-        srv.set_known(routers);
+        srv.set_known(routers.into_iter().map(std::sync::Arc::new).collect());
         let a = srv.answer(PeerIp::V4(src));
         let b = srv.answer(PeerIp::V4(src));
         prop_assert_eq!(a, b);

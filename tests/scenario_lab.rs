@@ -20,6 +20,7 @@ use i2pscope::measure::usability::{
 use i2pscope::measure::Fleet;
 use i2pscope::sim::world::{World, WorldConfig};
 use i2pscope::transport::CensorMode;
+use std::sync::Arc;
 
 fn small_cfg() -> UsabilityConfig {
     UsabilityConfig {
@@ -80,6 +81,35 @@ fn replicates_are_independent_but_reproducible() {
         rep0.fetches, rep1.fetches,
         "replicate 1 must diverge from replicate 0 at a partial blocking rate"
     );
+}
+
+#[test]
+fn forks_share_signed_records_and_leave_the_parent_untouched() {
+    let cfg = small_cfg();
+    let sub = warm_substrate(&cfg);
+    let parent = &sub.net;
+    // A fork points at the parent's signed records instead of copying
+    // them.
+    let fork = parent.fork(1);
+    let relay = parent.router(0).hash();
+    let ours = parent.router(sub.victim).store.router_info(&relay);
+    let theirs = fork.router(sub.victim).store.router_info(&relay);
+    match (ours, theirs) {
+        (Some(ours), Some(theirs)) => assert!(Arc::ptr_eq(ours, theirs)),
+        other => panic!("the warm victim knows relay 0 in parent and fork: {other:?}"),
+    }
+    drop(fork);
+    // Running a scenario on a fork changes nothing the parent stores.
+    let stored = |net: &i2pscope::router::TestNet| -> Vec<(usize, usize)> {
+        (0..net.len())
+            .map(|i| (net.router(i).store.router_count(), net.router(i).store.leaseset_count()))
+            .collect()
+    };
+    let counts = stored(parent);
+    let lease_set = parent.router(sub.victim).store.lease_set(&sub.dest).cloned();
+    run_scenario(&sub, &cfg, 0.97, 1);
+    assert_eq!(stored(parent), counts);
+    assert_eq!(parent.router(sub.victim).store.lease_set(&sub.dest), lease_set.as_ref());
 }
 
 #[test]
