@@ -5,7 +5,8 @@
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256 (used for router hashes and the daily
 //!   netDb *routing keys*, see Hoang et al. §2.1.2).
-//! * [`hmac`] — HMAC-SHA256 (session MACs in the NTCP-style transport).
+//! * [`hmac`] — HMAC-SHA256 (session MACs in the NTCP-style transport,
+//!   RouterInfo signatures), one-shot or through a prepared [`HmacKey`].
 //! * [`chacha20`] — the ChaCha20 stream cipher, standing in for the
 //!   AES-256/CBC layer I2P uses inside garlic ("ElGamal/AES") encryption.
 //! * [`elgamal`] — ElGamal over a simulation-grade group (a 61-bit safe
@@ -38,6 +39,6 @@ pub mod sha256;
 pub use chacha20::ChaCha20;
 pub use dh::{DhKeyPair, DhPublic, SharedSecret};
 pub use elgamal::{ElGamalCiphertext, ElGamalKeyPair, ElGamalPublic};
-pub use hmac::hmac_sha256;
+pub use hmac::{hmac_sha256, HmacKey};
 pub use rng::DetRng;
 pub use sha256::{sha256, Sha256};

@@ -87,16 +87,18 @@ impl Sha256 {
 
     /// Finishes the computation and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-            // `update` counts padding into `len`, fix below by using the
-            // saved bit_len.
+        // Padding: 0x80, zeros, 64-bit big-endian bit length — written
+        // into the final block(s) in one step. `buf_len < 64` always, so
+        // the 0x80 fits; past byte 55 the length spills into one more
+        // all-zero block.
+        let mut block = [0u8; 64];
+        block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        block[self.buf_len] = 0x80;
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        block[56..64].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
         self.compress(&block);
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {
@@ -219,6 +221,26 @@ mod tests {
             h.update(&data);
             let d1 = h.finalize();
             assert_eq!(d1, sha256(&data), "len {n}");
+        }
+    }
+
+    #[test]
+    fn padding_edges_match_reference_digests() {
+        // `0xAB × n` on both sides of the one-block (55/56) and block
+        // (63/64/65) padding edges, and the two-block ones (119/120);
+        // digests pinned from coreutils `sha256sum`.
+        let pinned = [
+            (55, "48d76eab30e51201f4f03ec7a85dab8510fb3409ccd15b54767f9b4435c9f54d"),
+            (56, "a8c9906ade2a2eff868fd8f97a570bbc01a13cddc32c3dfdc9a18f0618d69e55"),
+            (57, "21d063693fbba44f9ffa966466e2f94d9931b9c9519120c3804ef1ceafd989b5"),
+            (63, "d1036ba30d050c74b1a5ab301fa29ff0c607a27cc55af3412577f7e06dbd190b"),
+            (64, "ec65c8798ecf95902413c40f7b9e6d4b0068885f5f324aba1f9ba1c8e14aea61"),
+            (65, "39cd843414d5125dd308568ace26d04e60b7fa6d2b1a901fb5184fa2eae0598b"),
+            (119, "a773085d98f8978583efd89d0f06e29076a12e2e059103ec533f63e1c6f17dd7"),
+            (120, "3442eea54f994b0d41c1da867e8347d69fa1a40e2d8a437dcde54dae74504922"),
+        ];
+        for (n, digest) in pinned {
+            assert_eq!(hex(&sha256(&vec![0xABu8; n])), digest, "len {n}");
         }
     }
 }

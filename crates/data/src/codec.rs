@@ -46,6 +46,11 @@ impl Writer {
         Self::default()
     }
 
+    /// A writer that appends to `buf`, after the bytes already in it.
+    pub fn append_to(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     /// Consumes the writer, returning the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

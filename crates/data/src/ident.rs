@@ -71,6 +71,12 @@ impl IdentitySecrets {
         i2p_crypto::hmac_sha256(&self.sign_key, data)
     }
 
+    /// The signing key prepared once for many signatures:
+    /// `signing_key().mac(data) == sign(data)`.
+    pub fn signing_key(&self) -> i2p_crypto::HmacKey {
+        i2p_crypto::HmacKey::new(&self.sign_key)
+    }
+
     /// The decryption key pair.
     pub fn enc_keypair(&self) -> i2p_crypto::ElGamalKeyPair {
         i2p_crypto::ElGamalKeyPair::from_secret_material(self.enc_material)

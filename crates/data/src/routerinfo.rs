@@ -13,6 +13,7 @@ use crate::codec::{DecodeError, Reader, Writer};
 use crate::hash::Hash256;
 use crate::ident::{verify, IdentitySecrets, RouterIdentity};
 use crate::time::SimTime;
+use i2p_crypto::HmacKey;
 
 /// A signed RouterInfo record.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -64,17 +65,39 @@ impl RouterInfo {
     /// The signed body (everything except the signature).
     fn body_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        self.identity.encode(&mut w);
-        w.u64(self.published.as_millis());
-        w.u8(self.addresses.len() as u8);
-        for a in &self.addresses {
-            a.encode(&mut w);
-        }
-        let caps = self.caps.to_caps_string();
-        let ver = self.version.clone();
-        w.mapping([("caps", caps.as_str()), ("router.version", ver.as_str())]);
-        w.u64(self.expiration);
+        write_body(
+            &mut w,
+            &self.identity,
+            self.published,
+            &self.addresses,
+            self.caps,
+            &self.version,
+            self.expiration,
+        );
         w.into_bytes()
+    }
+
+    /// Appends the encoding of a freshly signed RouterInfo to `out`:
+    /// the bytes `new_signed(identity, secrets, published, addresses,
+    /// caps, version).encode()` gives when `key` is
+    /// `secrets.signing_key()`, but with the body encoded once, straight
+    /// into `out`, and signed where it lies — for signers that emit
+    /// many records, like the store's capture.
+    pub fn encode_signed(
+        identity: &RouterIdentity,
+        key: &HmacKey,
+        published: SimTime,
+        addresses: &[RouterAddress],
+        caps: Caps,
+        version: &str,
+        out: &mut Vec<u8>,
+    ) {
+        let start = out.len();
+        let mut w = Writer::append_to(std::mem::take(out));
+        write_body(&mut w, identity, published, addresses, caps, version, 0);
+        *out = w.into_bytes();
+        let signature = key.mac(&out[start..]);
+        out.extend_from_slice(&signature);
     }
 
     /// Verifies the signature.
@@ -141,6 +164,29 @@ impl RouterInfo {
     pub fn is_hidden(&self) -> bool {
         self.is_unknown_ip() && !self.is_firewalled()
     }
+}
+
+/// Writes a RouterInfo's signed body: the one body writer behind
+/// [`RouterInfo::verify`], [`RouterInfo::encode`] and
+/// [`RouterInfo::encode_signed`].
+fn write_body(
+    w: &mut Writer,
+    identity: &RouterIdentity,
+    published: SimTime,
+    addresses: &[RouterAddress],
+    caps: Caps,
+    version: &str,
+    expiration: u64,
+) {
+    identity.encode(w);
+    w.u64(published.as_millis());
+    w.u8(addresses.len() as u8);
+    for a in addresses {
+        a.encode(w);
+    }
+    let caps = caps.to_inline_caps();
+    w.mapping([("caps", caps.as_str()), ("router.version", version)]);
+    w.u64(expiration);
 }
 
 #[cfg(test)]
@@ -217,6 +263,41 @@ mod tests {
         let hidden = sample(&mut rng, vec![]);
         assert!(hidden.is_unknown_ip());
         assert!(hidden.is_hidden());
+    }
+
+    #[test]
+    fn encode_signed_matches_new_signed_encode() {
+        // Published, dual-stack, firewalled and hidden address shapes,
+        // each appended behind the previous record: `encode_signed` must
+        // write exactly `new_signed(..).encode()`.
+        let mut rng = DetRng::new(15);
+        let (ident, secrets) = RouterIdentity::generate(&mut rng);
+        let key = secrets.signing_key();
+        let shapes = [
+            vec![RouterAddress::published(TransportStyle::Ntcp, PeerIp::V4(0x0A00_0001), 9000)],
+            vec![
+                RouterAddress::published(TransportStyle::Ntcp, PeerIp::V4(0x0A00_0002), 31000),
+                RouterAddress::published(TransportStyle::Ssu, PeerIp::V6(7 << 100), 31000),
+            ],
+            vec![RouterAddress::firewalled(vec![Introducer {
+                router: Hash256::digest(b"intro"),
+                ip: PeerIp::V4(77),
+                tag: 9,
+            }])],
+            vec![],
+        ];
+        let mut out = b"earlier records".to_vec();
+        for (i, addresses) in shapes.into_iter().enumerate() {
+            let caps = Caps { floodfill: i % 2 == 0, ..Caps::standard(BandwidthClass::X) };
+            let published = SimTime::from_day_ms(i as u64, 0);
+            let start = out.len();
+            RouterInfo::encode_signed(&ident, &key, published, &addresses, caps, "0.9.34", &mut out);
+            let reference =
+                RouterInfo::new_signed(ident, &secrets, published, addresses, caps, "0.9.34");
+            assert_eq!(&out[start..], reference.encode(), "shape {i}");
+            assert!(RouterInfo::decode(&out[start..]).unwrap().verify(), "shape {i}");
+        }
+        assert!(out.starts_with(b"earlier records"));
     }
 
     #[test]

@@ -37,10 +37,13 @@
 //!   (let alone full-world) bitset.
 //!
 //! The fill worker count honors the `I2PSCOPE_THREADS` knob (0 or
-//! unset = one per core; malformed values panic, like every knob) and
-//! is logged through the telemetry *timing* plane's gauge table —
+//! unset = one per core; malformed values panic, like every knob; the
+//! `i2pscope` binary exports its `--threads` flag into it) and is
+//! logged through the telemetry *timing* plane's gauge table —
 //! deliberately not the counter plane, whose totals CI byte-diffs
-//! across thread counts.
+//! across thread counts. [`HarvestEngine::workers`] hands the resolved
+//! count on to work derived from the fill: the store's capture signs
+//! its records on it.
 //!
 //! Full [`ObservedRouterInfo`] records are materialized lazily — only
 //! when an analysis needs fields beyond set membership (caps, addresses,
@@ -82,6 +85,9 @@ pub struct HarvestEngine<'w> {
     /// order. Bit `i` of a day's slice is set iff the vantage saw the
     /// `i`-th online peer of the day (positions per `day_ids`).
     lanes: Vec<Vec<u64>>,
+    /// Fill worker count resolved from the thread knob (1 for the
+    /// sequential oracle fill).
+    workers: usize,
 }
 
 impl<'w> HarvestEngine<'w> {
@@ -212,6 +218,7 @@ impl<'w> HarvestEngine<'w> {
             day_off.push(total_words);
         }
 
+        let workers = fill_workers.unwrap_or(1);
         let mut lanes: Vec<Vec<u64>> = match fill_workers {
             Some(threads) => fill_sharded(
                 world, &vantages, days.start, &day_ids, &day_off, total_words, threads,
@@ -232,7 +239,8 @@ impl<'w> HarvestEngine<'w> {
         // day's placement gates. The gate masks are a pure function of
         // (world, vantages, day, config) and shared across vantages, so
         // each day's placement is computed once — through the scenario
-        // lab's sweep driver, giving a parallel, thread-count-
+        // lab's sweep driver on the fill's thread count (one worker per
+        // core for the oracle), giving a parallel, thread-count-
         // independent fill. Fleets without floodfill vantages skip the
         // pass outright: tunnel visibility is keyspace-independent, so
         // every gate would be all-ones anyway.
@@ -243,7 +251,7 @@ impl<'w> HarvestEngine<'w> {
                 let gates = crate::lab::sweep(
                     &(world, &vantages, &day_ids),
                     &day_list,
-                    0,
+                    fill_workers.unwrap_or(0),
                     |(world, vantages, day_ids), &di, _| {
                         keyspace::day_gates(
                             world,
@@ -270,7 +278,7 @@ impl<'w> HarvestEngine<'w> {
         let sightings: u64 =
             lanes.iter().flat_map(|lane| lane.iter()).map(|w| u64::from(w.count_ones())).sum();
         i2p_telemetry::count(i2p_telemetry::Counter::RoutersHarvested, sightings);
-        HarvestEngine { world, vantages, days, day_ids, day_words, day_off, lanes }
+        HarvestEngine { world, vantages, days, day_ids, day_words, day_off, lanes, workers }
     }
 
     /// The world the engine draws from.
@@ -286,6 +294,14 @@ impl<'w> HarvestEngine<'w> {
     /// The filled day range.
     pub fn days(&self) -> Range<u64> {
         self.days.clone()
+    }
+
+    /// The fill worker count resolved from `I2PSCOPE_THREADS` or the
+    /// explicit count (the `measure.engine_workers` gauge); 1 for
+    /// [`HarvestEngine::build_oracle`]. Work derived from a filled
+    /// engine — the store's capture — runs on the same count.
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 
     /// Day index within the filled range.
@@ -610,11 +626,13 @@ fn fill_sharded(
     let units = vantages.len() * n_shards;
     // The shard grid is a pure function of (fleet, world) — never of
     // the worker count — so the unit total lives in the deterministic
-    // counter plane, while the machine-dependent worker choice goes to
-    // the timing plane's gauge table.
+    // counter plane, while the machine-dependent thread count goes to
+    // the timing plane's gauge table. The gauge holds the resolved
+    // count, not its clamp to the units, so every fill of a run — the
+    // telemetry probe's tiny one too — reports the same value.
     i2p_telemetry::count(i2p_telemetry::Counter::EngineShardUnits, units as u64);
+    i2p_telemetry::gauge("measure.engine_workers", threads as u64);
     let workers = threads.max(1).min(units.max(1));
-    i2p_telemetry::gauge("measure.engine_workers", workers as u64);
 
     let lanes_a: Vec<Vec<AtomicU64>> = (0..vantages.len())
         .map(|_| (0..total_words).map(|_| AtomicU64::new(0)).collect())

@@ -2,7 +2,7 @@
 //! through [`SnapshotSource`].
 
 use crate::{RecoveryReport, StoreError};
-use i2p_crypto::DetRng;
+use i2p_crypto::{DetRng, HmacKey};
 use i2p_faults::FaultPlane;
 use i2p_data::addr::{Introducer, RouterAddress, TransportStyle};
 use i2p_data::{Caps, FxHashMap, Hash256, PeerIp, RouterIdentity, RouterInfo, SimTime};
@@ -11,6 +11,7 @@ use i2p_measure::engine::HarvestEngine;
 use i2p_measure::fleet::{Vantage, VantageMode};
 use i2p_measure::observed::ObservedRouterInfo;
 use i2p_measure::source::SnapshotSource;
+use std::io::Read;
 use std::ops::Range;
 use std::path::Path;
 
@@ -19,6 +20,10 @@ const IDENT_SALT: u64 = 0x5704_E51D_0A7C_11E5;
 
 /// Router software version stamped into archived RouterInfo records.
 const ARCHIVE_VERSION: &str = "0.9.34";
+
+/// Bytes per read when the atomic writer checks its temp file against
+/// the encoded archive.
+const READBACK_CHUNK: usize = 1 << 20;
 
 /// Snapshot-level metadata: enough to regenerate the producing world
 /// and fleet, and to label the archive.
@@ -76,10 +81,10 @@ impl WireRecords {
         WireRecords { bytes: body, spans }
     }
 
-    /// Appends one record.
-    pub fn push(&mut self, record: &[u8]) {
+    /// Appends the one record `write` appends to the buffer.
+    pub fn push_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
         let start = self.bytes.len();
-        self.bytes.extend_from_slice(record);
+        write(&mut self.bytes);
         self.spans.push((start, self.bytes.len()));
     }
 
@@ -114,6 +119,13 @@ impl Snapshot {
     /// Archives a filled engine: every (vantage, day) sighting set and
     /// every observation record in its day range, plus a signed
     /// RouterInfo wire record per sighting row.
+    ///
+    /// The engine is walked once per day. Each distinct peer gets one
+    /// [`ArchiveIdentity`], built when the walk first meets it; the
+    /// days' records are then signed on the fill's workers
+    /// ([`HarvestEngine::workers`]). Every record is a pure function of
+    /// its row and its peer's identity, so the archive is byte-identical
+    /// at any worker count.
     pub fn capture(engine: &HarvestEngine<'_>) -> Snapshot {
         let _span = i2p_telemetry::span("store.capture");
         let world = engine.world();
@@ -128,17 +140,14 @@ impl Snapshot {
             day_start: span.start,
             n_days: span.clone().count() as u32,
         };
-        // Identities are per peer, not per day: generate each once.
-        let mut idents: FxHashMap<u32, (RouterIdentity, i2p_data::ident::IdentitySecrets)> =
-            FxHashMap::default();
+        let mut idents: FxHashMap<u32, ArchiveIdentity> = FxHashMap::default();
         let mut days = Vec::with_capacity(meta.n_days as usize);
         for day in span {
             let mut observations = Vec::new();
-            engine.for_each_observation(day, vantages.len(), |rec| observations.push(rec));
-            let mut router_infos = WireRecords::default();
-            for obs in &observations {
-                router_infos.push(&archive_router_info(obs, &mut idents).encode());
-            }
+            engine.for_each_observation(day, vantages.len(), |rec| {
+                idents.entry(rec.peer_id).or_insert_with(|| ArchiveIdentity::new(&rec));
+                observations.push(rec);
+            });
             let words = observations.len().div_ceil(64);
             let lanes: Vec<Vec<u64>> = (0..vantages.len())
                 .map(|v| {
@@ -155,7 +164,18 @@ impl Snapshot {
                     lane
                 })
                 .collect();
+            let router_infos = WireRecords::default();
             days.push(DaySegment { day, observations, router_infos, lanes, words });
+        }
+        let signed = i2p_measure::lab::sweep(&idents, &days, engine.workers(), |idents, seg, _| {
+            let mut records = WireRecords::default();
+            for obs in &seg.observations {
+                records.push_with(|out| idents[&obs.peer_id].sign(obs, out));
+            }
+            records
+        });
+        for (seg, router_infos) in days.iter_mut().zip(signed) {
+            seg.router_infos = router_infos;
         }
         Snapshot { meta, days, geo: GeoDb::new() }
     }
@@ -244,7 +264,7 @@ impl Snapshot {
         crash(3)?;
         f.sync_all()?;
         drop(f);
-        if std::fs::read(&tmp)? != bytes {
+        if !reads_back(std::fs::File::open(&tmp)?, &bytes, READBACK_CHUNK)? {
             return Err(StoreError::Corrupt { what: "temp file readback" });
         }
         crash(4)?;
@@ -450,45 +470,80 @@ pub(crate) fn for_each_union_row(seg: &DaySegment, k: usize, f: &mut dyn FnMut(u
     }
 }
 
-/// Builds the archived RouterInfo for one observation: a deterministic
-/// per-peer identity (seeded from the peer hash), the observation's
-/// addresses and introducer posture, its canonical caps, and the
-/// segment day as publication time — signed, so the archive carries
-/// verifiable paper-shaped netDb records. The identity hash is the
-/// *archive* identity, not the world peer hash (worlds don't carry full
-/// key material); the row's `hash` column keeps the peer's real hash.
-fn archive_router_info(
-    obs: &ObservedRouterInfo,
-    idents: &mut FxHashMap<u32, (RouterIdentity, i2p_data::ident::IdentitySecrets)>,
-) -> RouterInfo {
-    let (ident, secrets) = idents.entry(obs.peer_id).or_insert_with(|| {
+/// One peer's archive identity: a deterministic identity seeded from
+/// the peer hash, its signing key with the HMAC pads absorbed, and the
+/// introducer hash its firewalled rows publish. The identity hash is
+/// the *archive* identity, not the world peer hash (worlds don't carry
+/// full key material); the row's `hash` column keeps the peer's real
+/// hash.
+struct ArchiveIdentity {
+    ident: RouterIdentity,
+    key: HmacKey,
+    introducer: Hash256,
+}
+
+impl ArchiveIdentity {
+    fn new(obs: &ObservedRouterInfo) -> ArchiveIdentity {
         let mut rng = DetRng::new(obs.hash.prefix_u64() ^ IDENT_SALT); // i2plint: allow(rng-containment) -- keyed identity lane: router hash and IDENT_SALT determine the identity
-        RouterIdentity::generate(&mut rng)
-    });
-    let port = 9000 + (obs.hash.prefix_u64() % 22_001) as u16;
-    let mut addresses = Vec::new();
-    if let Some(ip) = obs.ipv4 {
-        addresses.push(RouterAddress::published(TransportStyle::Ntcp, ip, port));
+        let (ident, secrets) = RouterIdentity::generate(&mut rng);
+        ArchiveIdentity {
+            ident,
+            key: secrets.signing_key(),
+            introducer: Hash256::digest(&obs.hash.0),
+        }
     }
-    if let Some(ip) = obs.ipv6 {
-        addresses.push(RouterAddress::published(TransportStyle::Ssu, ip, port));
+
+    /// Appends the archived RouterInfo for one of this peer's rows to
+    /// `out`: the row's addresses and introducer posture, its canonical
+    /// caps, and the row's day as publication time — signed, so the
+    /// archive carries verifiable paper-shaped netDb records.
+    fn sign(&self, obs: &ObservedRouterInfo, out: &mut Vec<u8>) {
+        let port = 9000 + (obs.hash.prefix_u64() % 22_001) as u16;
+        let mut addresses = Vec::new();
+        if let Some(ip) = obs.ipv4 {
+            addresses.push(RouterAddress::published(TransportStyle::Ntcp, ip, port));
+        }
+        if let Some(ip) = obs.ipv6 {
+            addresses.push(RouterAddress::published(TransportStyle::Ssu, ip, port));
+        }
+        if obs.has_introducers {
+            addresses.push(RouterAddress::firewalled(vec![Introducer {
+                router: self.introducer,
+                ip: PeerIp::V4(obs.hash.prefix_u64() as u32),
+                tag: obs.peer_id,
+            }]));
+        }
+        RouterInfo::encode_signed(
+            &self.ident,
+            &self.key,
+            SimTime::from_day_ms(obs.day, 0),
+            &addresses,
+            obs.parsed_caps(),
+            ARCHIVE_VERSION,
+            out,
+        );
     }
-    if obs.has_introducers {
-        addresses.push(RouterAddress::firewalled(vec![Introducer {
-            router: Hash256::digest(&obs.hash.0),
-            ip: PeerIp::V4(obs.hash.prefix_u64() as u32),
-            tag: obs.peer_id,
-        }]));
+}
+
+/// Whether `file` holds exactly `expected`, read `chunk` bytes at a
+/// time so the check never holds a second copy of the archive.
+fn reads_back(mut file: impl Read, expected: &[u8], chunk: usize) -> std::io::Result<bool> {
+    let mut buf = vec![0u8; chunk];
+    let mut rest = expected;
+    loop {
+        let n = match file.read(&mut buf) {
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if n == 0 {
+            return Ok(rest.is_empty());
+        }
+        match rest.strip_prefix(&buf[..n]) {
+            Some(tail) => rest = tail,
+            None => return Ok(false),
+        }
     }
-    let caps = Caps::parse(&obs.caps).expect("observed caps are well-formed"); // i2plint: allow(panic-audit) -- archived caps were validated on capture and checksummed since
-    RouterInfo::new_signed(
-        *ident,
-        secrets,
-        SimTime::from_day_ms(obs.day, 0),
-        addresses,
-        caps,
-        ARCHIVE_VERSION,
-    )
 }
 
 /// The sibling temp path the atomic writer stages into.
@@ -632,6 +687,99 @@ mod tests {
         }
         // Serialization is deterministic.
         assert_eq!(bytes, back.to_bytes().expect("encode"));
+    }
+
+    /// An archived record built the way capture once built every one: a
+    /// fresh identity and a whole signed `RouterInfo` per row, encoded.
+    fn reference_record(obs: &ObservedRouterInfo) -> Vec<u8> {
+        let mut rng = DetRng::new(obs.hash.prefix_u64() ^ IDENT_SALT);
+        let (ident, secrets) = RouterIdentity::generate(&mut rng);
+        let port = 9000 + (obs.hash.prefix_u64() % 22_001) as u16;
+        let mut addresses = Vec::new();
+        if let Some(ip) = obs.ipv4 {
+            addresses.push(RouterAddress::published(TransportStyle::Ntcp, ip, port));
+        }
+        if let Some(ip) = obs.ipv6 {
+            addresses.push(RouterAddress::published(TransportStyle::Ssu, ip, port));
+        }
+        if obs.has_introducers {
+            addresses.push(RouterAddress::firewalled(vec![Introducer {
+                router: Hash256::digest(&obs.hash.0),
+                ip: PeerIp::V4(obs.hash.prefix_u64() as u32),
+                tag: obs.peer_id,
+            }]));
+        }
+        let caps = Caps::parse(&obs.caps).unwrap();
+        let published = SimTime::from_day_ms(obs.day, 0);
+        RouterInfo::new_signed(ident, &secrets, published, addresses, caps, ARCHIVE_VERSION)
+            .encode()
+    }
+
+    #[test]
+    fn capture_is_byte_identical_at_any_worker_count() {
+        // Capture signs on the fill's workers; the archive must not
+        // depend on how many there were — under both visibility models
+        // and with vantage outages — and every record must be the one
+        // the per-row `new_signed(..).encode()` path built.
+        use i2p_faults::FaultSpec;
+        use i2p_measure::keyspace::{KeyspaceConfig, VisibilityModel};
+        let world = World::generate(WorldConfig { days: 4, scale: 0.01, seed: 99 });
+        let fleet = Fleet::alternating(8);
+        let outages = FaultPlane::new(FaultSpec::parse("outage=0.3").unwrap(), 5);
+        for model in [VisibilityModel::Uniform, VisibilityModel::Keyspace(KeyspaceConfig::paper())] {
+            let mut clean = Vec::new();
+            for faulted in [false, true] {
+                let mut first: Option<Vec<u8>> = None;
+                for threads in [1usize, 2, 3, 7] {
+                    let mut engine = HarvestEngine::with_vantages_model_threads(
+                        &world,
+                        fleet.vantages.clone(),
+                        0..4,
+                        &model,
+                        threads,
+                    );
+                    if faulted {
+                        engine.apply_outages(&outages);
+                    }
+                    assert_eq!(engine.workers(), threads);
+                    let snap = Snapshot::capture(&engine);
+                    let bytes = snap.to_bytes().expect("encode");
+                    let Some(first) = &first else {
+                        for seg in &snap.days {
+                            for (obs, record) in seg.observations.iter().zip(seg.router_infos.iter())
+                            {
+                                assert_eq!(record, reference_record(obs), "peer {}", obs.peer_id);
+                            }
+                        }
+                        first = Some(bytes);
+                        continue;
+                    };
+                    assert_eq!(&bytes, first, "{model:?} faulted={faulted} threads {threads}");
+                }
+                let first = first.expect("captured");
+                if faulted {
+                    assert_ne!(first, clean, "the outages must darken some cells");
+                } else {
+                    clean = first;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn readback_compares_every_byte_across_chunks() {
+        let bytes: Vec<u8> = (0..1000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let mut flipped = bytes.clone();
+        flipped[613] ^= 0x10;
+        let mut long = bytes.clone();
+        long.push(0);
+        for chunk in [1, 7, 64, 999, 1000, 4096] {
+            assert!(reads_back(&bytes[..], &bytes, chunk).unwrap(), "chunk {chunk}");
+            assert!(!reads_back(&flipped[..], &bytes, chunk).unwrap(), "chunk {chunk}");
+            assert!(!reads_back(&bytes[..999], &bytes, chunk).unwrap(), "chunk {chunk}");
+            assert!(!reads_back(&long[..], &bytes, chunk).unwrap(), "chunk {chunk}");
+        }
+        assert!(reads_back(&[][..], &[], 16).unwrap());
     }
 
     #[test]

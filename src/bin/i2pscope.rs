@@ -183,6 +183,10 @@ fn run() -> Result<String, String> {
     let mut argv = std::env::args();
     argv.next(); // program name
     let (command, args) = parse_args(argv)?;
+    // Engine fills (and the capture signing on their workers) read
+    // I2PSCOPE_THREADS themselves: export the resolved knob so that
+    // `--threads N` governs them exactly as I2PSCOPE_THREADS=N does.
+    std::env::set_var("I2PSCOPE_THREADS", args.knobs.threads.to_string());
     // Telemetry destinations: env knobs first, flags win. `validate`
     // and `help` never arm the plane — there `--trace` names an input
     // to check, not an output to write.

@@ -46,7 +46,9 @@ pub struct Knobs {
     pub fleet: usize,
     /// Fig. 14 replicates per sweep point (`I2PSCOPE_REPLICATES`).
     pub replicates: usize,
-    /// Sweep threads (`I2PSCOPE_THREADS`, 0 = one per core).
+    /// Worker threads (`I2PSCOPE_THREADS`, 0 = one per core). Sweeps
+    /// take this value; engine fills read `I2PSCOPE_THREADS` itself,
+    /// which the binary sets from this knob, so `--threads` governs both.
     pub threads: usize,
     /// Harvest visibility model (`I2PSCOPE_MODEL`: uniform|keyspace).
     pub model: Model,
@@ -580,8 +582,10 @@ pub fn harvest(knobs: &Knobs, out_path: &Path, resume: bool) -> Result<String, S
         );
         Snapshot::capture(&engine)
     };
-    let bytes = snapshot.to_bytes()?;
     snapshot.write_to_with(out_path, &plane)?;
+    // The size of the file just written: encoding again only to measure
+    // it would hold a second archive-sized buffer.
+    let bytes = std::fs::metadata(out_path)?.len();
     let _ = writeln!(
         out,
         "archived {} observation rows over {} days ({} vantages) to {}",
@@ -593,8 +597,8 @@ pub fn harvest(knobs: &Knobs, out_path: &Path, resume: bool) -> Result<String, S
     let _ = writeln!(
         out,
         "snapshot: {} bytes ({:.1} B/row), world seed {} scale {}",
-        bytes.len(),
-        bytes.len() as f64 / snapshot.total_rows().max(1) as f64,
+        bytes,
+        bytes as f64 / snapshot.total_rows().max(1) as f64,
         knobs.seed,
         knobs.scale
     );

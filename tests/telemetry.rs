@@ -129,6 +129,48 @@ fn sweep_counters_are_thread_invariant_and_count_cells() {
 }
 
 #[test]
+fn threads_flag_governs_the_fill_and_the_capture() {
+    // `--threads N` must reach the engine fill exactly as
+    // I2PSCOPE_THREADS=N does. With every I2PSCOPE_* variable removed,
+    // a harvest's manifest records the flag's fill worker count, and the
+    // counters and the archive are the same at both counts.
+    let dir = std::env::temp_dir().join(format!("i2pscope-threads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let harvest = |threads: usize| {
+        let archive = dir.join(format!("t{threads}.i2ps"));
+        let manifest_path = dir.join(format!("t{threads}.json"));
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_i2pscope"));
+        for (name, _) in std::env::vars().filter(|(name, _)| name.starts_with("I2PSCOPE_")) {
+            cmd.env_remove(name);
+        }
+        let out = cmd
+            .args(["harvest", "--scale", "0.02", "--days", "6", "--fleet", "6"])
+            .args(["--threads", &threads.to_string(), "--out"])
+            .arg(&archive)
+            .arg("--telemetry")
+            .arg(&manifest_path)
+            .output()
+            .expect("run i2pscope");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = std::fs::read_to_string(&manifest_path).expect("manifest written");
+        let summary = manifest::validate_manifest(&text).expect("manifest validates");
+        let workers = summary
+            .gauges
+            .iter()
+            .find(|(name, _)| name == "measure.engine_workers")
+            .map(|(_, value)| value.clone());
+        (workers, summary.counter_dump(), std::fs::read(&archive).expect("archive written"))
+    };
+    let (workers_1, counters_1, archive_1) = harvest(1);
+    let (workers_3, counters_3, archive_3) = harvest(3);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(workers_1.as_deref(), Some("1"));
+    assert_eq!(workers_3.as_deref(), Some("3"));
+    assert_eq!(counters_1, counters_3, "counters vary with --threads");
+    assert!(archive_1 == archive_3, "the archive varies with --threads");
+}
+
+#[test]
 fn manifest_validates_and_covers_the_four_core_crates() {
     // Moves the process-wide counters: hold the counter lock so the
     // exact-delta tests beside it never see this work.
