@@ -9,8 +9,8 @@
 
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
+use crate::slots::PeerSlots;
 use crate::source::SnapshotSource;
-use i2p_data::FxHashMap;
 use i2p_sim::world::World;
 
 /// The survival curves.
@@ -51,9 +51,11 @@ pub fn churn_curves_from<S: SnapshotSource + ?Sized>(src: &S, horizon: usize) ->
     // materialized at all.
     let span = src.days();
     let k = src.vantage_count();
+    let mut slots = PeerSlots::new();
     let mut fold = ChurnFold::new(span.clone(), horizon);
     for d in span {
-        src.for_each_union_id(d, k, &mut |id| fold.observe(id, d));
+        let mut today = slots.day(d);
+        src.for_each_union_id(d, k, &mut |id| fold.observe(today.slot(id), d));
     }
     fold.finish()
 }
@@ -62,8 +64,8 @@ pub fn churn_curves_from<S: SnapshotSource + ?Sized>(src: &S, horizon: usize) ->
 /// last sighted day and the run of consecutive days from the first.
 /// The run stops growing at the first gap, which is exactly when it
 /// falls short of `last - first + 1` — so that comparison is the
-/// broken flag, and the state packs into 12 bytes (16 with its map key)
-/// however long the window is.
+/// broken flag, and the state packs into 12 bytes however long the
+/// window is. A slot no sighting reached yet has a zero run.
 #[derive(Clone, Copy, Debug)]
 struct Sightings {
     first: u32,
@@ -72,7 +74,13 @@ struct Sightings {
 }
 
 impl Sightings {
+    const UNSEEN: Sightings = Sightings { first: 0, last: 0, streak: 0 };
+
     fn see(&mut self, day: u32) {
+        if self.streak == 0 {
+            *self = Sightings { first: day, last: day, streak: 1 };
+            return;
+        }
         let unbroken = self.streak == self.last - self.first + 1;
         if unbroken && day == self.last + 1 {
             self.streak += 1;
@@ -81,31 +89,32 @@ impl Sightings {
     }
 }
 
-/// Fig. 7's accumulator: one packed sighting state per peer. Days must
-/// arrive ascending, each peer at most once per day — the order every
-/// [`SnapshotSource`] day walk yields.
+/// Fig. 7's accumulator: one packed sighting state per peer slot
+/// ([`PeerSlots`]). Days must arrive ascending, each peer at most once
+/// per day — the order every [`SnapshotSource`] day walk yields.
 #[derive(Clone, Debug)]
 pub struct ChurnFold {
     days: std::ops::Range<u64>,
     horizon: usize,
-    peers: FxHashMap<u32, Sightings>,
+    peers: Vec<Sightings>,
 }
 
 impl ChurnFold {
     /// An empty fold over the window `days`, following each peer for
     /// `horizon` days.
     pub fn new(days: std::ops::Range<u64>, horizon: usize) -> Self {
-        ChurnFold { days, horizon, peers: FxHashMap::default() }
+        ChurnFold { days, horizon, peers: Vec::new() }
     }
 
-    /// Records that peer `id` was sighted on `day`.
-    pub fn observe(&mut self, id: u32, day: u64) {
+    /// Records that the peer in `slot` was sighted on `day`.
+    pub fn observe(&mut self, slot: u32, day: u64) {
         // Offsets within one study window fit a u32 by a wide margin.
         let day = (day - self.days.start) as u32;
-        self.peers
-            .entry(id)
-            .and_modify(|s| s.see(day))
-            .or_insert(Sightings { first: day, last: day, streak: 1 });
+        let slot = slot as usize;
+        if slot >= self.peers.len() {
+            self.peers.resize(slot + 1, Sightings::UNSEEN);
+        }
+        self.peers[slot].see(day);
     }
 
     /// The survival curves. Only peers first seen early enough to have
@@ -117,7 +126,7 @@ impl ChurnFold {
         let mut cont_hist = vec![0usize; horizon + 1];
         let mut int_hist = vec![0usize; horizon + 1];
         let mut cohort = 0usize;
-        for s in self.peers.values() {
+        for s in self.peers.iter().filter(|s| s.streak > 0) {
             if self.days.start + u64::from(s.first) > max_first {
                 continue;
             }

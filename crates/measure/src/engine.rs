@@ -489,12 +489,19 @@ impl<'w> HarvestEngine<'w> {
 
     /// Ids of the peers the first `k` vantages saw on `day`, ascending.
     pub fn union_prefix_ids(&self, day: u64, k: usize) -> Vec<u32> {
-        let ids = self.ids(day);
         let mut out = Vec::new();
-        self.for_each_union_word(day, k, |j, word| {
-            for_each_set_bit_in(j, word, |i| out.push(ids[i]));
-        });
+        self.for_each_union_id(day, k, |id| out.push(id));
         out
+    }
+
+    /// Visits the id of every peer the first `k` vantages saw on `day`,
+    /// ascending. The ids come from the day index: no peer record is
+    /// read.
+    pub fn for_each_union_id(&self, day: u64, k: usize, mut f: impl FnMut(u32)) {
+        let ids = self.ids(day);
+        self.for_each_union_word(day, k, |j, word| {
+            for_each_set_bit_in(j, word, |i| f(ids[i]));
+        });
     }
 
     /// Visits every peer the first `k` vantages saw on `day`, in

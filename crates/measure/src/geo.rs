@@ -6,13 +6,13 @@
 //! peer reside in the same ASN/country, we count the peer only once.
 //! Otherwise, each different IP is counted."
 //!
-//! Both figures finish from the per-peer map of [`crate::ipchurn`]
-//! ([`GeoReport::from_stats`], [`AsReport::from_stats`]), the one
+//! Both figures finish from the per-peer table of [`crate::ipchurn`]
+//! ([`GeoReport::from_table`], [`AsReport::from_table`]), the one
 //! accumulator they share with Figs. 8 and 12.
 
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
-use crate::ipchurn::{collect_ip_stats_from, IpMap};
+use crate::ipchurn::{ip_table_from, IpTable};
 use crate::source::SnapshotSource;
 use i2p_data::FxHashMap;
 use i2p_geoip::GeoDb;
@@ -57,25 +57,41 @@ pub fn country_distribution_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> GeoReport {
-    GeoReport::from_stats(&collect_ip_stats_from(src, days), src.geo())
+    GeoReport::from_table(&ip_table_from(src, days), src.geo())
 }
 
 impl GeoReport {
-    /// Fig. 10 off a finished per-peer [`IpMap`] (the accumulator is
+    /// Fig. 10 off a finished per-peer [`IpTable`] (the accumulator is
     /// [`crate::ipchurn::IpFold`], shared with Figs. 8, 11 and 12).
-    pub fn from_stats(stats: &IpMap, geo: &GeoDb) -> GeoReport {
+    ///
+    /// Countries with equal counts keep the order of the per-country
+    /// `FxHashMap` below, which depends on the order its keys arrive:
+    /// peers in [`IpTable::hash_order`], each peer's countries in
+    /// [`crate::ipchurn::PeerIps::countries_in_set_order`] — the orders
+    /// of the hash map and sets the figure was first computed from.
+    pub fn from_table(table: &IpTable, geo: &GeoDb) -> GeoReport {
         let mut per_country: FxHashMap<usize, usize> = FxHashMap::default();
         let mut unresolved = 0usize;
-        for s in stats.values() {
+        for peer in table.hash_order() {
             // The §5.3.2 rule: one count per (peer, country).
-            for &c in &s.countries {
+            for c in peer.countries_in_set_order(geo) {
                 *per_country.entry(c).or_default() += 1;
             }
             // Addresses without any resolution.
-            if s.countries.is_empty() && !s.ips.is_empty() {
-                unresolved += s.ips.len();
+            if peer.country_count() == 0 {
+                unresolved += peer.ip_count();
             }
         }
+        GeoReport::rank(per_country, unresolved, geo)
+    }
+
+    /// Ranks the per-country counts, descending; a stable sort, so
+    /// equal counts keep the map's iteration order.
+    pub(crate) fn rank(
+        per_country: FxHashMap<usize, usize>,
+        unresolved: usize,
+        geo: &GeoDb,
+    ) -> GeoReport {
         let total: usize = per_country.values().sum();
         let mut items: Vec<(usize, usize)> = per_country.into_iter().collect();
         items.sort_by_key(|item| std::cmp::Reverse(item.1));
@@ -128,18 +144,24 @@ pub fn as_distribution_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> AsReport {
-    AsReport::from_stats(&collect_ip_stats_from(src, days))
+    AsReport::from_table(&ip_table_from(src, days), src.geo())
 }
 
 impl AsReport {
-    /// Fig. 11 off a finished per-peer [`IpMap`].
-    pub fn from_stats(stats: &IpMap) -> AsReport {
+    /// Fig. 11 off a finished per-peer [`IpTable`]; equal counts keep
+    /// their order as in [`GeoReport::from_table`].
+    pub fn from_table(table: &IpTable, geo: &GeoDb) -> AsReport {
         let mut per_as: FxHashMap<u32, usize> = FxHashMap::default();
-        for s in stats.values() {
-            for &a in &s.ases {
+        for peer in table.hash_order() {
+            for a in peer.ases_in_set_order(geo) {
                 *per_as.entry(a).or_default() += 1;
             }
         }
+        AsReport::rank(per_as)
+    }
+
+    /// Ranks the per-AS counts, descending, as [`GeoReport::rank`] does.
+    pub(crate) fn rank(per_as: FxHashMap<u32, usize>) -> AsReport {
         let total: usize = per_as.values().sum();
         let mut items: Vec<(u32, usize)> = per_as.into_iter().collect();
         items.sort_by_key(|item| std::cmp::Reverse(item.1));
@@ -162,7 +184,7 @@ impl AsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ipchurn::collect_ip_stats;
+    use crate::ipchurn::ip_table;
     use i2p_sim::world::WorldConfig;
 
     fn setup() -> (World, Fleet) {
@@ -222,11 +244,11 @@ mod tests {
     fn multi_country_peers_counted_once_per_country() {
         let (w, fleet) = setup();
         let rep = country_distribution(&w, &fleet, 0..30);
-        let stats = collect_ip_stats(&w, &fleet, 0..30);
-        let naive: usize = stats.values().map(|s| s.countries.len()).sum();
+        let table = ip_table(&w, &fleet, 0..30);
+        let naive: usize = table.peers().iter().map(|p| p.country_count()).sum();
         assert_eq!(rep.total, naive, "counting rule: once per (peer, country)");
         // And the total exceeds the number of peers (roamers add
         // multiple country entries).
-        assert!(rep.total >= stats.len());
+        assert!(rep.total >= table.peers().len());
     }
 }

@@ -9,21 +9,187 @@
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
 use crate::observed::ObservedRouterInfo;
+use crate::slots::PeerSlots;
 use crate::source::SnapshotSource;
 use i2p_data::{FxHashMap, FxHashSet, PeerIp};
 use i2p_geoip::GeoDb;
 use i2p_sim::world::World;
+use std::hash::Hash;
 
-/// Per-peer address/AS accumulation over the window.
+/// One known-IP peer's window: its distinct addresses, and the distinct
+/// ASes and countries they resolve to (unresolvable addresses are
+/// skipped, as with MaxMind misses), each in first-seen order.
+///
+/// A peer with one address, one AS and one country — about half of
+/// them — is stored inline, in 32 bytes; the rest of a peer with more
+/// sits in one boxed side record.
+#[derive(Clone, Debug)]
+pub struct PeerIps {
+    id: u32,
+    /// The first address. A row opens on a record that publishes IPv4,
+    /// so only a forged archive's `ipv4` field can hold an IPv6 address;
+    /// that address then heads `more.ips` instead.
+    first: Option<u32>,
+    /// AS number and country of the first address that resolved.
+    loc: Option<(u32, u32)>,
+    more: Option<Box<MoreIps>>,
+}
+
+/// The addresses, ASes and countries of a peer after its first ones.
 #[derive(Clone, Debug, Default)]
-pub struct PeerIpStats {
-    /// Distinct addresses observed.
-    pub ips: FxHashSet<PeerIp>,
-    /// Distinct ASes those addresses resolve to (unresolvable addresses
-    /// are skipped, as with MaxMind misses).
-    pub ases: FxHashSet<u32>,
-    /// Distinct countries.
-    pub countries: FxHashSet<usize>,
+struct MoreIps {
+    ips: Vec<PeerIp>,
+    ases: Vec<u32>,
+    countries: Vec<u32>,
+}
+
+/// An address's AS number and country, if the database allocated it.
+/// The database holds 225 countries, so a country id fits a `u32`.
+fn resolve(geo: &GeoDb, ip: PeerIp) -> Option<(u32, u32)> {
+    geo.lookup(ip).map(|loc| (geo.asn(loc.asn_id), loc.country as u32))
+}
+
+/// The iteration order of an `FxHashSet` that received `values` one
+/// `insert` at a time, repeats included.
+fn set_order<T: Hash + Eq>(values: impl Iterator<Item = T>) -> Vec<T> {
+    let mut set = FxHashSet::default();
+    for v in values {
+        set.insert(v);
+    }
+    set.into_iter().collect()
+}
+
+impl PeerIps {
+    fn new(id: u32, first: PeerIp, geo: &GeoDb) -> PeerIps {
+        let (v4, more) = match first {
+            PeerIp::V4(v4) => (Some(v4), None),
+            PeerIp::V6(_) => {
+                let more = MoreIps { ips: vec![first], ..MoreIps::default() };
+                (None, Some(Box::new(more)))
+            }
+        };
+        PeerIps { id, first: v4, loc: resolve(geo, first), more }
+    }
+
+    /// Folds in one published address; a repeat changes nothing.
+    fn add(&mut self, ip: PeerIp, geo: &GeoDb) {
+        if self.first.is_some_and(|v4| ip == PeerIp::V4(v4)) {
+            return;
+        }
+        // A second distinct address is where the side record starts.
+        let more = self.more.get_or_insert_with(Box::default);
+        // A peer that moves usually repeats its latest address.
+        if more.ips.iter().rev().any(|&seen| seen == ip) {
+            return;
+        }
+        more.ips.push(ip);
+        let Some((asn, country)) = resolve(geo, ip) else { return };
+        let Some((first_asn, first_country)) = self.loc else {
+            self.loc = Some((asn, country));
+            return;
+        };
+        if asn != first_asn && !more.ases.contains(&asn) {
+            more.ases.push(asn);
+        }
+        if country != first_country && !more.countries.contains(&country) {
+            more.countries.push(country);
+        }
+    }
+
+    /// The peer id.
+    pub fn id(&self) -> u32 {
+        self.id
+    }
+
+    /// Distinct addresses, first-seen order.
+    pub fn ips(&self) -> impl Iterator<Item = PeerIp> + '_ {
+        let more = self.more.as_deref().map_or(&[][..], |m| &m.ips);
+        self.first.map(PeerIp::V4).into_iter().chain(more.iter().copied())
+    }
+
+    /// Number of distinct addresses.
+    pub fn ip_count(&self) -> usize {
+        usize::from(self.first.is_some()) + self.more.as_ref().map_or(0, |m| m.ips.len())
+    }
+
+    /// Distinct AS numbers, first-seen order.
+    pub fn ases(&self) -> impl Iterator<Item = u32> + '_ {
+        let more = self.more.as_deref().map_or(&[][..], |m| &m.ases);
+        self.loc.map(|(asn, _)| asn).into_iter().chain(more.iter().copied())
+    }
+
+    /// Number of distinct ASes.
+    pub fn as_count(&self) -> usize {
+        usize::from(self.loc.is_some()) + self.more.as_ref().map_or(0, |m| m.ases.len())
+    }
+
+    /// Distinct countries, first-seen order.
+    pub fn countries(&self) -> impl Iterator<Item = usize> + '_ {
+        let more = self.more.as_deref().map_or(&[][..], |m| &m.countries);
+        let first = self.loc.map(|(_, country)| country);
+        first.into_iter().chain(more.iter().copied()).map(|c| c as usize)
+    }
+
+    /// Number of distinct countries.
+    pub fn country_count(&self) -> usize {
+        usize::from(self.loc.is_some()) + self.more.as_ref().map_or(0, |m| m.countries.len())
+    }
+
+    /// The countries in the order Fig. 10 counts them: that of the
+    /// per-peer `FxHashSet` the figure was first computed from, which
+    /// received one insert per distinct resolvable address, repeats
+    /// included. An insert reserves room before it looks for its key, so
+    /// a repeat can grow the table and move the keys already in it:
+    /// rebuilding the set from the distinct countries alone can iterate
+    /// differently. Only a peer in two or more countries is replayed.
+    pub fn countries_in_set_order(&self, geo: &GeoDb) -> impl Iterator<Item = usize> {
+        let (single, replayed) = if self.country_count() < 2 {
+            (self.countries().next(), Vec::new())
+        } else {
+            (None, set_order(self.ips().filter_map(|ip| geo.lookup(ip)).map(|loc| loc.country)))
+        };
+        single.into_iter().chain(replayed)
+    }
+
+    /// The ASes in the order Fig. 11 counts them; see
+    /// [`PeerIps::countries_in_set_order`].
+    pub fn ases_in_set_order(&self, geo: &GeoDb) -> impl Iterator<Item = u32> {
+        let (single, replayed) = if self.as_count() < 2 {
+            (self.ases().next(), Vec::new())
+        } else {
+            let ases = self.ips().filter_map(|ip| geo.lookup(ip)).map(|loc| geo.asn(loc.asn_id));
+            (None, set_order(ases))
+        };
+        single.into_iter().chain(replayed)
+    }
+}
+
+/// The per-peer table Figs. 8, 10, 11 and 12 are all computed from:
+/// one [`PeerIps`] per known-IP peer, in first-IPv4-sighting order.
+#[derive(Clone, Debug)]
+pub struct IpTable {
+    peers: Vec<PeerIps>,
+}
+
+impl IpTable {
+    /// The known-IP peers, in first-IPv4-sighting order.
+    pub fn peers(&self) -> &[PeerIps] {
+        &self.peers
+    }
+
+    /// The peers in the iteration order of the `FxHashMap` keyed by
+    /// peer id that Figs. 10/11 were first computed from; their
+    /// equal-count rows keep it. That map took each peer once, through
+    /// `entry()`, at the peer's first IPv4 sighting, and `entry()` grows
+    /// a map only for a new key, so inserting the ids in table order
+    /// rebuilds it exactly.
+    pub fn hash_order(&self) -> Vec<&PeerIps> {
+        let mut order: FxHashMap<u32, u32> = FxHashMap::default();
+        for (row, peer) in self.peers.iter().enumerate() {
+            order.insert(peer.id, row as u32);
+        }
+        order.values().map(|&row| &self.peers[row as usize]).collect()
+    }
 }
 
 /// The Fig. 8 / Fig. 12 aggregate.
@@ -46,71 +212,69 @@ pub struct IpChurnReport {
     pub max_countries: usize,
 }
 
-/// The per-peer IP map Figs. 8, 10, 11 and 12 are all computed from.
-pub type IpMap = FxHashMap<u32, PeerIpStats>;
-
-/// Accumulates per-peer IP/AS observations over a window.
-pub fn collect_ip_stats(world: &World, fleet: &Fleet, days: std::ops::Range<u64>) -> IpMap {
+/// The per-peer IP table of a window.
+pub fn ip_table(world: &World, fleet: &Fleet, days: std::ops::Range<u64>) -> IpTable {
     let engine = HarvestEngine::build(world, fleet, days.clone());
-    collect_ip_stats_from(&engine, days)
+    ip_table_from(&engine, days)
 }
 
-/// [`collect_ip_stats`] off any source.
-pub fn collect_ip_stats_from<S: SnapshotSource + ?Sized>(
-    src: &S,
-    days: std::ops::Range<u64>,
-) -> IpMap {
+/// [`ip_table`] off any source.
+pub fn ip_table_from<S: SnapshotSource + ?Sized>(src: &S, days: std::ops::Range<u64>) -> IpTable {
     let k = src.vantage_count();
+    let mut slots = PeerSlots::new();
     let mut fold = IpFold::new(src.geo());
     for day in days {
-        src.for_each_observation_ref(day, k, &mut |rec| fold.observe(rec));
+        let mut today = slots.day(day);
+        src.for_each_observation_ref(day, k, &mut |rec| fold.observe(today.slot(rec.peer_id), rec));
     }
     fold.finish()
 }
 
-/// The accumulator behind [`IpMap`]. A record publishes an address iff
-/// its `ipv4` field is set (capture fills it exactly when the peer
-/// publishes that day), so the observation stream carries everything
-/// the accumulation needs.
-///
-/// Fig. 10/11 rank their rows with a stable sort over hash-map
-/// iteration order, and that order depends on the order keys were
-/// inserted. Every caller therefore feeds the fold in one order — days
-/// ascending, peer ids ascending within a day, IPv4 before IPv6 — which
-/// is what keeps a shared map byte-identical to a per-figure one.
+/// The accumulator behind [`IpTable`], fed by peer slot
+/// ([`PeerSlots`]). A record publishes an address iff its `ipv4` field
+/// is set (capture fills it exactly when the peer publishes that day),
+/// so the observation stream carries everything the table needs. Days
+/// must arrive ascending and, within a day, peers ascending by id, IPv4
+/// before IPv6 — the order every [`SnapshotSource`] walk yields, and the
+/// order [`IpTable::hash_order`] and the set orders rebuild from.
 #[derive(Clone, Debug)]
 pub struct IpFold<'g> {
     geo: &'g GeoDb,
-    peers: IpMap,
+    /// Each slot's row in `peers`, or [`IpFold::NO_ROW`].
+    rows: Vec<u32>,
+    peers: Vec<PeerIps>,
 }
 
 impl<'g> IpFold<'g> {
-    /// An empty map resolving addresses against `geo`.
+    const NO_ROW: u32 = u32::MAX;
+
+    /// An empty table resolving addresses against `geo`.
     pub fn new(geo: &'g GeoDb) -> Self {
-        IpFold { geo, peers: IpMap::default() }
+        IpFold { geo, rows: Vec::new(), peers: Vec::new() }
     }
 
-    /// Folds one observation in; unknown-IP records are skipped.
-    pub fn observe(&mut self, rec: &ObservedRouterInfo) {
-        if rec.ipv4.is_none() {
-            return;
+    /// Folds in one observation of the peer in `slot`; unknown-IP
+    /// records are skipped.
+    pub fn observe(&mut self, slot: u32, rec: &ObservedRouterInfo) {
+        let Some(v4) = rec.ipv4 else { return };
+        let slot = slot as usize;
+        if slot >= self.rows.len() {
+            self.rows.resize(slot + 1, Self::NO_ROW);
         }
-        let entry = self.peers.entry(rec.peer_id).or_default();
+        if self.rows[slot] == Self::NO_ROW {
+            // Rows never outnumber slots.
+            self.rows[slot] = self.peers.len() as u32;
+            self.peers.push(PeerIps::new(rec.peer_id, v4, self.geo));
+        }
+        let peer = &mut self.peers[self.rows[slot] as usize];
         for ip in rec.ips() {
-            // A repeat address resolves to an AS and a country the
-            // sets already hold: re-inserting them would change nothing.
-            if entry.ips.insert(ip) {
-                if let Some(loc) = self.geo.lookup(ip) {
-                    entry.ases.insert(self.geo.asn(loc.asn_id));
-                    entry.countries.insert(loc.country);
-                }
-            }
+            peer.add(ip, self.geo);
         }
     }
 
-    /// The finished map.
-    pub fn finish(self) -> IpMap {
-        self.peers
+    /// The finished table.
+    pub fn finish(self) -> IpTable {
+        IpTable { peers: self.peers }
     }
 }
 
@@ -125,12 +289,20 @@ pub fn ip_churn_report_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> IpChurnReport {
-    IpChurnReport::from_stats(&collect_ip_stats_from(src, days))
+    IpChurnReport::from_table(&ip_table_from(src, days))
 }
 
 impl IpChurnReport {
-    /// The Fig. 8 / Fig. 12 report of a finished [`IpMap`].
-    pub fn from_stats(stats: &IpMap) -> IpChurnReport {
+    /// The Fig. 8 / Fig. 12 report of a finished [`IpTable`].
+    pub fn from_table(table: &IpTable) -> IpChurnReport {
+        Self::from_counts(
+            table.peers().iter().map(|p| (p.ip_count(), p.as_count(), p.country_count())),
+        )
+    }
+
+    /// The report of each known-IP peer's (addresses, ASes, countries)
+    /// counts.
+    fn from_counts(peers: impl Iterator<Item = (usize, usize, usize)>) -> IpChurnReport {
         const IP_BUCKETS: usize = 16;
         const AS_BUCKETS: usize = 10;
         let mut ip_hist = vec![0usize; IP_BUCKETS + 1];
@@ -139,23 +311,24 @@ impl IpChurnReport {
         let mut over100 = 0;
         let mut max_ases = 0;
         let mut max_countries = 0;
-        for s in stats.values() {
-            let n_ips = s.ips.len();
+        let mut known_ip_peers = 0;
+        for (n_ips, n_ases, n_countries) in peers {
+            known_ip_peers += 1;
             ip_hist[n_ips.min(IP_BUCKETS)] += 1;
             if n_ips >= 2 {
                 multi += 1;
-                as_hist[s.ases.len().min(AS_BUCKETS)] += 1;
+                as_hist[n_ases.min(AS_BUCKETS)] += 1;
             }
             if n_ips > 100 {
                 over100 += 1;
             }
-            max_ases = max_ases.max(s.ases.len());
-            max_countries = max_countries.max(s.countries.len());
+            max_ases = max_ases.max(n_ases);
+            max_countries = max_countries.max(n_countries);
         }
         IpChurnReport {
             ip_hist,
             as_hist,
-            known_ip_peers: stats.len(),
+            known_ip_peers,
             multi_ip_peers: multi,
             over_100_ips: over100,
             max_ases,
@@ -164,10 +337,193 @@ impl IpChurnReport {
     }
 }
 
+/// The hash-map fold Figs. 8 and 10–12 were computed from before the
+/// slot-indexed [`IpTable`], kept as the oracle its tests compare with:
+/// one `FxHashMap` entry per known-IP peer, holding three `FxHashSet`s.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::geo::{AsReport, GeoReport};
+
+    /// Per-peer address/AS accumulation over the window.
+    #[derive(Clone, Debug, Default)]
+    pub struct PeerIpStats {
+        pub ips: FxHashSet<PeerIp>,
+        pub ases: FxHashSet<u32>,
+        pub countries: FxHashSet<usize>,
+    }
+
+    /// The per-peer map.
+    pub type IpMap = FxHashMap<u32, PeerIpStats>;
+
+    /// The map of `src`'s `days`, folded record by record.
+    pub fn ip_map_from(src: &dyn SnapshotSource, days: std::ops::Range<u64>) -> IpMap {
+        let geo = src.geo();
+        let mut peers = IpMap::default();
+        for day in days {
+            src.for_each_observation_ref(day, src.vantage_count(), &mut |rec| {
+                if rec.ipv4.is_none() {
+                    return;
+                }
+                let entry = peers.entry(rec.peer_id).or_default();
+                for ip in rec.ips() {
+                    if entry.ips.insert(ip) {
+                        if let Some(loc) = geo.lookup(ip) {
+                            entry.ases.insert(geo.asn(loc.asn_id));
+                            entry.countries.insert(loc.country);
+                        }
+                    }
+                }
+            });
+        }
+        peers
+    }
+
+    /// Figs. 8/12 off the map.
+    pub fn ip_churn_report(map: &IpMap) -> IpChurnReport {
+        IpChurnReport::from_counts(
+            map.values().map(|s| (s.ips.len(), s.ases.len(), s.countries.len())),
+        )
+    }
+
+    /// Fig. 10 off the map.
+    pub fn geo_report(map: &IpMap, geo: &GeoDb) -> GeoReport {
+        let mut per_country: FxHashMap<usize, usize> = FxHashMap::default();
+        let mut unresolved = 0usize;
+        for s in map.values() {
+            for &c in &s.countries {
+                *per_country.entry(c).or_default() += 1;
+            }
+            if s.countries.is_empty() && !s.ips.is_empty() {
+                unresolved += s.ips.len();
+            }
+        }
+        GeoReport::rank(per_country, unresolved, geo)
+    }
+
+    /// Fig. 11 off the map.
+    pub fn as_report(map: &IpMap) -> AsReport {
+        let mut per_as: FxHashMap<u32, usize> = FxHashMap::default();
+        for s in map.values() {
+            for &a in &s.ases {
+                *per_as.entry(a).or_default() += 1;
+            }
+        }
+        AsReport::rank(per_as)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geo::{AsReport, GeoReport};
+    use crate::keyspace::{KeyspaceConfig, VisibilityModel};
+    use crate::report;
+    use i2p_faults::{FaultPlane, FaultSpec};
     use i2p_sim::world::WorldConfig;
+
+    /// Holds the table to the hash-map reference on `src`: the peer
+    /// order, each peer's addresses and its AS and country set orders,
+    /// and every row of Figs. 8 and 10–12 in text and CSV. Returns the
+    /// number of peers whose AS or country set, rebuilt from its
+    /// distinct values alone, would iterate in another order.
+    fn assert_matches_reference(src: &dyn SnapshotSource) -> usize {
+        let geo = src.geo();
+        let table = ip_table_from(src, src.days());
+        let map = reference::ip_map_from(src, src.days());
+        let order = table.hash_order();
+        let ids: Vec<u32> = order.iter().map(|p| p.id()).collect();
+        assert_eq!(ids, map.keys().copied().collect::<Vec<_>>(), "peer iteration order");
+        let mut distinct_rebuild_differs = 0;
+        for peer in order {
+            let id = peer.id();
+            let stats = &map[&id];
+            assert_eq!(peer.ips().collect::<FxHashSet<_>>(), stats.ips, "peer {id} addresses");
+            assert_eq!(peer.ip_count(), stats.ips.len(), "peer {id} repeats an address");
+            let countries: Vec<usize> = stats.countries.iter().copied().collect();
+            let ases: Vec<u32> = stats.ases.iter().copied().collect();
+            let ours: Vec<usize> = peer.countries_in_set_order(geo).collect();
+            assert_eq!(ours, countries, "peer {id} countries");
+            let ours: Vec<u32> = peer.ases_in_set_order(geo).collect();
+            assert_eq!(ours, ases, "peer {id} ASes");
+            if set_order(peer.countries()) != countries || set_order(peer.ases()) != ases {
+                distinct_rebuild_differs += 1;
+            }
+        }
+        let ours = IpChurnReport::from_table(&table);
+        let theirs = reference::ip_churn_report(&map);
+        assert_eq!(report::render_fig8(&ours), report::render_fig8(&theirs));
+        assert_eq!(report::csv_fig8(&ours), report::csv_fig8(&theirs));
+        assert_eq!(report::render_fig12(&ours), report::render_fig12(&theirs));
+        assert_eq!(report::csv_fig12(&ours), report::csv_fig12(&theirs));
+        let ours = GeoReport::from_table(&table, geo);
+        let theirs = reference::geo_report(&map, geo);
+        let all = theirs.rows.len();
+        assert_eq!(report::render_fig10(&ours, all), report::render_fig10(&theirs, all));
+        assert_eq!(report::csv_fig10(&ours, all), report::csv_fig10(&theirs, all));
+        let ours = AsReport::from_table(&table, geo);
+        let theirs = reference::as_report(&map);
+        let all = theirs.rows.len();
+        assert_eq!(report::render_fig11(&ours, all), report::render_fig11(&theirs, all));
+        assert_eq!(report::csv_fig11(&ours, all), report::csv_fig11(&theirs, all));
+        distinct_rebuild_differs
+    }
+
+    #[test]
+    fn a_forged_ipv6_first_address_keeps_its_place() {
+        // Capture fills `ipv4` with IPv4 only, but an archive row may
+        // carry any address there; the table keeps it first all the same.
+        let geo = GeoDb::new();
+        let (a, b, c) = (PeerIp::V6(7 << 64), PeerIp::V4(0x0A00_0001), PeerIp::V4(0x0A00_0002));
+        let rec = |ipv4, ipv6, day| ObservedRouterInfo {
+            hash: i2p_data::Hash256([0; 32]),
+            peer_id: 9,
+            caps: i2p_data::CapsString::new(),
+            ipv4: Some(ipv4),
+            ipv6,
+            has_introducers: false,
+            day,
+        };
+        let mut fold = IpFold::new(&geo);
+        fold.observe(0, &rec(a, Some(b), 0));
+        fold.observe(0, &rec(b, Some(a), 1));
+        fold.observe(0, &rec(c, None, 2));
+        let table = fold.finish();
+        assert_eq!(table.peers()[0].ips().collect::<Vec<_>>(), [a, b, c]);
+        assert_eq!(table.peers()[0].ip_count(), 3);
+    }
+
+    #[test]
+    fn table_matches_the_hash_map_reference_on_a_grid_of_worlds() {
+        let days = 40;
+        let world = World::generate(WorldConfig { days, scale: 0.03, seed: 20_180_201 });
+        let keyspace = VisibilityModel::Keyspace(KeyspaceConfig::paper());
+        let outage = FaultPlane::new(FaultSpec::parse("outage=0.3").expect("spec"), 0x07A6E);
+        let grid = [
+            (Fleet::paper_main(), VisibilityModel::Uniform, FaultPlane::zero()),
+            (Fleet::alternating(8), VisibilityModel::Uniform, FaultPlane::zero()),
+            (Fleet::paper_main(), keyspace.clone(), FaultPlane::zero()),
+            (Fleet::alternating(8), keyspace, FaultPlane::zero()),
+            (Fleet::paper_main(), VisibilityModel::Uniform, outage),
+        ];
+        let mut distinct_rebuild_differs = 0;
+        for (fleet, model, plane) in &grid {
+            let engine = HarvestEngine::build_faulted(&world, fleet, 0..days, model, plane);
+            distinct_rebuild_differs += assert_matches_reference(&engine);
+        }
+        assert!(distinct_rebuild_differs > 0, "no set order needed the replay of repeats");
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "a scale-1, 89-day world is minutes unoptimised; CI runs this in release"
+    )]
+    fn table_matches_the_hash_map_reference_at_census_size() {
+        let world = World::generate(WorldConfig { days: 89, scale: 1.0, seed: 20_180_201 });
+        let engine = HarvestEngine::build(&world, &Fleet::paper_main(), 0..89);
+        assert!(assert_matches_reference(&engine) > 0, "no set order needed the replay of repeats");
+    }
 
     fn report() -> IpChurnReport {
         let w = World::generate(WorldConfig { days: 89, scale: 0.01, seed: 31 });

@@ -47,6 +47,8 @@
 //!   snapshots, with bit-identical figure output either way. Each
 //!   figure analysis also exposes its accumulator (a `*Fold` with a
 //!   `finish`), so one day-major walk can feed them all (DESIGN.md §14).
+//! * [`slots`] — the per-peer slot index those folds share: dense slots
+//!   in first-sighting order, never a table sized by a peer id.
 //! * [`report`] — text renderers that print each figure/table in the
 //!   paper's layout, plus machine-readable CSV twins.
 //! * [`adversary`] — the unified adversary catalog: a common trait +
@@ -73,6 +75,7 @@ pub mod lab;
 pub mod observed;
 pub mod population;
 pub mod report;
+pub mod slots;
 pub mod source;
 pub mod statsite;
 pub mod strategies;

@@ -11,6 +11,7 @@
 use crate::engine::HarvestEngine;
 use crate::fleet::{Fleet, Vantage, VantageMode};
 use crate::observed::ObservedRouterInfo;
+use crate::slots::PeerSlots;
 use crate::source::SnapshotSource;
 use i2p_data::{FxHashSet, PeerIp};
 use i2p_sim::world::World;
@@ -239,35 +240,48 @@ pub fn firewalled_hidden_overlap_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> usize {
+    let mut slots = PeerSlots::new();
     let mut fold = OverlapFold::default();
     let k = src.vantage_count();
     for d in days {
-        src.for_each_observation_ref(d, k, &mut |rec| fold.observe(rec));
+        let mut today = slots.day(d);
+        src.for_each_observation_ref(d, k, &mut |rec| fold.observe(today.slot(rec.peer_id), rec));
     }
     fold.finish()
 }
 
-/// Fig. 6's overlap accumulator: the peers ever seen firewalled and the
-/// peers ever seen hidden, over every day observed.
+/// Fig. 6's overlap accumulator: per peer slot ([`PeerSlots`]), whether
+/// the peer was ever seen firewalled and whether it was ever seen
+/// hidden, over every day observed.
 #[derive(Clone, Debug, Default)]
 pub struct OverlapFold {
-    firewalled: FxHashSet<u32>,
-    hidden: FxHashSet<u32>,
+    seen: Vec<u8>,
 }
 
 impl OverlapFold {
-    /// Counts one observation.
-    pub fn observe(&mut self, rec: &ObservedRouterInfo) {
-        if rec.is_firewalled() {
-            self.firewalled.insert(rec.peer_id);
+    const FIREWALLED: u8 = 1;
+    const HIDDEN: u8 = 2;
+
+    /// Counts one observation of the peer in `slot`.
+    pub fn observe(&mut self, slot: u32, rec: &ObservedRouterInfo) {
+        let group = if rec.is_firewalled() {
+            Self::FIREWALLED
         } else if rec.is_hidden() {
-            self.hidden.insert(rec.peer_id);
+            Self::HIDDEN
+        } else {
+            return;
+        };
+        let slot = slot as usize;
+        if slot >= self.seen.len() {
+            self.seen.resize(slot + 1, 0);
         }
+        self.seen[slot] |= group;
     }
 
     /// Peers seen in both groups.
     pub fn finish(&self) -> usize {
-        self.firewalled.intersection(&self.hidden).count()
+        let both = Self::FIREWALLED | Self::HIDDEN;
+        self.seen.iter().filter(|&&g| g == both).count()
     }
 }
 

@@ -161,7 +161,7 @@ impl SnapshotSource for HarvestEngine<'_> {
     }
 
     fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32)) {
-        self.for_each_union_peer(day, k, |peer| f(peer.id));
+        HarvestEngine::for_each_union_id(self, day, k, f);
     }
 
     fn for_each_observation_ref(

@@ -189,6 +189,7 @@ pub fn evaluate_on(sub: &WarmSubstrate, cfg: &UsabilityConfig) -> Vec<UsabilityP
 /// bootstrapped, published, settled for 30 s, with the victim primed as
 /// a long-term client.
 pub fn warm_substrate(cfg: &UsabilityConfig) -> WarmSubstrate {
+    let _span = i2p_telemetry::span("measure.lab_warm");
     cfg.validate();
     warm_substrate_with_seed(cfg, cfg.seed)
 }

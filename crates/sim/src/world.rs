@@ -239,6 +239,7 @@ impl World {
     /// Generates the world: warm-up arrivals from day −120 so that day 0
     /// is in steady state, then arrivals through the study window.
     pub fn generate(config: WorldConfig) -> Self {
+        let _span = i2p_telemetry::span("sim.world");
         let geo = GeoDb::new();
         let mut rng = DetRng::new(config.seed).fork(0x0f0f);
         let mut peers = Vec::new();

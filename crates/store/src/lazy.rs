@@ -312,6 +312,7 @@ mod tests {
     use crate::Snapshot;
     use i2p_measure::engine::HarvestEngine;
     use i2p_measure::fleet::Fleet;
+    use i2p_measure::{churn, ipchurn, population};
     use i2p_sim::world::{World, WorldConfig};
 
     /// A scratch path in the system temp dir, cleaned up on drop.
@@ -429,5 +430,54 @@ mod tests {
             std::fs::write(&bad_path.0, &bytes[..cut]).expect("plant truncated");
             assert!(LazySnapshot::open(&bad_path.0).is_err(), "cut {cut} undetected");
         }
+    }
+
+    #[test]
+    fn forged_peer_ids_cannot_size_the_figure_state() {
+        // Segment decoding accepts any row id up to u32::MAX, so the
+        // per-peer figure state must not be sized by one. The archive's
+        // highest id ends every day it appears on; raised to
+        // u32::MAX - 1 wherever it appears, the rows stay ascending and
+        // the relabelling is one-to-one, so the figures that ignore id
+        // values must not move.
+        let world = World::generate(WorldConfig { days: 6, scale: 0.01, seed: 99 });
+        let engine = HarvestEngine::build(&world, &Fleet::alternating(4), 0..6);
+        let clean = Snapshot::capture(&engine);
+        let mut forged = Snapshot::capture(&engine);
+        let top = clean
+            .days
+            .iter()
+            .filter_map(|seg| seg.observations.last())
+            .map(|rec| rec.peer_id)
+            .max()
+            .expect("a non-empty archive");
+        assert!(top < u32::MAX - 1);
+        let mut raised = 0;
+        for seg in &mut forged.days {
+            if let Some(rec) = seg.observations.last_mut().filter(|rec| rec.peer_id == top) {
+                rec.peer_id = u32::MAX - 1;
+                raised += 1;
+            }
+        }
+        assert!(raised > 0);
+        let (clean_path, forged_path) = (Scratch::new("ids-clean"), Scratch::new("ids-forged"));
+        clean.write_to(&clean_path.0).expect("write clean archive");
+        // `to_bytes` recomputes every checksum over the forged rows.
+        std::fs::write(&forged_path.0, forged.to_bytes().expect("encode")).expect("write forged");
+        let clean = LazySnapshot::open(&clean_path.0).expect("open clean");
+        let forged = LazySnapshot::open(&forged_path.0).expect("open forged");
+        let mut highest = 0;
+        for day in SnapshotSource::days(&forged) {
+            forged.for_each_union_id(day, 4, &mut |id| highest = highest.max(id));
+        }
+        assert_eq!(highest, u32::MAX - 1, "the forged id survives decoding");
+        let fig7 = |src: &LazySnapshot| format!("{:?}", churn::churn_curves_from(src, 3));
+        let fig8_12 = |src: &LazySnapshot| {
+            format!("{:?}", ipchurn::ip_churn_report_from(src, 0..6))
+        };
+        let fig6 = |src: &LazySnapshot| population::firewalled_hidden_overlap_from(src, 0..6);
+        assert_eq!(fig7(&forged), fig7(&clean), "Fig. 7");
+        assert_eq!(fig8_12(&forged), fig8_12(&clean), "Figs. 8/12");
+        assert_eq!(fig6(&forged), fig6(&clean), "Fig. 6 overlap");
     }
 }

@@ -18,6 +18,7 @@ use i2p_measure::adversary::{self, AdversaryLab};
 use i2p_measure::engine::HarvestEngine;
 use i2p_measure::fleet::Fleet;
 use i2p_measure::keyspace::{KeyspaceConfig, VisibilityModel};
+use i2p_measure::slots::PeerSlots;
 use i2p_measure::source::{Coverage, SnapshotSource};
 use i2p_measure::usability::{evaluate, UsabilityConfig};
 use i2p_measure::{capacity, churn, geo, ipchurn, population, report, sybil};
@@ -306,7 +307,7 @@ struct FigurePass<'s> {
     survival: churn::ChurnFold,
     horizon: usize,
     /// Figs. 8, 10, 11 and 12.
-    ips: ipchurn::IpMap,
+    ips: ipchurn::IpTable,
     /// Fig. 9.
     letters: capacity::CapacityFold,
     /// Table 1, over the window's middle day.
@@ -319,7 +320,9 @@ impl<'s> FigurePass<'s> {
     /// ledger's `count_one` calls, at most one `coverage_curve` (Fig. 4)
     /// and at most one observation walk, which feeds every selected
     /// fold — or, when only Fig. 7 needs the day, one union-id walk. On
-    /// a lazy snapshot each day segment is therefore decoded once.
+    /// a lazy snapshot each day segment is therefore decoded once. The
+    /// per-peer folds (Figs. 6, 7, 8/10–12) share one slot index, so
+    /// each record's peer is looked up once.
     fn run(src: &'s dyn SnapshotSource, figs: &[FigId]) -> FigurePass<'s> {
         let _span = i2p_telemetry::span("measure.figure_pass");
         let wants = |any: &[FigId]| figs.iter().any(|f| any.contains(f));
@@ -342,6 +345,7 @@ impl<'s> FigurePass<'s> {
         let k = src.vantage_count();
 
         let mut coverage = Coverage::default();
+        let mut slots = PeerSlots::new();
         let mut curve = population::CoverageFold::new(k);
         let mut census = Vec::new();
         let mut overlap = population::OverlapFold::default();
@@ -357,20 +361,31 @@ impl<'s> FigurePass<'s> {
             }
             let census_day = want_census && (day - span.start) % step == 0;
             let table1_day = want_table1 && day == mid_day;
+            let mut peers = slots.day(day);
             if census_day || want_overlap || want_ips || want_capacity || table1_day {
                 let mut today = population::CensusFold::default();
                 src.for_each_observation_ref(day, k, &mut |rec| {
                     if census_day {
                         today.observe(rec);
                     }
-                    if want_overlap {
-                        overlap.observe(rec);
-                    }
-                    if want_churn {
-                        survival.observe(rec.peer_id, day);
-                    }
-                    if want_ips {
-                        ips.observe(rec);
+                    // A record takes a slot only when a selected per-peer
+                    // fold reads it: Fig. 6 reads unknown-IP records and
+                    // Figs. 8/10–12 IPv4 ones. Slot numbers never reach a
+                    // figure, so the selection cannot change its bytes.
+                    let reads = want_churn
+                        || (want_overlap && rec.is_unknown_ip())
+                        || (want_ips && rec.ipv4.is_some());
+                    if reads {
+                        let slot = peers.slot(rec.peer_id);
+                        if want_overlap {
+                            overlap.observe(slot, rec);
+                        }
+                        if want_churn {
+                            survival.observe(slot, day);
+                        }
+                        if want_ips {
+                            ips.observe(slot, rec);
+                        }
                     }
                     if want_capacity {
                         letters.observe(rec);
@@ -384,7 +399,7 @@ impl<'s> FigurePass<'s> {
                     census.push((day, today.finish()));
                 }
             } else if want_churn {
-                src.for_each_union_id(day, k, &mut |id| survival.observe(id, day));
+                src.for_each_union_id(day, k, &mut |id| survival.observe(peers.slot(id), day));
             }
         }
         FigurePass {
@@ -435,7 +450,7 @@ impl<'s> FigurePass<'s> {
                 }
             }
             FigId::Fig8 => {
-                let rep = ipchurn::IpChurnReport::from_stats(&self.ips);
+                let rep = ipchurn::IpChurnReport::from_table(&self.ips);
                 match format {
                     Format::Text => report::render_fig8(&rep),
                     Format::Csv => titled_csv("Figure 8", report::csv_fig8(&rep)),
@@ -449,21 +464,21 @@ impl<'s> FigurePass<'s> {
                 }
             }
             FigId::Fig10 => {
-                let rep = geo::GeoReport::from_stats(&self.ips, self.geo);
+                let rep = geo::GeoReport::from_table(&self.ips, self.geo);
                 match format {
                     Format::Text => report::render_fig10(&rep, 20),
                     Format::Csv => titled_csv("Figure 10", report::csv_fig10(&rep, 20)),
                 }
             }
             FigId::Fig11 => {
-                let rep = geo::AsReport::from_stats(&self.ips);
+                let rep = geo::AsReport::from_table(&self.ips, self.geo);
                 match format {
                     Format::Text => report::render_fig11(&rep, 20),
                     Format::Csv => titled_csv("Figure 11", report::csv_fig11(&rep, 20)),
                 }
             }
             FigId::Fig12 => {
-                let rep = ipchurn::IpChurnReport::from_stats(&self.ips);
+                let rep = ipchurn::IpChurnReport::from_table(&self.ips);
                 match format {
                     Format::Text => report::render_fig12(&rep),
                     Format::Csv => titled_csv("Figure 12", report::csv_fig12(&rep)),

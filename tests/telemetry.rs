@@ -13,10 +13,13 @@
 //!
 //! Plus the span tree's shape — the censor's Fig. 13 matrix runs under
 //! its own `measure.censor_matrix` span, with its engine fill beneath
-//! it — and the manifest contract: after the calibration probe, a run
-//! manifest validates against the `i2p-telemetry/1` schema and its
-//! span tree covers the four core crates (measure, store, netdb,
-//! transport), and the Chrome trace export parses.
+//! it; a census generates its world under `sim.world` beside the fill
+//! and the figure pass; a sweep warms its TestNet under
+//! `measure.lab_warm` beside `measure.sweep` — and the manifest
+//! contract: after the calibration probe, a run manifest validates
+//! against the `i2p-telemetry/1` schema and its span tree covers the
+//! four core crates (measure, store, netdb, transport), and the Chrome
+//! trace export parses.
 //!
 //! Note on globals: `timing::enable()` is process-wide and sticky, so
 //! every on-vs-off comparison renders its "off" output *first* within
@@ -115,6 +118,42 @@ fn censor_matrix_span_holds_its_engine_fill() {
                 .iter()
                 .any(|s| s.name == "measure.engine_fill" && matrix.contains(&s.parent)),
             "no measure.engine_fill span under measure.censor_matrix"
+        );
+    });
+}
+
+/// Whether the timing plane holds a `first` span followed, on the same
+/// thread and under the same parent, by a span of each of `siblings`.
+fn spans_beside(report: &timing::TimingReport, first: &str, siblings: &[&str]) -> bool {
+    report.spans.iter().filter(|s| s.name == first).any(|head| {
+        siblings.iter().all(|name| {
+            report.spans.iter().any(|s| {
+                s.name == *name
+                    && s.tid == head.tid
+                    && s.parent == head.parent
+                    && s.start_us >= head.start_us
+            })
+        })
+    })
+}
+
+#[test]
+fn world_generation_and_the_lab_warm_up_have_program_spans() {
+    // Moves the process-wide counters: hold the counter lock so the
+    // exact-delta tests beside it never see this work.
+    counters::exclusive(|| {
+        timing::enable();
+        let k = knobs(1);
+        cli::census(&k, Format::Text, &FigId::ALL);
+        let census_layers = ["measure.engine_fill", "measure.figure_pass"];
+        assert!(
+            spans_beside(&timing::report(), "sim.world", &census_layers),
+            "a census run records sim.world beside its fill and figure pass"
+        );
+        cli::sweep(&k, Format::Text);
+        assert!(
+            spans_beside(&timing::report(), "measure.lab_warm", &["measure.sweep"]),
+            "a sweep run records measure.lab_warm beside measure.sweep"
         );
     });
 }
