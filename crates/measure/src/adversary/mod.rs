@@ -52,6 +52,7 @@ use crate::usability::UsabilityConfig;
 use i2p_data::{FxHashMap, FxHashSet, Hash256, PeerIp};
 use i2p_geoip::{CountryId, GeoDb};
 use i2p_sim::world::World;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::Range;
 
@@ -190,8 +191,9 @@ pub struct SharedState {
     pub blocked_countries: FxHashSet<CountryId>,
     /// Sybil floodfill identities fielded per day.
     pub sybils: FxHashMap<u64, Vec<Hash256>>,
-    /// Per-day census coverage (%) recorded when day views were built.
-    pub coverage: FxHashMap<u64, f64>,
+    /// Per-day census coverage (%) recorded when day views were built,
+    /// in day order, the order [`SharedState::mean_coverage`] sums them in.
+    pub coverage: BTreeMap<u64, f64>,
     /// How many times an adaptive member recompiled its blacklist.
     pub relearns: usize,
 }

@@ -15,7 +15,7 @@ use crate::fleet::Fleet;
 use crate::ipchurn::{ip_table_from, IpTable};
 use crate::source::SnapshotSource;
 use i2p_data::FxHashMap;
-use i2p_geoip::GeoDb;
+use i2p_geoip::{CountryId, GeoDb};
 use i2p_sim::world::World;
 
 /// A ranked distribution row.
@@ -63,60 +63,45 @@ pub fn country_distribution_from<S: SnapshotSource + ?Sized>(
 impl GeoReport {
     /// Fig. 10 off a finished per-peer [`IpTable`] (the accumulator is
     /// [`crate::ipchurn::IpFold`], shared with Figs. 8, 11 and 12).
-    ///
-    /// Countries with equal counts keep the order of the per-country
-    /// `FxHashMap` below, which depends on the order its keys arrive:
-    /// peers in [`IpTable::hash_order`], each peer's countries in
-    /// [`crate::ipchurn::PeerIps::countries_in_set_order`] — the orders
-    /// of the hash map and sets the figure was first computed from.
     pub fn from_table(table: &IpTable, geo: &GeoDb) -> GeoReport {
-        let mut per_country: FxHashMap<usize, usize> = FxHashMap::default();
+        let mut per_country = vec![0usize; geo.country_count()];
         let mut unresolved = 0usize;
-        for peer in table.hash_order() {
+        for peer in table.peers() {
             // The §5.3.2 rule: one count per (peer, country).
-            for c in peer.countries_in_set_order(geo) {
-                *per_country.entry(c).or_default() += 1;
+            for c in peer.countries() {
+                per_country[c] += 1;
             }
             // Addresses without any resolution.
             if peer.country_count() == 0 {
                 unresolved += peer.ip_count();
             }
         }
-        GeoReport::rank(per_country, unresolved, geo)
+        let observed = per_country.into_iter().enumerate().filter(|&(_, n)| n > 0);
+        GeoReport::rank(observed, unresolved, geo)
     }
 
-    /// Ranks the per-country counts, descending; a stable sort, so
-    /// equal counts keep the map's iteration order.
+    /// Ranks the per-country counts as [`ranked_rows`] does; equal
+    /// counts go by country name.
     pub(crate) fn rank(
-        per_country: FxHashMap<usize, usize>,
+        per_country: impl IntoIterator<Item = (CountryId, usize)>,
         unresolved: usize,
         geo: &GeoDb,
     ) -> GeoReport {
-        let total: usize = per_country.values().sum();
-        let mut items: Vec<(usize, usize)> = per_country.into_iter().collect();
-        items.sort_by_key(|item| std::cmp::Reverse(item.1));
-        let mut cum = 0usize;
         let mut censored_peers = 0;
         let mut censored_countries = 0;
-        let rows = items
-            .iter()
-            .map(|&(c, n)| {
-                cum += n;
-                if geo.is_censored(c) {
-                    censored_peers += n;
-                    censored_countries += 1;
-                }
-                RankedRow {
-                    label: geo.country_name(c).to_string(),
-                    peers: n,
-                    cumulative_pct: 100.0 * cum as f64 / total.max(1) as f64,
-                }
-            })
-            .collect::<Vec<_>>();
+        let mut named = Vec::new();
+        for (c, n) in per_country {
+            if geo.is_censored(c) {
+                censored_peers += n;
+                censored_countries += 1;
+            }
+            named.push((geo.country_name(c), n));
+        }
+        let rows = ranked_rows(named);
         GeoReport {
+            total: rows.iter().map(|r| r.peers).sum(),
             countries_observed: rows.len(),
             rows,
-            total,
             censored_peers,
             censored_countries,
             unresolved_addresses: unresolved,
@@ -144,41 +129,49 @@ pub fn as_distribution_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> AsReport {
-    AsReport::from_table(&ip_table_from(src, days), src.geo())
+    AsReport::from_table(&ip_table_from(src, days))
 }
 
 impl AsReport {
-    /// Fig. 11 off a finished per-peer [`IpTable`]; equal counts keep
-    /// their order as in [`GeoReport::from_table`].
-    pub fn from_table(table: &IpTable, geo: &GeoDb) -> AsReport {
+    /// Fig. 11 off a finished per-peer [`IpTable`].
+    pub fn from_table(table: &IpTable) -> AsReport {
         let mut per_as: FxHashMap<u32, usize> = FxHashMap::default();
-        for peer in table.hash_order() {
-            for a in peer.ases_in_set_order(geo) {
+        for peer in table.peers() {
+            for a in peer.ases() {
                 *per_as.entry(a).or_default() += 1;
             }
         }
         AsReport::rank(per_as)
     }
 
-    /// Ranks the per-AS counts, descending, as [`GeoReport::rank`] does.
-    pub(crate) fn rank(per_as: FxHashMap<u32, usize>) -> AsReport {
-        let total: usize = per_as.values().sum();
-        let mut items: Vec<(u32, usize)> = per_as.into_iter().collect();
-        items.sort_by_key(|item| std::cmp::Reverse(item.1));
-        let mut cum = 0usize;
-        let rows = items
-            .iter()
-            .map(|&(a, n)| {
-                cum += n;
-                RankedRow {
-                    label: a.to_string(),
-                    peers: n,
-                    cumulative_pct: 100.0 * cum as f64 / total.max(1) as f64,
-                }
-            })
-            .collect();
-        AsReport { rows, total }
+    /// Ranks the per-AS counts as [`ranked_rows`] does; equal counts go
+    /// by AS number, compared as a number.
+    pub(crate) fn rank(per_as: impl IntoIterator<Item = (u32, usize)>) -> AsReport {
+        let rows = ranked_rows(per_as.into_iter().collect());
+        AsReport { total: rows.iter().map(|r| r.peers).sum(), rows }
     }
+}
+
+/// The rows of Figs. 10/11: `(label, peers)` pairs by peer count,
+/// descending, with equal counts in ascending label order, each row
+/// carrying its cumulative share of the total. The paper ranks by count
+/// alone, so the tie rule only has to be total: the rows come out the
+/// same whatever order the pairs arrive in.
+fn ranked_rows<L: Ord + ToString>(mut items: Vec<(L, usize)>) -> Vec<RankedRow> {
+    items.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let total = items.iter().map(|&(_, n)| n).sum::<usize>().max(1);
+    let mut cum = 0usize;
+    items
+        .into_iter()
+        .map(|(label, n)| {
+            cum += n;
+            RankedRow {
+                label: label.to_string(),
+                peers: n,
+                cumulative_pct: 100.0 * cum as f64 / total as f64,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -238,6 +231,47 @@ mod tests {
         // Top-20 ASes: paper says >30 % of peers.
         let top20 = rep.rows.get(19).map(|r| r.cumulative_pct).unwrap_or(100.0);
         assert!((20.0..60.0).contains(&top20), "top-20 AS cumulative {top20}");
+    }
+
+    /// Each row's (label, peers, cumulative %).
+    fn cells(rows: &[RankedRow]) -> Vec<(String, usize, f64)> {
+        rows.iter().map(|r| (r.label.clone(), r.peers, r.cumulative_pct)).collect()
+    }
+
+    /// `items` in every rotation, each forwards and backwards.
+    fn arrival_orders<T: Copy>(items: &[T]) -> Vec<Vec<T>> {
+        let mut orders = Vec::new();
+        for turn in 0..items.len() {
+            let mut order = items.to_vec();
+            order.rotate_left(turn);
+            orders.push(order.clone());
+            order.reverse();
+            orders.push(order);
+        }
+        orders
+    }
+
+    #[test]
+    fn equal_counts_rank_by_label_whatever_order_they_arrive_in() {
+        let geo = GeoDb::new();
+        let code = |c: &str| geo.country_by_code(c).expect("a listed country");
+        let countries = [(code("SE"), 7), (code("US"), 30), (code("NO"), 7), (code("ES"), 7)];
+        let expected = cells(&GeoReport::rank(countries, 0, &geo).rows);
+        for order in arrival_orders(&countries) {
+            let rep = GeoReport::rank(order, 0, &geo);
+            let labels: Vec<&str> = rep.rows.iter().map(|r| r.label.as_str()).collect();
+            assert_eq!(labels, ["United States", "Norway", "Spain", "Sweden"]);
+            assert_eq!(cells(&rep.rows), expected);
+        }
+        // As strings "64000" sorts before "7018"; as numbers, after.
+        let ases = [(64_000, 13), (7018, 13), (209, 2), (7922, 40), (3320, 13)];
+        let expected = cells(&AsReport::rank(ases).rows);
+        for order in arrival_orders(&ases) {
+            let rep = AsReport::rank(order);
+            let labels: Vec<&str> = rep.rows.iter().map(|r| r.label.as_str()).collect();
+            assert_eq!(labels, ["7922", "3320", "7018", "64000", "209"]);
+            assert_eq!(cells(&rep.rows), expected);
+        }
     }
 
     #[test]

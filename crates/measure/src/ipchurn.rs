@@ -11,14 +11,13 @@ use crate::fleet::Fleet;
 use crate::observed::ObservedRouterInfo;
 use crate::slots::PeerSlots;
 use crate::source::SnapshotSource;
-use i2p_data::{FxHashMap, FxHashSet, PeerIp};
+use i2p_data::PeerIp;
 use i2p_geoip::GeoDb;
 use i2p_sim::world::World;
-use std::hash::Hash;
 
 /// One known-IP peer's window: its distinct addresses, and the distinct
 /// ASes and countries they resolve to (unresolvable addresses are
-/// skipped, as with MaxMind misses), each in first-seen order.
+/// skipped, as with MaxMind misses).
 ///
 /// A peer with one address, one AS and one country — about half of
 /// them — is stored inline, in 32 bytes; the rest of a peer with more
@@ -28,17 +27,19 @@ pub struct PeerIps {
     id: u32,
     /// The first address. A row opens on a record that publishes IPv4,
     /// so only a forged archive's `ipv4` field can hold an IPv6 address;
-    /// that address then heads `more.ips` instead.
+    /// that address then goes with the peer's other IPv6 addresses.
     first: Option<u32>,
     /// AS number and country of the first address that resolved.
     loc: Option<(u32, u32)>,
     more: Option<Box<MoreIps>>,
 }
 
-/// The addresses, ASes and countries of a peer after its first ones.
+/// The addresses, ASes and countries of a peer after its first ones,
+/// each kept at its own width.
 #[derive(Clone, Debug, Default)]
 struct MoreIps {
-    ips: Vec<PeerIp>,
+    v4: Vec<u32>,
+    v6: Vec<u128>,
     ases: Vec<u32>,
     countries: Vec<u32>,
 }
@@ -49,22 +50,23 @@ fn resolve(geo: &GeoDb, ip: PeerIp) -> Option<(u32, u32)> {
     geo.lookup(ip).map(|loc| (geo.asn(loc.asn_id), loc.country as u32))
 }
 
-/// The iteration order of an `FxHashSet` that received `values` one
-/// `insert` at a time, repeats included.
-fn set_order<T: Hash + Eq>(values: impl Iterator<Item = T>) -> Vec<T> {
-    let mut set = FxHashSet::default();
-    for v in values {
-        set.insert(v);
+/// Appends `value` unless `seen` holds it; true if it was new. A peer
+/// that moves usually repeats its latest address, so the search runs
+/// from the back.
+fn push_new<T: Copy + PartialEq>(seen: &mut Vec<T>, value: T) -> bool {
+    if seen.iter().rev().any(|&v| v == value) {
+        return false;
     }
-    set.into_iter().collect()
+    seen.push(value);
+    true
 }
 
 impl PeerIps {
     fn new(id: u32, first: PeerIp, geo: &GeoDb) -> PeerIps {
         let (v4, more) = match first {
             PeerIp::V4(v4) => (Some(v4), None),
-            PeerIp::V6(_) => {
-                let more = MoreIps { ips: vec![first], ..MoreIps::default() };
+            PeerIp::V6(v6) => {
+                let more = MoreIps { v6: vec![v6], ..MoreIps::default() };
                 (None, Some(Box::new(more)))
             }
         };
@@ -78,11 +80,13 @@ impl PeerIps {
         }
         // A second distinct address is where the side record starts.
         let more = self.more.get_or_insert_with(Box::default);
-        // A peer that moves usually repeats its latest address.
-        if more.ips.iter().rev().any(|&seen| seen == ip) {
+        let new = match ip {
+            PeerIp::V4(v4) => push_new(&mut more.v4, v4),
+            PeerIp::V6(v6) => push_new(&mut more.v6, v6),
+        };
+        if !new {
             return;
         }
-        more.ips.push(ip);
         let Some((asn, country)) = resolve(geo, ip) else { return };
         let Some((first_asn, first_country)) = self.loc else {
             self.loc = Some((asn, country));
@@ -101,15 +105,18 @@ impl PeerIps {
         self.id
     }
 
-    /// Distinct addresses, first-seen order.
+    /// Distinct addresses: the IPv4 ones, then the IPv6 ones, each in
+    /// first-seen order.
     pub fn ips(&self) -> impl Iterator<Item = PeerIp> + '_ {
-        let more = self.more.as_deref().map_or(&[][..], |m| &m.ips);
-        self.first.map(PeerIp::V4).into_iter().chain(more.iter().copied())
+        let (v4, v6) = self.more.as_deref().map_or((&[][..], &[][..]), |m| (&m.v4[..], &m.v6[..]));
+        let v4 = self.first.into_iter().chain(v4.iter().copied()).map(PeerIp::V4);
+        v4.chain(v6.iter().copied().map(PeerIp::V6))
     }
 
     /// Number of distinct addresses.
     pub fn ip_count(&self) -> usize {
-        usize::from(self.first.is_some()) + self.more.as_ref().map_or(0, |m| m.ips.len())
+        let more = self.more.as_ref().map_or(0, |m| m.v4.len() + m.v6.len());
+        usize::from(self.first.is_some()) + more
     }
 
     /// Distinct AS numbers, first-seen order.
@@ -134,38 +141,11 @@ impl PeerIps {
     pub fn country_count(&self) -> usize {
         usize::from(self.loc.is_some()) + self.more.as_ref().map_or(0, |m| m.countries.len())
     }
-
-    /// The countries in the order Fig. 10 counts them: that of the
-    /// per-peer `FxHashSet` the figure was first computed from, which
-    /// received one insert per distinct resolvable address, repeats
-    /// included. An insert reserves room before it looks for its key, so
-    /// a repeat can grow the table and move the keys already in it:
-    /// rebuilding the set from the distinct countries alone can iterate
-    /// differently. Only a peer in two or more countries is replayed.
-    pub fn countries_in_set_order(&self, geo: &GeoDb) -> impl Iterator<Item = usize> {
-        let (single, replayed) = if self.country_count() < 2 {
-            (self.countries().next(), Vec::new())
-        } else {
-            (None, set_order(self.ips().filter_map(|ip| geo.lookup(ip)).map(|loc| loc.country)))
-        };
-        single.into_iter().chain(replayed)
-    }
-
-    /// The ASes in the order Fig. 11 counts them; see
-    /// [`PeerIps::countries_in_set_order`].
-    pub fn ases_in_set_order(&self, geo: &GeoDb) -> impl Iterator<Item = u32> {
-        let (single, replayed) = if self.as_count() < 2 {
-            (self.ases().next(), Vec::new())
-        } else {
-            let ases = self.ips().filter_map(|ip| geo.lookup(ip)).map(|loc| geo.asn(loc.asn_id));
-            (None, set_order(ases))
-        };
-        single.into_iter().chain(replayed)
-    }
 }
 
 /// The per-peer table Figs. 8, 10, 11 and 12 are all computed from:
 /// one [`PeerIps`] per known-IP peer, in first-IPv4-sighting order.
+/// No figure depends on the row order.
 #[derive(Clone, Debug)]
 pub struct IpTable {
     peers: Vec<PeerIps>,
@@ -175,20 +155,6 @@ impl IpTable {
     /// The known-IP peers, in first-IPv4-sighting order.
     pub fn peers(&self) -> &[PeerIps] {
         &self.peers
-    }
-
-    /// The peers in the iteration order of the `FxHashMap` keyed by
-    /// peer id that Figs. 10/11 were first computed from; their
-    /// equal-count rows keep it. That map took each peer once, through
-    /// `entry()`, at the peer's first IPv4 sighting, and `entry()` grows
-    /// a map only for a new key, so inserting the ids in table order
-    /// rebuilds it exactly.
-    pub fn hash_order(&self) -> Vec<&PeerIps> {
-        let mut order: FxHashMap<u32, u32> = FxHashMap::default();
-        for (row, peer) in self.peers.iter().enumerate() {
-            order.insert(peer.id, row as u32);
-        }
-        order.values().map(|&row| &self.peers[row as usize]).collect()
     }
 }
 
@@ -234,9 +200,8 @@ pub fn ip_table_from<S: SnapshotSource + ?Sized>(src: &S, days: std::ops::Range<
 /// ([`PeerSlots`]). A record publishes an address iff its `ipv4` field
 /// is set (capture fills it exactly when the peer publishes that day),
 /// so the observation stream carries everything the table needs. Days
-/// must arrive ascending and, within a day, peers ascending by id, IPv4
-/// before IPv6 — the order every [`SnapshotSource`] walk yields, and the
-/// order [`IpTable::hash_order`] and the set orders rebuild from.
+/// must arrive ascending and, within a day, peers ascending by id — the
+/// order every [`SnapshotSource`] walk yields.
 #[derive(Clone, Debug)]
 pub struct IpFold<'g> {
     geo: &'g GeoDb,
@@ -340,10 +305,12 @@ impl IpChurnReport {
 /// The hash-map fold Figs. 8 and 10–12 were computed from before the
 /// slot-indexed [`IpTable`], kept as the oracle its tests compare with:
 /// one `FxHashMap` entry per known-IP peer, holding three `FxHashSet`s.
+/// It pins each peer's sets and counts and every rendered row; no order.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
     use crate::geo::{AsReport, GeoReport};
+    use i2p_data::{FxHashMap, FxHashSet};
 
     /// Per-peer address/AS accumulation over the window.
     #[derive(Clone, Debug, Default)]
@@ -416,39 +383,31 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geo::{AsReport, GeoReport};
+    use crate::geo::{AsReport, GeoReport, RankedRow};
     use crate::keyspace::{KeyspaceConfig, VisibilityModel};
     use crate::report;
+    use i2p_data::FxHashSet;
     use i2p_faults::{FaultPlane, FaultSpec};
     use i2p_sim::world::WorldConfig;
 
-    /// Holds the table to the hash-map reference on `src`: the peer
-    /// order, each peer's addresses and its AS and country set orders,
-    /// and every row of Figs. 8 and 10–12 in text and CSV. Returns the
-    /// number of peers whose AS or country set, rebuilt from its
-    /// distinct values alone, would iterate in another order.
-    fn assert_matches_reference(src: &dyn SnapshotSource) -> usize {
+    /// Holds the table to the hash-map reference on `src`: the same
+    /// peers, each with the same addresses, ASes and countries, none
+    /// repeated, and every row of Figs. 8 and 10–12 in text and CSV.
+    fn assert_matches_reference(src: &dyn SnapshotSource) {
         let geo = src.geo();
         let table = ip_table_from(src, src.days());
         let map = reference::ip_map_from(src, src.days());
-        let order = table.hash_order();
-        let ids: Vec<u32> = order.iter().map(|p| p.id()).collect();
-        assert_eq!(ids, map.keys().copied().collect::<Vec<_>>(), "peer iteration order");
-        let mut distinct_rebuild_differs = 0;
-        for peer in order {
+        assert_eq!(table.peers().len(), map.len(), "known-IP peers");
+        for peer in table.peers() {
             let id = peer.id();
-            let stats = &map[&id];
+            let stats = map.get(&id).unwrap_or_else(|| panic!("peer {id} is not in the reference"));
             assert_eq!(peer.ips().collect::<FxHashSet<_>>(), stats.ips, "peer {id} addresses");
             assert_eq!(peer.ip_count(), stats.ips.len(), "peer {id} repeats an address");
-            let countries: Vec<usize> = stats.countries.iter().copied().collect();
-            let ases: Vec<u32> = stats.ases.iter().copied().collect();
-            let ours: Vec<usize> = peer.countries_in_set_order(geo).collect();
-            assert_eq!(ours, countries, "peer {id} countries");
-            let ours: Vec<u32> = peer.ases_in_set_order(geo).collect();
-            assert_eq!(ours, ases, "peer {id} ASes");
-            if set_order(peer.countries()) != countries || set_order(peer.ases()) != ases {
-                distinct_rebuild_differs += 1;
-            }
+            assert_eq!(peer.ases().collect::<FxHashSet<_>>(), stats.ases, "peer {id} ASes");
+            assert_eq!(peer.as_count(), stats.ases.len(), "peer {id} repeats an AS");
+            let countries = peer.countries().collect::<FxHashSet<_>>();
+            assert_eq!(countries, stats.countries, "peer {id} countries");
+            assert_eq!(peer.country_count(), stats.countries.len(), "peer {id} repeats a country");
         }
         let ours = IpChurnReport::from_table(&table);
         let theirs = reference::ip_churn_report(&map);
@@ -461,18 +420,18 @@ mod tests {
         let all = theirs.rows.len();
         assert_eq!(report::render_fig10(&ours, all), report::render_fig10(&theirs, all));
         assert_eq!(report::csv_fig10(&ours, all), report::csv_fig10(&theirs, all));
-        let ours = AsReport::from_table(&table, geo);
+        let ours = AsReport::from_table(&table);
         let theirs = reference::as_report(&map);
         let all = theirs.rows.len();
         assert_eq!(report::render_fig11(&ours, all), report::render_fig11(&theirs, all));
         assert_eq!(report::csv_fig11(&ours, all), report::csv_fig11(&theirs, all));
-        distinct_rebuild_differs
     }
 
     #[test]
-    fn a_forged_ipv6_first_address_keeps_its_place() {
+    fn a_forged_ipv6_first_address_is_kept_and_counted() {
         // Capture fills `ipv4` with IPv4 only, but an archive row may
-        // carry any address there; the table keeps it first all the same.
+        // carry any address there; the table keeps and counts it all the
+        // same, after the IPv4 addresses like any other IPv6 one.
         let geo = GeoDb::new();
         let (a, b, c) = (PeerIp::V6(7 << 64), PeerIp::V4(0x0A00_0001), PeerIp::V4(0x0A00_0002));
         let rec = |ipv4, ipv6, day| ObservedRouterInfo {
@@ -489,7 +448,7 @@ mod tests {
         fold.observe(0, &rec(b, Some(a), 1));
         fold.observe(0, &rec(c, None, 2));
         let table = fold.finish();
-        assert_eq!(table.peers()[0].ips().collect::<Vec<_>>(), [a, b, c]);
+        assert_eq!(table.peers()[0].ips().collect::<Vec<_>>(), [b, c, a]);
         assert_eq!(table.peers()[0].ip_count(), 3);
     }
 
@@ -506,12 +465,10 @@ mod tests {
             (Fleet::alternating(8), keyspace, FaultPlane::zero()),
             (Fleet::paper_main(), VisibilityModel::Uniform, outage),
         ];
-        let mut distinct_rebuild_differs = 0;
         for (fleet, model, plane) in &grid {
             let engine = HarvestEngine::build_faulted(&world, fleet, 0..days, model, plane);
-            distinct_rebuild_differs += assert_matches_reference(&engine);
+            assert_matches_reference(&engine);
         }
-        assert!(distinct_rebuild_differs > 0, "no set order needed the replay of repeats");
     }
 
     #[test]
@@ -522,7 +479,30 @@ mod tests {
     fn table_matches_the_hash_map_reference_at_census_size() {
         let world = World::generate(WorldConfig { days: 89, scale: 1.0, seed: 20_180_201 });
         let engine = HarvestEngine::build(&world, &Fleet::paper_main(), 0..89);
-        assert!(assert_matches_reference(&engine) > 0, "no set order needed the replay of repeats");
+        assert_matches_reference(&engine);
+    }
+
+    #[test]
+    fn fig10_and_fig11_rows_do_not_depend_on_the_table_order() {
+        // A parallel pass would merge per-shard tables in any order.
+        let world = World::generate(WorldConfig { days: 30, scale: 0.03, seed: 51 });
+        let engine = HarvestEngine::build(&world, &Fleet::paper_main(), 0..30);
+        let table = ip_table_from(&engine, 0..30);
+        let reversed = IpTable { peers: table.peers().iter().rev().cloned().collect() };
+        let ties = |rows: &[RankedRow]| rows.windows(2).any(|w| w[0].peers == w[1].peers);
+        let geo = engine.geo();
+        let ours = GeoReport::from_table(&table, geo);
+        let theirs = GeoReport::from_table(&reversed, geo);
+        assert!(ties(&ours.rows), "no two countries tie");
+        let all = ours.rows.len();
+        assert_eq!(report::render_fig10(&ours, all), report::render_fig10(&theirs, all));
+        assert_eq!(report::csv_fig10(&ours, all), report::csv_fig10(&theirs, all));
+        let ours = AsReport::from_table(&table);
+        let theirs = AsReport::from_table(&reversed);
+        assert!(ties(&ours.rows), "no two ASes tie");
+        let all = ours.rows.len();
+        assert_eq!(report::render_fig11(&ours, all), report::render_fig11(&theirs, all));
+        assert_eq!(report::csv_fig11(&ours, all), report::csv_fig11(&theirs, all));
     }
 
     fn report() -> IpChurnReport {

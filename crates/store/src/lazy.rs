@@ -21,7 +21,7 @@
 //! `segments_lazy_loaded` counter.
 
 use crate::format::{checksum, Hasher, CHECKSUM_LEN, MAGIC, SEGMENT_TAG, TRAILER_TAG};
-use crate::snapshot::{for_each_union_row, verify_segment_router_infos, DaySegment};
+use crate::snapshot::{verify_segment_router_infos, DaySegment};
 use crate::{SnapshotMeta, StoreError};
 use i2p_data::codec::Reader;
 use i2p_geoip::GeoDb;
@@ -207,12 +207,14 @@ impl LazySnapshot {
         Ok(seg)
     }
 
-    /// [`load_segment`](Self::load_segment) for replay queries, which
-    /// have no error channel: the archive was fully checksummed at
-    /// open, so a failure here means the file was truncated or rewritten
-    /// underneath the replay — abort loudly rather than return figures
-    /// off a file that is no longer the one that was opened.
-    fn segment(&self, di: usize) -> Rc<DaySegment> {
+    /// [`load_segment`](Self::load_segment) of `day`, for replay
+    /// queries, which have no error channel: the archive was fully
+    /// checksummed at open, so a failure here means the file was
+    /// truncated or rewritten underneath the replay — abort loudly
+    /// rather than return figures off a file that is no longer the one
+    /// that was opened.
+    fn segment(&self, day: u64) -> Rc<DaySegment> {
+        let di = self.meta.day_index(day);
         self.load_segment(di).unwrap_or_else(|e| {
             panic!("lazy snapshot: day segment {di} unreadable after a verified open: {e}") // i2plint: allow(panic-audit) -- the file verified at open; losing it mid-replay is unrecoverable external interference
         })
@@ -232,20 +234,11 @@ impl LazySnapshot {
         i2p_telemetry::count(i2p_telemetry::Counter::RecordsVerified, verified as u64);
         Ok(verified)
     }
-
-    fn di(&self, day: u64) -> usize {
-        let span = SnapshotSource::days(self);
-        assert!(
-            span.contains(&day),
-            "day {day} outside the snapshot's range {span:?}"
-        );
-        (day - span.start) as usize
-    }
 }
 
 impl SnapshotSource for LazySnapshot {
     fn days(&self) -> Range<u64> {
-        self.meta.day_start..self.meta.day_start + self.meta.n_days as u64
+        self.meta.days()
     }
 
     fn vantage_count(&self) -> usize {
@@ -257,42 +250,19 @@ impl SnapshotSource for LazySnapshot {
     }
 
     fn count_one(&self, vantage: usize, day: u64) -> usize {
-        let seg = self.segment(self.di(day));
-        seg.lanes[vantage].iter().map(|w| w.count_ones() as usize).sum()
+        self.segment(day).count_one(vantage)
     }
 
     fn count_union_prefix(&self, day: u64, k: usize) -> usize {
-        let seg = self.segment(self.di(day));
-        let k = k.min(seg.lanes.len());
-        let mut count = 0usize;
-        for j in 0..seg.words {
-            let mut acc = 0u64;
-            for lane in &seg.lanes[..k] {
-                acc |= lane[j];
-            }
-            count += acc.count_ones() as usize;
-        }
-        count
+        self.segment(day).count_union_prefix(k)
     }
 
     fn coverage_curve(&self, day: u64) -> Vec<usize> {
-        let seg = self.segment(self.di(day));
-        let mut acc = vec![0u64; seg.words];
-        let mut curve = Vec::with_capacity(seg.lanes.len());
-        for lane in &seg.lanes {
-            let mut count = 0usize;
-            for (a, w) in acc.iter_mut().zip(lane) {
-                *a |= w;
-                count += a.count_ones() as usize;
-            }
-            curve.push(count);
-        }
-        curve
+        self.segment(day).coverage_curve()
     }
 
     fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32)) {
-        let seg = self.segment(self.di(day));
-        for_each_union_row(&seg, k, &mut |row| f(seg.observations[row].peer_id));
+        self.segment(day).for_each_union_id(k, f)
     }
 
     fn for_each_observation_ref(
@@ -301,8 +271,7 @@ impl SnapshotSource for LazySnapshot {
         k: usize,
         f: &mut dyn FnMut(&ObservedRouterInfo),
     ) {
-        let seg = self.segment(self.di(day));
-        for_each_union_row(&seg, k, &mut |row| f(&seg.observations[row]));
+        self.segment(day).for_each_observation_ref(k, f)
     }
 }
 

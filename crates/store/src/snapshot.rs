@@ -45,6 +45,21 @@ pub struct SnapshotMeta {
     pub n_days: u32,
 }
 
+impl SnapshotMeta {
+    /// The harvested days.
+    pub(crate) fn days(&self) -> Range<u64> {
+        self.day_start..self.day_start + self.n_days as u64
+    }
+
+    /// The position of `day` among the harvested days. A day outside
+    /// them is a caller bug, as for every [`SnapshotSource`] query.
+    pub(crate) fn day_index(&self, day: u64) -> usize {
+        let span = self.days();
+        assert!(span.contains(&day), "day {day} outside the snapshot's range {span:?}");
+        (day - span.start) as usize
+    }
+}
+
 /// One archived day: the observed-router table (rows ascending by peer
 /// id — the union of every vantage's sightings) plus per-vantage
 /// sighting bitsets over the row positions.
@@ -341,19 +356,15 @@ impl Snapshot {
         Ok(verified)
     }
 
-    fn di(&self, day: u64) -> usize {
-        let span = SnapshotSource::days(self);
-        assert!(
-            span.contains(&day),
-            "day {day} outside the snapshot's range {span:?}"
-        );
-        (day - span.start) as usize
+    /// The archived segment of `day`.
+    fn segment(&self, day: u64) -> &DaySegment {
+        &self.days[self.meta.day_index(day)]
     }
 }
 
 impl SnapshotSource for Snapshot {
     fn days(&self) -> Range<u64> {
-        self.meta.day_start..self.meta.day_start + self.meta.n_days as u64
+        self.meta.days()
     }
 
     fn vantage_count(&self) -> usize {
@@ -365,44 +376,19 @@ impl SnapshotSource for Snapshot {
     }
 
     fn count_one(&self, vantage: usize, day: u64) -> usize {
-        self.days[self.di(day)].lanes[vantage]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
+        self.segment(day).count_one(vantage)
     }
 
     fn count_union_prefix(&self, day: u64, k: usize) -> usize {
-        let seg = &self.days[self.di(day)];
-        let k = k.min(seg.lanes.len());
-        let mut count = 0usize;
-        for j in 0..seg.words {
-            let mut acc = 0u64;
-            for lane in &seg.lanes[..k] {
-                acc |= lane[j];
-            }
-            count += acc.count_ones() as usize;
-        }
-        count
+        self.segment(day).count_union_prefix(k)
     }
 
     fn coverage_curve(&self, day: u64) -> Vec<usize> {
-        let seg = &self.days[self.di(day)];
-        let mut acc = vec![0u64; seg.words];
-        let mut curve = Vec::with_capacity(seg.lanes.len());
-        for lane in &seg.lanes {
-            let mut count = 0usize;
-            for (a, w) in acc.iter_mut().zip(lane) {
-                *a |= w;
-                count += a.count_ones() as usize;
-            }
-            curve.push(count);
-        }
-        curve
+        self.segment(day).coverage_curve()
     }
 
     fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32)) {
-        let seg = &self.days[self.di(day)];
-        for_each_union_row(seg, k, &mut |row| f(seg.observations[row].peer_id));
+        self.segment(day).for_each_union_id(k, f)
     }
 
     fn for_each_observation_ref(
@@ -411,8 +397,7 @@ impl SnapshotSource for Snapshot {
         k: usize,
         f: &mut dyn FnMut(&ObservedRouterInfo),
     ) {
-        let seg = &self.days[self.di(day)];
-        for_each_union_row(seg, k, &mut |row| f(&seg.observations[row]));
+        self.segment(day).for_each_observation_ref(k, f)
     }
 }
 
@@ -453,19 +438,74 @@ pub(crate) fn verify_segment_router_infos(seg: &DaySegment) -> Result<usize, Sto
     Ok(verified)
 }
 
-/// Visits every row position set in the OR of the first `k` lanes,
-/// ascending (= ascending peer id, since rows are id-sorted).
-pub(crate) fn for_each_union_row(seg: &DaySegment, k: usize, f: &mut dyn FnMut(usize)) {
-    let k = k.min(seg.lanes.len());
-    for j in 0..seg.words {
-        let mut acc = 0u64;
-        for lane in &seg.lanes[..k] {
-            acc |= lane[j];
+/// The [`SnapshotSource`] queries of one day, answered from its lanes
+/// and rows; the eager [`Snapshot`] and the lazy
+/// [`crate::LazySnapshot`] differ only in how they reach the segment.
+impl DaySegment {
+    /// Rows vantage `vantage` saw.
+    pub(crate) fn count_one(&self, vantage: usize) -> usize {
+        self.lanes[vantage].iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Rows in the union of the first `k` lanes.
+    pub(crate) fn count_union_prefix(&self, k: usize) -> usize {
+        let k = k.min(self.lanes.len());
+        let mut count = 0usize;
+        for j in 0..self.words {
+            let mut acc = 0u64;
+            for lane in &self.lanes[..k] {
+                acc |= lane[j];
+            }
+            count += acc.count_ones() as usize;
         }
-        while acc != 0 {
-            let bit = acc.trailing_zeros() as usize;
-            f(j * 64 + bit);
-            acc &= acc - 1;
+        count
+    }
+
+    /// Rows in the union of the first `n` lanes, for each `n` from 1 to
+    /// the lane count.
+    pub(crate) fn coverage_curve(&self) -> Vec<usize> {
+        let mut acc = vec![0u64; self.words];
+        let mut curve = Vec::with_capacity(self.lanes.len());
+        for lane in &self.lanes {
+            let mut count = 0usize;
+            for (a, w) in acc.iter_mut().zip(lane) {
+                *a |= w;
+                count += a.count_ones() as usize;
+            }
+            curve.push(count);
+        }
+        curve
+    }
+
+    /// The peer ids of the union of the first `k` lanes, ascending.
+    pub(crate) fn for_each_union_id(&self, k: usize, f: &mut dyn FnMut(u32)) {
+        self.for_each_union_row(k, &mut |row| f(self.observations[row].peer_id));
+    }
+
+    /// The observations of the union of the first `k` lanes, ascending
+    /// by peer id.
+    pub(crate) fn for_each_observation_ref(
+        &self,
+        k: usize,
+        f: &mut dyn FnMut(&ObservedRouterInfo),
+    ) {
+        self.for_each_union_row(k, &mut |row| f(&self.observations[row]));
+    }
+
+    /// Visits every row position set in the OR of the first `k` lanes,
+    /// ascending (= ascending peer id, since rows are id-sorted).
+    fn for_each_union_row(&self, k: usize, f: &mut dyn FnMut(usize)) {
+        let k = k.min(self.lanes.len());
+        for j in 0..self.words {
+            let mut acc = 0u64;
+            for lane in &self.lanes[..k] {
+                acc |= lane[j];
+            }
+            while acc != 0 {
+                let bit = acc.trailing_zeros() as usize;
+                f(j * 64 + bit);
+                acc &= acc - 1;
+            }
         }
     }
 }

@@ -471,7 +471,7 @@ impl<'s> FigurePass<'s> {
                 }
             }
             FigId::Fig11 => {
-                let rep = geo::AsReport::from_table(&self.ips, self.geo);
+                let rep = geo::AsReport::from_table(&self.ips);
                 match format {
                     Format::Text => report::render_fig11(&rep, 20),
                     Format::Csv => titled_csv("Figure 11", report::csv_fig11(&rep, 20)),
