@@ -65,6 +65,20 @@ impl CapacityFold {
         }
     }
 
+    /// Adds a fold over other observations of the same window: the
+    /// letter totals add, and [`CapacityFold::finish`] divides the sum,
+    /// so the merged averages round as the unsplit fold's do.
+    ///
+    /// # Panics
+    ///
+    /// If the two folds average over different day counts.
+    pub fn merge(&mut self, part: CapacityFold) {
+        assert_eq!(self.days, part.days, "merged capacity folds must share their window");
+        for (total, more) in self.totals.iter_mut().zip(part.totals) {
+            *total += more;
+        }
+    }
+
     /// The daily averages.
     pub fn finish(&self) -> CapacityHistogram {
         CapacityHistogram { counts: self.totals.map(|t| t / self.days), days: self.days }
@@ -133,6 +147,18 @@ impl BandwidthFold {
         }
     }
 
+    /// Adds a fold over other observations of the same day.
+    pub fn merge(&mut self, part: BandwidthFold) {
+        for (counts, more) in self.counts.iter_mut().zip(part.counts) {
+            for (count, more) in counts.iter_mut().zip(more) {
+                *count += more;
+            }
+        }
+        for (size, more) in self.sizes.iter_mut().zip(part.sizes) {
+            *size += more;
+        }
+    }
+
     /// The per-group percentages.
     pub fn finish(&self) -> BandwidthTable {
         let pct = |g: usize| -> [f64; 7] {
@@ -198,6 +224,12 @@ impl FloodfillFold {
         }
     }
 
+    /// Adds a fold over other observations of the same day.
+    pub fn merge(&mut self, part: FloodfillFold) {
+        self.floodfills += part.floodfills;
+        self.qualified += part.qualified;
+    }
+
     /// The estimate.
     pub fn finish(&self) -> FloodfillEstimate {
         FloodfillEstimate {
@@ -231,6 +263,29 @@ mod tests {
         assert!(x > m && x > k, "X above M and K");
         // O sits between X and M once compat-O letters are included.
         assert!(o > m, "O ({o}) above M ({m})");
+    }
+
+    #[test]
+    fn capacity_parts_add_their_totals_before_dividing() {
+        // Finished histograms are daily averages, rounded down: adding
+        // two parts' averages drops the remainders the sum would keep.
+        let (w, fleet) = setup();
+        let engine = HarvestEngine::build(&w, &fleet, 2..5);
+        let days = 3;
+        let mut whole = CapacityFold::new(days);
+        let mut parts = [CapacityFold::new(days), CapacityFold::new(days)];
+        for day in 2..5 {
+            engine.for_each_observation(day, fleet.vantages.len(), |rec| {
+                whole.observe(&rec);
+                parts[(rec.peer_id % 2) as usize].observe(&rec);
+            });
+        }
+        let [mut merged, high] = parts;
+        let finished_added: Vec<usize> =
+            merged.finish().counts.iter().zip(high.finish().counts).map(|(a, b)| a + b).collect();
+        merged.merge(high);
+        assert_eq!(merged.finish().counts, whole.finish().counts);
+        assert_ne!(finished_added, whole.finish().counts, "no letter's remainders add up");
     }
 
     #[test]

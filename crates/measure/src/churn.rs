@@ -96,14 +96,17 @@ impl Sightings {
 pub struct ChurnFold {
     days: std::ops::Range<u64>,
     horizon: usize,
+    /// One state per slot of the index the fold is fed by.
     peers: Vec<Sightings>,
+    /// The states of the folds merged into this one, in their buffers.
+    merged: Vec<Vec<Sightings>>,
 }
 
 impl ChurnFold {
     /// An empty fold over the window `days`, following each peer for
     /// `horizon` days.
     pub fn new(days: std::ops::Range<u64>, horizon: usize) -> Self {
-        ChurnFold { days, horizon, peers: Vec::new() }
+        ChurnFold { days, horizon, peers: Vec::new(), merged: Vec::new() }
     }
 
     /// Records that the peer in `slot` was sighted on `day`.
@@ -117,6 +120,24 @@ impl ChurnFold {
         self.peers[slot].see(day);
     }
 
+    /// Appends a fold over other peers of the same window, whose slots
+    /// come from an index of their own (another id shard's). The part's
+    /// buffer moves over rather than being copied, so merging allocates
+    /// no second copy of the per-peer state. The merged fold is for
+    /// finishing; feeding it more sightings would mix the indexes' slots.
+    ///
+    /// # Panics
+    ///
+    /// If the two folds follow different windows or horizons.
+    pub fn merge(&mut self, part: ChurnFold) {
+        assert!(
+            self.days == part.days && self.horizon == part.horizon,
+            "merged churn folds must share their window and horizon"
+        );
+        self.merged.push(part.peers);
+        self.merged.extend(part.merged);
+    }
+
     /// The survival curves. Only peers first seen early enough to have
     /// `horizon` days of follow-up join the cohort, so late joiners do
     /// not truncate the curves.
@@ -126,7 +147,8 @@ impl ChurnFold {
         let mut cont_hist = vec![0usize; horizon + 1];
         let mut int_hist = vec![0usize; horizon + 1];
         let mut cohort = 0usize;
-        for s in self.peers.iter().filter(|s| s.streak > 0) {
+        let peers = self.peers.iter().chain(self.merged.iter().flatten());
+        for s in peers.filter(|s| s.streak > 0) {
             if self.days.start + u64::from(s.first) > max_first {
                 continue;
             }
@@ -189,6 +211,34 @@ mod tests {
                 c.continuous_at(n)
             );
         }
+    }
+
+    #[test]
+    fn churn_parts_append_their_peers() {
+        // Each part slots its own peers, as an id shard of the figure
+        // pass does; appended, the parts give the unsplit fold's cohort
+        // and curves.
+        let w = World::generate(WorldConfig { days: 60, scale: 0.015, seed: 21 });
+        let fleet = Fleet::paper_main();
+        let engine = HarvestEngine::build(&w, &fleet, 0..60);
+        let (mut slots, mut whole) = (PeerSlots::new(), ChurnFold::new(0..60, 40));
+        let mut part_slots = [PeerSlots::new(), PeerSlots::new()];
+        let mut parts = [ChurnFold::new(0..60, 40), ChurnFold::new(0..60, 40)];
+        for day in 0..60 {
+            let mut today = slots.day(day);
+            let mut part_days = part_slots.each_mut().map(|slots| slots.day(day));
+            for id in engine.union_prefix_ids(day, fleet.vantages.len()) {
+                whole.observe(today.slot(id), day);
+                let part = (id % 2) as usize;
+                parts[part].observe(part_days[part].slot(id), day);
+            }
+        }
+        let [mut merged, high] = parts;
+        merged.merge(high);
+        let (merged, whole) = (merged.finish(), whole.finish());
+        assert!(whole.cohort > 100, "cohort {}", whole.cohort);
+        assert_eq!(merged.cohort, whole.cohort);
+        assert_eq!(format!("{merged:?}"), format!("{whole:?}"));
     }
 
     #[test]

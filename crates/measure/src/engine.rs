@@ -21,16 +21,16 @@
 //! * **Sharded, work-stealing fill.** The fill is cut along the
 //!   [`DayIndex`](i2p_sim::world::DayIndex) shard plane into
 //!   (vantage, id-range shard) units covering every day, pulled from a
-//!   shared atomic queue by `std::thread::scope` workers (the same
-//!   pattern as [`crate::lab::sweep`]). Each draw is a pure function of
-//!   (vantage salt, peer seed, day), each unit sets a disjoint *bit*
-//!   set, and words shared by neighboring shards merge through
-//!   commutative atomic ORs — so the lanes are bit-identical at any
-//!   worker count or claim order, and the per-unit caches shrink from
-//!   O(population) to O(shard). The parity suite in `tests/parity.rs`
-//!   holds the engine to the naive oracle and to
-//!   [`HarvestEngine::build_oracle`], the retained unsharded reference
-//!   fill.
+//!   shared atomic queue by `std::thread::scope` workers
+//!   ([`crate::lab::claim`], the loop [`crate::lab::sweep`] runs on).
+//!   Each draw is a pure function of (vantage salt, peer seed, day),
+//!   each unit sets a disjoint *bit* set, and words shared by
+//!   neighboring shards merge through commutative atomic ORs — so the
+//!   lanes are bit-identical at any worker count or claim order, and
+//!   the per-unit caches shrink from O(population) to O(shard). The
+//!   parity suite in `tests/parity.rs` holds the engine to the naive
+//!   oracle and to [`HarvestEngine::build_oracle`], the retained
+//!   unsharded reference fill.
 //! * **Streaming queries.** Union/coverage queries walk the lanes in
 //!   fixed-width word blocks ([`STREAM_WORDS`]) with an O(block)
 //!   accumulator, so figure computation never materializes a full-day
@@ -58,7 +58,7 @@ use i2p_sim::peer::PeerRecord;
 use i2p_sim::world::{DayIndex, World};
 use std::borrow::Cow;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Id-range width of one fill shard, shared with the world's
 /// [`DayIndex`] shard plane.
@@ -488,20 +488,14 @@ impl<'w> HarvestEngine<'w> {
     }
 
     /// Ids of the peers the first `k` vantages saw on `day`, ascending.
+    /// The ids come from the day index: no peer record is read.
     pub fn union_prefix_ids(&self, day: u64, k: usize) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.for_each_union_id(day, k, |id| out.push(id));
-        out
-    }
-
-    /// Visits the id of every peer the first `k` vantages saw on `day`,
-    /// ascending. The ids come from the day index: no peer record is
-    /// read.
-    pub fn for_each_union_id(&self, day: u64, k: usize, mut f: impl FnMut(u32)) {
         let ids = self.ids(day);
+        let mut out = Vec::new();
         self.for_each_union_word(day, k, |j, word| {
-            for_each_set_bit_in(j, word, |i| f(ids[i]));
+            for_each_set_bit_in(j, word, |i| out.push(ids[i]));
         });
+        out
     }
 
     /// Visits every peer the first `k` vantages saw on `day`, in
@@ -563,10 +557,12 @@ impl<'w> HarvestEngine<'w> {
 }
 
 /// Resolves the engine's fill worker count from the documented
-/// `I2PSCOPE_THREADS` knob. The lanes are bit-identical at any worker
-/// count, so this is pure mechanism; the chosen value is surfaced as
-/// the `measure.engine_workers` timing-plane gauge by the fill driver.
-fn fill_threads() -> usize {
+/// `I2PSCOPE_THREADS` knob; the figure pass (`i2pscope::cli::render_figures`)
+/// splits its days over the same count. The lanes and the figures are
+/// bit-identical at any worker count, so this is pure mechanism; the
+/// chosen value is surfaced as the `measure.engine_workers` and
+/// `measure.figure_workers` timing-plane gauges.
+pub fn fill_threads() -> usize {
     let raw = std::env::var("I2PSCOPE_THREADS").ok(); // i2plint: allow(io-containment) -- reads the documented I2PSCOPE_THREADS knob only; the fill output is identical for every value
     resolve_threads(raw.as_deref())
 }
@@ -591,14 +587,14 @@ fn resolve_threads(raw: Option<&str>) -> usize {
 }
 
 /// The work-stealing sharded fill: one unit per (vantage, id-range
-/// shard), covering every day of the range, claimed from a shared
-/// atomic counter exactly like [`crate::lab::sweep`]'s grid. Lanes are
-/// `AtomicU64` during the fill because a shard's position range within
-/// a day is not word-aligned — the boundary words are shared with the
-/// neighboring shard's unit and merge through `fetch_or`, which is
-/// commutative, so the result is bit-identical at any worker count or
-/// claim order. `into_inner` then recovers plain `Vec<u64>` lanes with
-/// no copy of the words themselves.
+/// shard), covering every day of the range, claimed through
+/// [`crate::lab::claim`], the loop [`crate::lab::sweep`]'s grid runs
+/// on. Lanes are `AtomicU64` during the fill because a shard's position
+/// range within a day is not word-aligned — the boundary words are
+/// shared with the neighboring shard's unit and merge through
+/// `fetch_or`, which is commutative, so the result is bit-identical at
+/// any worker count or claim order. `into_inner` then recovers plain
+/// `Vec<u64>` lanes with no copy of the words themselves.
 fn fill_sharded(
     world: &World,
     vantages: &[Vantage],
@@ -639,31 +635,16 @@ fn fill_sharded(
     // telemetry probe's tiny one too — reports the same value.
     i2p_telemetry::count(i2p_telemetry::Counter::EngineShardUnits, units as u64);
     i2p_telemetry::gauge("measure.engine_workers", threads as u64);
-    let workers = threads.max(1).min(units.max(1));
 
     let lanes_a: Vec<Vec<AtomicU64>> = (0..vantages.len())
         .map(|_| (0..total_words).map(|_| AtomicU64::new(0)).collect())
         .collect();
-    let next = AtomicUsize::new(0);
-    let run_worker = || loop {
-        let u = next.fetch_add(1, Ordering::Relaxed);
-        if u >= units {
-            break;
-        }
+    crate::lab::claim(units, threads.max(1), || (), |_, u| {
         let (v, s) = (u / n_shards, u % n_shards);
         fill_shard_unit(
             world, vantages[v], first_day, s, n_shards, day_ids, day_off, &cuts, &lanes_a[v],
         );
-    };
-    if workers <= 1 || units <= 1 {
-        run_worker();
-    } else {
-        std::thread::scope(|sc| {
-            for _ in 0..workers {
-                sc.spawn(run_worker);
-            }
-        });
-    }
+    });
     lanes_a
         .into_iter()
         .map(|lane| lane.into_iter().map(AtomicU64::into_inner).collect())

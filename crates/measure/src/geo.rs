@@ -279,10 +279,10 @@ mod tests {
         let (w, fleet) = setup();
         let rep = country_distribution(&w, &fleet, 0..30);
         let table = ip_table(&w, &fleet, 0..30);
-        let naive: usize = table.peers().iter().map(|p| p.country_count()).sum();
+        let naive: usize = table.peers().map(|p| p.country_count()).sum();
         assert_eq!(rep.total, naive, "counting rule: once per (peer, country)");
         // And the total exceeds the number of peers (roamers add
         // multiple country entries).
-        assert!(rep.total >= table.peers().len());
+        assert!(rep.total >= table.peers().count());
     }
 }

@@ -144,17 +144,28 @@ impl PeerIps {
 }
 
 /// The per-peer table Figs. 8, 10, 11 and 12 are all computed from:
-/// one [`PeerIps`] per known-IP peer, in first-IPv4-sighting order.
-/// No figure depends on the row order.
-#[derive(Clone, Debug)]
+/// one [`PeerIps`] per known-IP peer. A fold's table lists its peers in
+/// first-IPv4-sighting order; a merged one lists each part's rows in
+/// turn. No figure depends on the row order.
+#[derive(Clone, Debug, Default)]
 pub struct IpTable {
-    peers: Vec<PeerIps>,
+    /// The rows, in the buffers of the tables merged into this one.
+    parts: Vec<Vec<PeerIps>>,
 }
 
 impl IpTable {
-    /// The known-IP peers, in first-IPv4-sighting order.
-    pub fn peers(&self) -> &[PeerIps] {
-        &self.peers
+    /// The known-IP peers, one row each.
+    pub fn peers(&self) -> impl DoubleEndedIterator<Item = &PeerIps> + '_ {
+        self.parts.iter().flatten()
+    }
+
+    /// Appends the rows of a table over other peers (another id
+    /// shard's). Its buffers move over rather than being copied, so
+    /// merging allocates no second copy of the rows. A peer's id puts it
+    /// in one shard, so no peer gets two rows, and since no figure reads
+    /// the row order, tables merge in any order.
+    pub fn merge(&mut self, part: IpTable) {
+        self.parts.extend(part.parts);
     }
 }
 
@@ -239,7 +250,7 @@ impl<'g> IpFold<'g> {
 
     /// The finished table.
     pub fn finish(self) -> IpTable {
-        IpTable { peers: self.peers }
+        IpTable { parts: vec![self.peers] }
     }
 }
 
@@ -261,7 +272,7 @@ impl IpChurnReport {
     /// The Fig. 8 / Fig. 12 report of a finished [`IpTable`].
     pub fn from_table(table: &IpTable) -> IpChurnReport {
         Self::from_counts(
-            table.peers().iter().map(|p| (p.ip_count(), p.as_count(), p.country_count())),
+            table.peers().map(|p| (p.ip_count(), p.as_count(), p.country_count())),
         )
     }
 
@@ -397,7 +408,7 @@ mod tests {
         let geo = src.geo();
         let table = ip_table_from(src, src.days());
         let map = reference::ip_map_from(src, src.days());
-        assert_eq!(table.peers().len(), map.len(), "known-IP peers");
+        assert_eq!(table.peers().count(), map.len(), "known-IP peers");
         for peer in table.peers() {
             let id = peer.id();
             let stats = map.get(&id).unwrap_or_else(|| panic!("peer {id} is not in the reference"));
@@ -448,8 +459,9 @@ mod tests {
         fold.observe(0, &rec(b, Some(a), 1));
         fold.observe(0, &rec(c, None, 2));
         let table = fold.finish();
-        assert_eq!(table.peers()[0].ips().collect::<Vec<_>>(), [b, c, a]);
-        assert_eq!(table.peers()[0].ip_count(), 3);
+        let peer = table.peers().next().expect("one known-IP peer");
+        assert_eq!(peer.ips().collect::<Vec<_>>(), [b, c, a]);
+        assert_eq!(peer.ip_count(), 3);
     }
 
     #[test]
@@ -488,7 +500,7 @@ mod tests {
         let world = World::generate(WorldConfig { days: 30, scale: 0.03, seed: 51 });
         let engine = HarvestEngine::build(&world, &Fleet::paper_main(), 0..30);
         let table = ip_table_from(&engine, 0..30);
-        let reversed = IpTable { peers: table.peers().iter().rev().cloned().collect() };
+        let reversed = IpTable { parts: vec![table.peers().rev().cloned().collect()] };
         let ties = |rows: &[RankedRow]| rows.windows(2).any(|w| w[0].peers == w[1].peers);
         let geo = engine.geo();
         let ours = GeoReport::from_table(&table, geo);

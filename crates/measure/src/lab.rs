@@ -43,44 +43,55 @@ where
     // depends on how the atomic counter interleaved.
     i2p_telemetry::count(i2p_telemetry::Counter::SweepCells, scenarios.len() as u64);
     let threads = if threads == 0 { default_threads() } else { threads };
-    let threads = threads.min(scenarios.len().max(1));
-    if threads <= 1 {
-        return scenarios
-            .iter()
-            .enumerate()
-            .map(|(i, p)| run(substrate, p, i))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= scenarios.len() {
-                            break;
-                        }
-                        out.push((i, run(substrate, &scenarios[i], i)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked")) // i2plint: allow(panic-audit) -- join fails only if a worker panicked; propagate that panic
-            .collect()
+    let buckets = claim(scenarios.len(), threads, Vec::new, |out: &mut Vec<(usize, R)>, i| {
+        out.push((i, run(substrate, &scenarios[i], i)));
     });
-    let mut slots: Vec<Option<R>> = scenarios.iter().map(|_| None).collect();
-    for (i, r) in buckets.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every scenario index claimed exactly once")) // i2plint: allow(panic-audit) -- the sweep claims every scenario index exactly once
-        .collect()
+    let mut results: Vec<(usize, R)> = buckets.into_iter().flatten().collect();
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
+}
+
+/// The work-stealing loop behind [`sweep`], the engine's sharded fill
+/// and the figure pass: up to `threads` workers claim the indices
+/// `0..n` from one shared atomic counter, each folding its claims into
+/// a state of its own made by `init`, and the workers' states come
+/// back (one per worker, in no particular order). Every index is
+/// claimed exactly once. The calling thread is one of the workers;
+/// the others run on scoped threads, and a worker's panic is resumed
+/// on the caller. Work on the calling thread allocates from its own
+/// heap, so a claim loop run once per day (the figure pass) spreads
+/// its allocations over one thread fewer.
+///
+/// Which worker claims which index depends on scheduling, so callers
+/// keep their results independent of it: per-index outputs tagged with
+/// their index, commutative merges, or disjoint state per index.
+pub fn claim<T, I, W>(n: usize, threads: usize, init: I, work: W) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> T + Sync,
+    W: Fn(&mut T, usize) + Sync,
+{
+    let next = AtomicUsize::new(0);
+    // The counter publishes nothing but the index itself: each index's
+    // data is reached through `work`'s own shared references.
+    let run = || {
+        let mut state = init();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break state;
+            }
+            work(&mut state, i);
+        }
+    };
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads.min(n)).map(|_| s.spawn(run)).collect();
+        let mut states = vec![run()];
+        for helper in helpers {
+            states.push(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        states
+    })
 }
 
 #[cfg(test)]

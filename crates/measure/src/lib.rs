@@ -49,6 +49,9 @@
 //!   `finish`), so one day-major walk can feed them all (DESIGN.md §14).
 //! * [`slots`] — the per-peer slot index those folds share: dense slots
 //!   in first-sighting order, never a table sized by a peer id.
+//! * [`pass`] — the figure suite's one walk over a source's days, each
+//!   day's records split by id shard across workers, the shard states
+//!   merged into the folds' accumulators.
 //! * [`report`] — text renderers that print each figure/table in the
 //!   paper's layout, plus machine-readable CSV twins.
 //! * [`adversary`] — the unified adversary catalog: a common trait +
@@ -73,6 +76,7 @@ pub mod ipchurn;
 pub mod keyspace;
 pub mod lab;
 pub mod observed;
+pub mod pass;
 pub mod population;
 pub mod report;
 pub mod slots;

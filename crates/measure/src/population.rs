@@ -184,11 +184,12 @@ pub fn daily_census_from<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> Daily
 }
 
 /// Fig. 5/6's accumulator for one day: peer, address and unknown-IP
-/// counts over that day's observations.
+/// counts over that day's observations. Each address counts in its
+/// family's column, each kept at its own width.
 #[derive(Clone, Debug, Default)]
 pub struct CensusFold {
-    v4: FxHashSet<PeerIp>,
-    v6: FxHashSet<PeerIp>,
+    v4: FxHashSet<u32>,
+    v6: FxHashSet<u128>,
     census: DailyCensus,
 }
 
@@ -197,11 +198,14 @@ impl CensusFold {
     pub fn observe(&mut self, rec: &ObservedRouterInfo) {
         let census = &mut self.census;
         census.peers += 1;
-        if let Some(ip) = rec.ipv4 {
-            self.v4.insert(ip);
-        }
-        if let Some(ip) = rec.ipv6 {
-            self.v6.insert(ip);
+        // Capture puts an IPv4 address in `ipv4` and an IPv6 one in
+        // `ipv6`; only a forged archive crosses them, and its address
+        // still counts in its own family.
+        for ip in rec.ips() {
+            match ip {
+                PeerIp::V4(v4) => self.v4.insert(v4),
+                PeerIp::V6(v6) => self.v6.insert(v6),
+            };
         }
         if rec.is_unknown_ip() {
             census.unknown_ip += 1;
@@ -211,6 +215,19 @@ impl CensusFold {
                 census.hidden += 1;
             }
         }
+    }
+
+    /// Adds a fold over other observations of the same day, such as
+    /// another id shard's: the counts add, and an address both folds
+    /// saw counts once, because two peers may publish the same one.
+    pub fn merge(&mut self, part: CensusFold) {
+        self.v4.extend(part.v4);
+        self.v6.extend(part.v6);
+        let (census, part) = (&mut self.census, part.census);
+        census.peers += part.peers;
+        census.unknown_ip += part.unknown_ip;
+        census.firewalled += part.firewalled;
+        census.hidden += part.hidden;
     }
 
     /// The day's census.
@@ -276,6 +293,13 @@ impl OverlapFold {
             self.seen.resize(slot + 1, 0);
         }
         self.seen[slot] |= group;
+    }
+
+    /// Appends a fold over other peers, whose slots come from an index
+    /// of their own (another id shard's). The merged fold is for
+    /// finishing: its positions no longer match either index's slots.
+    pub fn merge(&mut self, part: OverlapFold) {
+        self.seen.extend(part.seen);
     }
 
     /// Peers seen in both groups.
@@ -360,6 +384,61 @@ mod tests {
         // Roughly half the network has no published IP.
         let share = c.unknown_ip as f64 / c.peers as f64;
         assert!((0.35..0.60).contains(&share), "unknown-IP share {share}");
+    }
+
+    /// Folds `records` into a fresh census part.
+    fn census_of<'a>(records: impl IntoIterator<Item = &'a ObservedRouterInfo>) -> CensusFold {
+        let mut fold = CensusFold::default();
+        records.into_iter().for_each(|rec| fold.observe(rec));
+        fold
+    }
+
+    #[test]
+    fn census_parts_that_share_an_address_count_it_once() {
+        // Two peers of different id shards can publish one address on
+        // the same day; adding the parts' set sizes would count it twice.
+        let w = world();
+        let fleet = Fleet::paper_main();
+        let engine = HarvestEngine::build(&w, &fleet, 6..7);
+        let mut records = Vec::new();
+        engine.for_each_observation(6, fleet.vantages.len(), |rec| records.push(rec));
+        let first = records.iter().position(|r| r.ipv4.is_some()).expect("a published address");
+        let last = records.iter().rposition(|r| r.ipv4.is_some()).expect("a published address");
+        records[last].ipv4 = records[first].ipv4;
+        let (low, high) = records.split_at(records.len() / 2);
+        assert!(first < low.len() && last >= low.len(), "the two peers fall in different parts");
+        let mut merged = census_of(low);
+        merged.merge(census_of(high));
+        let merged = merged.finish();
+        let whole = census_of(&records).finish();
+        assert_eq!(format!("{merged:?}"), format!("{whole:?}"));
+        let sizes_added = census_of(low).finish().ipv4 + census_of(high).finish().ipv4;
+        assert_eq!(sizes_added, whole.ipv4 + 1, "both parts hold the shared address");
+    }
+
+    #[test]
+    fn overlap_parts_append_their_peers() {
+        // Each part slots its own peers, as an id shard of the figure
+        // pass does; appended, the parts find the unsplit fold's overlap.
+        let w = world();
+        let fleet = Fleet::paper_main();
+        let engine = HarvestEngine::build(&w, &fleet, 0..10);
+        let (mut slots, mut whole) = (PeerSlots::new(), OverlapFold::default());
+        let mut part_slots = [PeerSlots::new(), PeerSlots::new()];
+        let mut parts = [OverlapFold::default(), OverlapFold::default()];
+        for day in 0..10 {
+            let mut today = slots.day(day);
+            let mut part_days = part_slots.each_mut().map(|slots| slots.day(day));
+            engine.for_each_observation(day, fleet.vantages.len(), |rec| {
+                whole.observe(today.slot(rec.peer_id), &rec);
+                let part = (rec.peer_id % 2) as usize;
+                parts[part].observe(part_days[part].slot(rec.peer_id), &rec);
+            });
+        }
+        let [mut merged, high] = parts;
+        merged.merge(high);
+        assert!(whole.finish() > 0, "the window has peers in both groups");
+        assert_eq!(merged.finish(), whole.finish());
     }
 
     #[test]

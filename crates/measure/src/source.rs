@@ -22,6 +22,8 @@
 use crate::engine::HarvestEngine;
 use crate::observed::ObservedRouterInfo;
 use i2p_geoip::GeoDb;
+use i2p_sim::peer::PeerRecord;
+use i2p_sim::world::DayIndex;
 use std::ops::Range;
 
 /// How completely a dataset covers its (vantage, day) grid — the
@@ -112,9 +114,20 @@ pub trait SnapshotSource {
     /// first `k` vantages on `day`.
     fn coverage_curve(&self, day: u64) -> Vec<usize>;
 
+    /// Lists the union of the first `k` vantages on `day` once and hands
+    /// it to `f`: the peers' ids ascending, and each peer's observation
+    /// record on demand. Every day walk of a source is a call into this
+    /// one: [`SnapshotSource::for_each_union_id`] and
+    /// [`SnapshotSource::for_each_observation_ref`] walk the whole
+    /// listing, and the figure pass (`crate::pass`) splits it by id
+    /// shard across its workers.
+    fn with_day_union(&self, day: u64, k: usize, f: &mut dyn FnMut(&DayUnion<'_>));
+
     /// Visits the id of every peer the first `k` vantages saw on `day`,
     /// ascending.
-    fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32));
+    fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32)) {
+        self.with_day_union(day, k, &mut |union| union.ids().iter().for_each(|&id| f(id)));
+    }
 
     /// Visits the observation record of every peer the first `k`
     /// vantages saw on `day`, ascending by peer id.
@@ -123,7 +136,9 @@ pub trait SnapshotSource {
         day: u64,
         k: usize,
         f: &mut dyn FnMut(&ObservedRouterInfo),
-    );
+    ) {
+        self.with_day_union(day, k, &mut |union| union.for_each_record(0..union.len(), &mut *f));
+    }
 
     /// The dataset's (vantage, day) coverage ledger; see [`Coverage`].
     fn coverage(&self) -> Coverage {
@@ -160,16 +175,92 @@ impl SnapshotSource for HarvestEngine<'_> {
         HarvestEngine::coverage_curve(self, day)
     }
 
-    fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32)) {
-        HarvestEngine::for_each_union_id(self, day, k, f);
+    fn with_day_union(&self, day: u64, k: usize, f: &mut dyn FnMut(&DayUnion<'_>)) {
+        let world = self.world();
+        f(&DayUnion::live(day, self.union_prefix_ids(day, k), &world.peers, &world.geo));
+    }
+}
+
+/// One day's union of a source's first `k` vantages, listed once
+/// ([`SnapshotSource::with_day_union`]): the peers' ids ascending, and
+/// each peer's observation record, read by position in that listing.
+/// A live engine captures a record when it is read; an archive lends
+/// the record it decoded. The listing is `Sync`, so workers can read
+/// disjoint runs of it at once — the figure pass gives each worker the
+/// run of one id shard at a time ([`DayUnion::shard_runs`]).
+pub struct DayUnion<'a> {
+    day: u64,
+    ids: Vec<u32>,
+    records: Records<'a>,
+}
+
+/// Where a [`DayUnion`]'s records come from.
+enum Records<'a> {
+    /// The world's peers, captured on the day when read.
+    Live { peers: &'a [PeerRecord], geo: &'a GeoDb },
+    /// A decoded day's records: `rows[i]` holds the `i`-th peer's.
+    Archived { records: &'a [ObservedRouterInfo], rows: Vec<usize> },
+}
+
+impl<'a> DayUnion<'a> {
+    /// A live engine's union on `day`: `ids` ascending, each one an
+    /// index into `peers`.
+    pub fn live(day: u64, ids: Vec<u32>, peers: &'a [PeerRecord], geo: &'a GeoDb) -> Self {
+        DayUnion { day, ids, records: Records::Live { peers, geo } }
     }
 
-    fn for_each_observation_ref(
-        &self,
-        day: u64,
-        k: usize,
-        f: &mut dyn FnMut(&ObservedRouterInfo),
-    ) {
-        self.for_each_observation(day, k, |rec| f(&rec));
+    /// An archived day's union: the records at `rows` of the day's
+    /// `records`, whose peer ids ascend along `rows`.
+    pub fn archived(day: u64, records: &'a [ObservedRouterInfo], rows: Vec<usize>) -> Self {
+        let ids = rows.iter().map(|&row| records[row].peer_id).collect();
+        DayUnion { day, ids, records: Records::Archived { records, rows } }
+    }
+
+    /// The peers' ids, ascending.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// Number of peers in the union.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether no vantage of the prefix saw anyone.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Visits the records of the peers at positions `run`, in order.
+    pub fn for_each_record(&self, run: Range<usize>, mut f: impl FnMut(&ObservedRouterInfo)) {
+        match &self.records {
+            Records::Live { peers, geo } => {
+                for &id in &self.ids[run] {
+                    f(&ObservedRouterInfo::capture(&peers[id as usize], self.day, geo));
+                }
+            }
+            Records::Archived { records, rows } => {
+                for &row in &rows[run] {
+                    f(&records[row]);
+                }
+            }
+        }
+    }
+
+    /// The listing cut at id-shard boundaries ([`DayIndex::SHARD_WIDTH`]
+    /// ids a shard): each shard that holds a peer of the day, ascending,
+    /// with the run of positions its peers occupy. Only shards that
+    /// occur appear, so a forged id near `u32::MAX` adds one run, not a
+    /// table up to its shard.
+    pub fn shard_runs(&self) -> Vec<(u32, Range<usize>)> {
+        let mut runs: Vec<(u32, Range<usize>)> = Vec::new();
+        for (i, &id) in self.ids.iter().enumerate() {
+            let shard = id / DayIndex::SHARD_WIDTH;
+            match runs.last_mut() {
+                Some((last, run)) if *last == shard => run.end = i + 1,
+                _ => runs.push((shard, i..i + 1)),
+            }
+        }
+        runs
     }
 }

@@ -25,8 +25,7 @@ use crate::snapshot::{verify_segment_router_infos, DaySegment};
 use crate::{SnapshotMeta, StoreError};
 use i2p_data::codec::Reader;
 use i2p_geoip::GeoDb;
-use i2p_measure::observed::ObservedRouterInfo;
-use i2p_measure::source::SnapshotSource;
+use i2p_measure::source::{DayUnion, SnapshotSource};
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::{Read as _, Seek as _, SeekFrom};
@@ -261,17 +260,8 @@ impl SnapshotSource for LazySnapshot {
         self.segment(day).coverage_curve()
     }
 
-    fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32)) {
-        self.segment(day).for_each_union_id(k, f)
-    }
-
-    fn for_each_observation_ref(
-        &self,
-        day: u64,
-        k: usize,
-        f: &mut dyn FnMut(&ObservedRouterInfo),
-    ) {
-        self.segment(day).for_each_observation_ref(k, f)
+    fn with_day_union(&self, day: u64, k: usize, f: &mut dyn FnMut(&DayUnion<'_>)) {
+        f(&self.segment(day).union(k))
     }
 }
 
@@ -281,7 +271,7 @@ mod tests {
     use crate::Snapshot;
     use i2p_measure::engine::HarvestEngine;
     use i2p_measure::fleet::Fleet;
-    use i2p_measure::{churn, ipchurn, population};
+    use i2p_measure::{churn, ipchurn, pass, population};
     use i2p_sim::world::{World, WorldConfig};
 
     /// A scratch path in the system temp dir, cleaned up on drop.
@@ -448,5 +438,23 @@ mod tests {
         assert_eq!(fig7(&forged), fig7(&clean), "Fig. 7");
         assert_eq!(fig8_12(&forged), fig8_12(&clean), "Figs. 8/12");
         assert_eq!(fig6(&forged), fig6(&clean), "Fig. 6 overlap");
+        // The figure pass keys its per-shard state by the shards that
+        // occur: the forged id adds one shard near 2^20, not a table up
+        // to it, and the split pass finishes with the unforged numbers.
+        let split = |src: &LazySnapshot| {
+            let folds = pass::figure_pass(src, pass::Wants::ALL, 2);
+            format!(
+                "{:?} {:?} {} {:?} {:?} {:?} {:?} {:?}",
+                folds.curve.finish(),
+                folds.census,
+                folds.overlap.finish(),
+                folds.survival.finish(),
+                ipchurn::IpChurnReport::from_table(&folds.ips),
+                folds.letters.finish(),
+                folds.bandwidth.finish(),
+                folds.floodfill.finish(),
+            )
+        };
+        assert_eq!(split(&forged), split(&clean), "the split figure pass");
     }
 }

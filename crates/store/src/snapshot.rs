@@ -10,7 +10,7 @@ use i2p_geoip::GeoDb;
 use i2p_measure::engine::HarvestEngine;
 use i2p_measure::fleet::{Vantage, VantageMode};
 use i2p_measure::observed::ObservedRouterInfo;
-use i2p_measure::source::SnapshotSource;
+use i2p_measure::source::{DayUnion, SnapshotSource};
 use std::io::Read;
 use std::ops::Range;
 use std::path::Path;
@@ -387,17 +387,8 @@ impl SnapshotSource for Snapshot {
         self.segment(day).coverage_curve()
     }
 
-    fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32)) {
-        self.segment(day).for_each_union_id(k, f)
-    }
-
-    fn for_each_observation_ref(
-        &self,
-        day: u64,
-        k: usize,
-        f: &mut dyn FnMut(&ObservedRouterInfo),
-    ) {
-        self.segment(day).for_each_observation_ref(k, f)
+    fn with_day_union(&self, day: u64, k: usize, f: &mut dyn FnMut(&DayUnion<'_>)) {
+        f(&self.segment(day).union(k))
     }
 }
 
@@ -477,19 +468,12 @@ impl DaySegment {
         curve
     }
 
-    /// The peer ids of the union of the first `k` lanes, ascending.
-    pub(crate) fn for_each_union_id(&self, k: usize, f: &mut dyn FnMut(u32)) {
-        self.for_each_union_row(k, &mut |row| f(self.observations[row].peer_id));
-    }
-
-    /// The observations of the union of the first `k` lanes, ascending
+    /// The union of the first `k` lanes: its rows' records, ascending
     /// by peer id.
-    pub(crate) fn for_each_observation_ref(
-        &self,
-        k: usize,
-        f: &mut dyn FnMut(&ObservedRouterInfo),
-    ) {
-        self.for_each_union_row(k, &mut |row| f(&self.observations[row]));
+    pub(crate) fn union(&self, k: usize) -> DayUnion<'_> {
+        let mut rows = Vec::new();
+        self.for_each_union_row(k, &mut |row| rows.push(row));
+        DayUnion::archived(self.day, &self.observations, rows)
     }
 
     /// Visits every row position set in the OR of the first `k` lanes,

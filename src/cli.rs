@@ -15,13 +15,12 @@
 use i2p_faults::{FaultPlane, FaultSpec};
 use i2p_geoip::GeoDb;
 use i2p_measure::adversary::{self, AdversaryLab};
-use i2p_measure::engine::HarvestEngine;
+use i2p_measure::engine::{self, HarvestEngine};
 use i2p_measure::fleet::Fleet;
 use i2p_measure::keyspace::{KeyspaceConfig, VisibilityModel};
-use i2p_measure::slots::PeerSlots;
-use i2p_measure::source::{Coverage, SnapshotSource};
+use i2p_measure::source::SnapshotSource;
 use i2p_measure::usability::{evaluate, UsabilityConfig};
-use i2p_measure::{capacity, churn, geo, ipchurn, population, report, sybil};
+use i2p_measure::{geo, ipchurn, pass, report, sybil};
 use i2p_sim::world::{World, WorldConfig};
 use i2p_store::{LazySnapshot, Snapshot, StoreError};
 use std::fmt::Write as _;
@@ -260,21 +259,37 @@ fn titled_csv(title: &str, csv: String) -> String {
 ///
 /// Every figure is a fold over the same per-day observation stream, so
 /// the selected figures share one day-major pass over the source
-/// (DESIGN.md §14) and render from its accumulators.
+/// (DESIGN.md §14) and render from its accumulators. The pass splits
+/// each day by id shard over the fill's worker count
+/// (`I2PSCOPE_THREADS`, which `--threads` sets); the bytes are the same
+/// at any count.
 pub fn render_figures(src: &dyn SnapshotSource, format: Format, figs: &[FigId]) -> String {
-    let pass = FigurePass::run(src, figs);
+    render_figures_on(src, format, figs, engine::fill_threads())
+}
+
+/// [`render_figures`] on an explicit pass worker count, bypassing the
+/// `I2PSCOPE_THREADS` lookup — the parity tests use this to pin the
+/// bytes across worker counts without mutating the process
+/// environment.
+pub fn render_figures_on(
+    src: &dyn SnapshotSource,
+    format: Format,
+    figs: &[FigId],
+    workers: usize,
+) -> String {
+    let pass = FigurePass::run(src, figs, workers);
     let mut out = String::new();
     // Degraded-mode annotation: a partial harvest (vantage outages,
     // recovered snapshot prefix, …) says so up front, in both formats.
     // Full datasets render byte-identically to a build without this
     // check — the annotation only exists when a cell is dark.
-    if pass.coverage.is_degraded() {
+    if pass.folds.coverage.is_degraded() {
         match format {
             Format::Text => {
-                let _ = writeln!(out, "{}\n", pass.coverage.annotation());
+                let _ = writeln!(out, "{}\n", pass.folds.coverage.annotation());
             }
             Format::Csv => {
-                let _ = writeln!(out, "# {}", pass.coverage.annotation());
+                let _ = writeln!(out, "# {}", pass.folds.coverage.annotation());
             }
         }
     }
@@ -291,158 +306,59 @@ pub fn render_figures(src: &dyn SnapshotSource, format: Format, figs: &[FigId]) 
     out
 }
 
-/// The figure suite's accumulators after one walk over a source's days.
-/// Folds of figures that are not selected stay empty and are never fed,
-/// so no figure's bytes depend on which other figures were selected.
+/// The figure suite's accumulators after one walk over a source's days
+/// ([`pass::figure_pass`]). Folds of figures that are not selected stay
+/// empty and are never fed, so no figure's bytes depend on which other
+/// figures were selected.
 struct FigurePass<'s> {
     geo: &'s GeoDb,
-    coverage: Coverage,
-    /// Fig. 4.
-    curve: population::CoverageFold,
-    /// Fig. 5/6: the census of every `step`-th day.
-    census: Vec<(u64, population::DailyCensus)>,
-    /// Fig. 6.
-    overlap: population::OverlapFold,
-    /// Fig. 7, following peers for `horizon` days.
-    survival: churn::ChurnFold,
-    horizon: usize,
-    /// Figs. 8, 10, 11 and 12.
-    ips: ipchurn::IpTable,
-    /// Fig. 9.
-    letters: capacity::CapacityFold,
-    /// Table 1, over the window's middle day.
-    bandwidth: capacity::BandwidthFold,
-    floodfill: capacity::FloodfillFold,
+    folds: pass::Folds,
 }
 
 impl<'s> FigurePass<'s> {
-    /// Walks `src`'s days once, ascending. Per day that is the coverage
-    /// ledger's `count_one` calls, at most one `coverage_curve` (Fig. 4)
-    /// and at most one observation walk, which feeds every selected
-    /// fold — or, when only Fig. 7 needs the day, one union-id walk. On
-    /// a lazy snapshot each day segment is therefore decoded once. The
-    /// per-peer folds (Figs. 6, 7, 8/10–12) share one slot index, so
-    /// each record's peer is looked up once.
-    fn run(src: &'s dyn SnapshotSource, figs: &[FigId]) -> FigurePass<'s> {
-        let _span = i2p_telemetry::span("measure.figure_pass");
+    /// Runs the pass for the folds `figs` read, on `workers` workers.
+    fn run(src: &'s dyn SnapshotSource, figs: &[FigId], workers: usize) -> FigurePass<'s> {
         let wants = |any: &[FigId]| figs.iter().any(|f| any.contains(f));
-        let want_curve = wants(&[FigId::Fig4]);
-        let want_census = wants(&[FigId::Fig5, FigId::Fig6]);
-        let want_overlap = wants(&[FigId::Fig6]);
-        let want_churn = wants(&[FigId::Fig7]);
-        let want_ips = wants(&[FigId::Fig8, FigId::Fig10, FigId::Fig11, FigId::Fig12]);
-        let want_capacity = wants(&[FigId::Fig9]);
-        let want_table1 = wants(&[FigId::Table1]);
-
-        let span = src.days();
-        let n_days = span.clone().count() as u64;
-        // Fig. 5/6 sample every `step` days (≤ ~10 rows); Table 1 and the
-        // floodfill estimate use the window's middle day. All derived from
-        // the source's own range, so live and replay agree by construction.
-        let step = (n_days / 10).max(1);
-        let mid_day = span.start + n_days / 2;
-        let horizon = (n_days.saturating_sub(1)).min(30) as usize;
-        let k = src.vantage_count();
-
-        let mut coverage = Coverage::default();
-        let mut slots = PeerSlots::new();
-        let mut curve = population::CoverageFold::new(k);
-        let mut census = Vec::new();
-        let mut overlap = population::OverlapFold::default();
-        let mut survival = churn::ChurnFold::new(span.clone(), horizon);
-        let mut ips = ipchurn::IpFold::new(src.geo());
-        let mut letters = capacity::CapacityFold::new(n_days as usize);
-        let mut bandwidth = capacity::BandwidthFold::default();
-        let mut floodfill = capacity::FloodfillFold::default();
-        for day in span.clone() {
-            coverage.add_day(src, day);
-            if want_curve {
-                curve.add_day(&src.coverage_curve(day));
-            }
-            let census_day = want_census && (day - span.start) % step == 0;
-            let table1_day = want_table1 && day == mid_day;
-            let mut peers = slots.day(day);
-            if census_day || want_overlap || want_ips || want_capacity || table1_day {
-                let mut today = population::CensusFold::default();
-                src.for_each_observation_ref(day, k, &mut |rec| {
-                    if census_day {
-                        today.observe(rec);
-                    }
-                    // A record takes a slot only when a selected per-peer
-                    // fold reads it: Fig. 6 reads unknown-IP records and
-                    // Figs. 8/10–12 IPv4 ones. Slot numbers never reach a
-                    // figure, so the selection cannot change its bytes.
-                    let reads = want_churn
-                        || (want_overlap && rec.is_unknown_ip())
-                        || (want_ips && rec.ipv4.is_some());
-                    if reads {
-                        let slot = peers.slot(rec.peer_id);
-                        if want_overlap {
-                            overlap.observe(slot, rec);
-                        }
-                        if want_churn {
-                            survival.observe(slot, day);
-                        }
-                        if want_ips {
-                            ips.observe(slot, rec);
-                        }
-                    }
-                    if want_capacity {
-                        letters.observe(rec);
-                    }
-                    if table1_day {
-                        bandwidth.observe(rec);
-                        floodfill.observe(rec);
-                    }
-                });
-                if census_day {
-                    census.push((day, today.finish()));
-                }
-            } else if want_churn {
-                src.for_each_union_id(day, k, &mut |id| survival.observe(peers.slot(id), day));
-            }
-        }
-        FigurePass {
-            geo: src.geo(),
-            coverage,
-            curve,
-            census,
-            overlap,
-            survival,
-            horizon,
-            ips: ips.finish(),
-            letters,
-            bandwidth,
-            floodfill,
-        }
+        let wants = pass::Wants {
+            curve: wants(&[FigId::Fig4]),
+            census: wants(&[FigId::Fig5, FigId::Fig6]),
+            overlap: wants(&[FigId::Fig6]),
+            churn: wants(&[FigId::Fig7]),
+            ips: wants(&[FigId::Fig8, FigId::Fig10, FigId::Fig11, FigId::Fig12]),
+            capacity: wants(&[FigId::Fig9]),
+            table1: wants(&[FigId::Table1]),
+        };
+        FigurePass { geo: src.geo(), folds: pass::figure_pass(src, wants, workers) }
     }
 
     /// Finishes and renders one figure's block.
     fn render(&self, fig: FigId, format: Format) -> String {
         match fig {
             FigId::Fig4 => {
-                let curve = self.curve.finish();
+                let curve = self.folds.curve.finish();
                 match format {
                     Format::Text => report::render_fig4(&curve),
                     Format::Csv => titled_csv("Figure 4", report::csv_fig4(&curve)),
                 }
             }
             FigId::Fig5 => match format {
-                Format::Text => report::render_fig5(&self.census),
-                Format::Csv => titled_csv("Figure 5", report::csv_fig5(&self.census)),
+                Format::Text => report::render_fig5(&self.folds.census),
+                Format::Csv => titled_csv("Figure 5", report::csv_fig5(&self.folds.census)),
             },
             FigId::Fig6 => {
-                let overlap = self.overlap.finish();
+                let overlap = self.folds.overlap.finish();
                 match format {
-                    Format::Text => report::render_fig6(&self.census, overlap),
-                    Format::Csv => titled_csv("Figure 6", report::csv_fig6(&self.census, overlap)),
+                    Format::Text => report::render_fig6(&self.folds.census, overlap),
+                    Format::Csv => {
+                        titled_csv("Figure 6", report::csv_fig6(&self.folds.census, overlap))
+                    }
                 }
             }
             FigId::Fig7 => {
-                let curves = self.survival.finish();
+                let curves = self.folds.survival.finish();
                 let churn_days: Vec<usize> = [1, 2, 3, 5, 7, 10, 14, 21, 30]
                     .into_iter()
-                    .filter(|&d| d <= self.horizon)
+                    .filter(|&d| d <= self.folds.horizon)
                     .collect();
                 match format {
                     Format::Text => report::render_fig7(&curves, &churn_days),
@@ -450,43 +366,43 @@ impl<'s> FigurePass<'s> {
                 }
             }
             FigId::Fig8 => {
-                let rep = ipchurn::IpChurnReport::from_table(&self.ips);
+                let rep = ipchurn::IpChurnReport::from_table(&self.folds.ips);
                 match format {
                     Format::Text => report::render_fig8(&rep),
                     Format::Csv => titled_csv("Figure 8", report::csv_fig8(&rep)),
                 }
             }
             FigId::Fig9 => {
-                let hist = self.letters.finish();
+                let hist = self.folds.letters.finish();
                 match format {
                     Format::Text => report::render_fig9(&hist),
                     Format::Csv => titled_csv("Figure 9", report::csv_fig9(&hist)),
                 }
             }
             FigId::Fig10 => {
-                let rep = geo::GeoReport::from_table(&self.ips, self.geo);
+                let rep = geo::GeoReport::from_table(&self.folds.ips, self.geo);
                 match format {
                     Format::Text => report::render_fig10(&rep, 20),
                     Format::Csv => titled_csv("Figure 10", report::csv_fig10(&rep, 20)),
                 }
             }
             FigId::Fig11 => {
-                let rep = geo::AsReport::from_table(&self.ips);
+                let rep = geo::AsReport::from_table(&self.folds.ips);
                 match format {
                     Format::Text => report::render_fig11(&rep, 20),
                     Format::Csv => titled_csv("Figure 11", report::csv_fig11(&rep, 20)),
                 }
             }
             FigId::Fig12 => {
-                let rep = ipchurn::IpChurnReport::from_table(&self.ips);
+                let rep = ipchurn::IpChurnReport::from_table(&self.folds.ips);
                 match format {
                     Format::Text => report::render_fig12(&rep),
                     Format::Csv => titled_csv("Figure 12", report::csv_fig12(&rep)),
                 }
             }
             FigId::Table1 => {
-                let table = self.bandwidth.finish();
-                let est = self.floodfill.finish();
+                let table = self.folds.bandwidth.finish();
+                let est = self.folds.floodfill.finish();
                 match format {
                     Format::Text => report::render_table1(&table, &est),
                     Format::Csv => titled_csv("Table 1", report::csv_table1(&table, &est)),

@@ -6,7 +6,8 @@
 //! * **Sharded ≡ oracle at scale 1** — the work-stealing shard fill,
 //!   at every worker count, renders the full figure suite
 //!   byte-identical to the sequential unsharded oracle, under both
-//!   visibility models.
+//!   visibility models, and so does the figure pass at 1, 2, 3, 5 and
+//!   7 workers.
 //! * **One-walk Fig. 13 ≡ per-cell definition at scale 1** — all 100
 //!   cells of the benchmark's blocking matrix, bit for bit.
 //! * **Lazy ≡ eager replay** — `figures --from` through the
@@ -66,7 +67,9 @@ impl Drop for Scratch {
 /// ~180k routers spanning many id-range shards), the sharded
 /// work-stealing fill renders the complete figure suite byte-identical
 /// to the unsharded sequential oracle — for every worker count, both
-/// visibility models, both output formats.
+/// visibility models, both output formats — and the figure pass, which
+/// splits each day by id shard, renders it the same at 1, 2, 3, 5 and
+/// 7 workers.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -90,12 +93,23 @@ fn sharded_figures_match_oracle_at_scale_one() {
                 threads,
             );
             for format in [Format::Text, Format::Csv] {
+                let want = cli::render_figures(&oracle, format, &FigId::ALL);
                 assert_eq!(
                     cli::render_figures(&sharded, format, &FigId::ALL),
-                    cli::render_figures(&oracle, format, &FigId::ALL),
+                    want,
                     "sharded figures diverged from the oracle \
                      (model {model:?}, {threads} workers, {format:?})"
                 );
+                // The figure pass splits each day by id shard: its
+                // worker count must not move a byte either.
+                for pass_workers in [1, 2, 3, 5, 7] {
+                    let got = cli::render_figures_on(&sharded, format, &FigId::ALL, pass_workers);
+                    assert!(
+                        got == want,
+                        "the figure pass diverged at {pass_workers} workers \
+                         (model {model:?}, {threads} fill workers, {format:?})"
+                    );
+                }
             }
         }
     }

@@ -210,6 +210,56 @@ fn threads_flag_governs_the_fill_and_the_capture() {
 }
 
 #[test]
+fn threads_flag_governs_the_figure_pass() {
+    // The figure pass splits each day over the fill's worker count. With
+    // every I2PSCOPE_* variable removed, `figures --live` and `figures
+    // --from` print the same bytes and move the same counters at
+    // `--threads 1` and `3`, and each manifest's `measure.figure_workers`
+    // gauge holds the flag's value.
+    let dir = std::env::temp_dir().join(format!("i2pscope-pass-threads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let archive = dir.join("figures.i2ps");
+    let i2pscope = |args: &[&str], threads: usize, manifest: Option<&std::path::Path>| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_i2pscope"));
+        for (name, _) in std::env::vars().filter(|(name, _)| name.starts_with("I2PSCOPE_")) {
+            cmd.env_remove(name);
+        }
+        cmd.args(args).args(["--scale", "0.02", "--days", "6", "--fleet", "6"]);
+        cmd.args(["--threads", &threads.to_string()]);
+        if let Some(path) = manifest {
+            cmd.arg("--telemetry").arg(path);
+        }
+        let out = cmd.output().expect("run i2pscope");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    i2pscope(&["harvest", "--out", archive.to_str().expect("utf-8 temp path")], 1, None);
+    let figures = |source: &[&str], threads: usize| {
+        let manifest_path = dir.join(format!("{}-t{threads}.json", source.len()));
+        let args = [&["figures"], source].concat();
+        let stdout = i2pscope(&args, threads, Some(&manifest_path));
+        let text = std::fs::read_to_string(&manifest_path).expect("manifest written");
+        let summary = manifest::validate_manifest(&text).expect("manifest validates");
+        let workers = summary
+            .gauges
+            .iter()
+            .find(|(name, _)| name == "measure.figure_workers")
+            .map(|(_, value)| value.clone());
+        (stdout, workers, summary.counter_dump())
+    };
+    let from = archive.to_str().expect("utf-8 temp path");
+    for source in [&["--live"][..], &["--from", from]] {
+        let (out_1, workers_1, counters_1) = figures(source, 1);
+        let (out_3, workers_3, counters_3) = figures(source, 3);
+        assert_eq!(workers_1.as_deref(), Some("1"), "{source:?}");
+        assert_eq!(workers_3.as_deref(), Some("3"), "{source:?}");
+        assert!(out_1 == out_3, "{source:?} prints different bytes at --threads 1 and 3");
+        assert_eq!(counters_1, counters_3, "{source:?} counters vary with --threads");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn manifest_validates_and_covers_the_four_core_crates() {
     // Moves the process-wide counters: hold the counter lock so the
     // exact-delta tests beside it never see this work.
