@@ -29,8 +29,8 @@ fn main() {
         // empirical single-vantage coverage rate p1.
         let online = world.online_count(3) as f64;
         let v = Vantage::monitoring(VantageMode::NonFloodfill, 0x7_001);
-        let p1 =
-            HarvestEngine::with_vantages(&world, vec![v], 3..4).count_one(0, 3) as f64 / online;
+        let single = Fleet { vantages: vec![v] };
+        let p1 = HarvestEngine::build(&world, &single, 3..4).count_one(0, 3) as f64 / online;
         for k in [1usize, 2, 5, 10, 20, 40] {
             let het = curve[k - 1] as f64 / online;
             let hom = 1.0 - (1.0 - p1).powi(k as i32);

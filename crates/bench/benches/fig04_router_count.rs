@@ -5,14 +5,17 @@
 //! the 40-router total (~32 K); beyond 35 routers each extra router adds
 //! only 10–30 peers.
 
-use i2p_measure::population::cumulative_by_router_count;
+use i2p_measure::engine::HarvestEngine;
+use i2p_measure::fleet::Fleet;
+use i2p_measure::population::cumulative_by_router_count_from;
 use i2p_measure::report::render_fig4;
 
 fn main() {
     let mut report = i2p_bench::report("fig04_router_count");
     let world = i2p_bench::world(6);
     report.emit("Figure 4", || {
-        let curve = cumulative_by_router_count(&world, 40, 0..5);
+        let engine = HarvestEngine::build(&world, &Fleet::alternating(40), 0..5);
+        let curve = cumulative_by_router_count_from(&engine, 0..5);
         let text = render_fig4(&curve);
         let at20 = curve[19].1 as f64;
         let at40 = curve[39].1 as f64;

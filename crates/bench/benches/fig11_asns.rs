@@ -3,8 +3,10 @@
 //! Paper anchors: AS7922 (Comcast) leads with >8 K peers; the top 20
 //! ASes hold >30 % of all peers.
 
+use i2p_measure::engine::HarvestEngine;
 use i2p_measure::fleet::Fleet;
-use i2p_measure::geo::as_distribution;
+use i2p_measure::geo::AsReport;
+use i2p_measure::ipchurn::ip_table_from;
 use i2p_measure::report::render_fig11;
 
 fn main() {
@@ -13,7 +15,8 @@ fn main() {
     let world = i2p_bench::world(days);
     let fleet = Fleet::paper_main();
     report.emit("Figure 11", || {
-        let rep = as_distribution(&world, &fleet, 0..days);
+        let engine = HarvestEngine::build(&world, &fleet, 0..days);
+        let rep = AsReport::from_table(&ip_table_from(&engine, 0..days));
         render_fig11(&rep, 20)
     });
     report.write();

@@ -5,8 +5,9 @@
 //! more than ten; extremes reach 39 ASes and 25 countries (VPN/Tor
 //! roamers).
 
+use i2p_measure::engine::HarvestEngine;
 use i2p_measure::fleet::Fleet;
-use i2p_measure::ipchurn::ip_churn_report;
+use i2p_measure::ipchurn::{ip_table_from, IpChurnReport};
 use i2p_measure::report::render_fig12;
 
 fn main() {
@@ -15,7 +16,8 @@ fn main() {
     let world = i2p_bench::world(days);
     let fleet = Fleet::paper_main();
     report.emit("Figure 12", || {
-        let rep = ip_churn_report(&world, &fleet, 0..days);
+        let engine = HarvestEngine::build(&world, &fleet, 0..days);
+        let rep = IpChurnReport::from_table(&ip_table_from(&engine, 0..days));
         render_fig12(&rep)
     });
     report.write();

@@ -7,7 +7,8 @@
 //! floodfills are qualified → 1 917 qualified floodfills → ÷ 6 % ≈ 32 K
 //! population.
 
-use i2p_measure::capacity::{bandwidth_table, floodfill_estimate};
+use i2p_measure::capacity::{bandwidth_table_from, floodfill_estimate_from};
+use i2p_measure::engine::HarvestEngine;
 use i2p_measure::fleet::Fleet;
 use i2p_measure::report::render_table1;
 
@@ -16,8 +17,9 @@ fn main() {
     let world = i2p_bench::world(8);
     let fleet = Fleet::paper_main();
     report.emit("Table 1", || {
-        let t = bandwidth_table(&world, &fleet, 5);
-        let est = floodfill_estimate(&world, &fleet, 5);
+        let engine = HarvestEngine::build(&world, &fleet, 5..6);
+        let t = bandwidth_table_from(&engine, 5);
+        let est = floodfill_estimate_from(&engine, 5);
         let mut text = render_table1(&t, &est);
         text.push_str(&format!(
             "actual online population on day 5: {} (estimate error {:+.1}%)\n",

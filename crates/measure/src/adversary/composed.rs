@@ -15,6 +15,7 @@ use super::{
     SharedState,
 };
 use crate::engine::HarvestEngine;
+use i2p_faults::FaultPlane;
 use std::fmt::Write as _;
 
 /// An adversary assembled from other adversaries, run day-by-day over
@@ -263,11 +264,12 @@ impl Adversary for Composed {
     fn capture<'w>(&self, lab: &AdversaryLab<'w>) -> HarvestEngine<'w> {
         let knobs = self.variants.last().expect("validated non-empty"); // i2plint: allow(panic-audit) -- ChainKnobs validation rejects an empty escalation grid
         let state = chain_state(lab, &self.members, knobs);
-        HarvestEngine::build_with(
+        HarvestEngine::build_faulted(
             lab.world,
             lab.fleet,
             lab.days.clone(),
             &state.visibility(self.uses_keyspace()),
+            &FaultPlane::zero(),
         )
     }
 }

@@ -50,6 +50,7 @@ use crate::fleet::Fleet;
 use crate::keyspace::{KeyspaceConfig, VisibilityModel, REPLICATION};
 use crate::usability::UsabilityConfig;
 use i2p_data::{FxHashMap, FxHashSet, Hash256, PeerIp};
+use i2p_faults::FaultPlane;
 use i2p_geoip::{CountryId, GeoDb};
 use i2p_sim::world::World;
 use std::collections::BTreeMap;
@@ -279,11 +280,12 @@ pub struct DayView {
 impl DayView {
     /// Harvests one day under the state's visibility model.
     pub fn build(lab: &AdversaryLab<'_>, day: u64, state: &SharedState, keyspace: bool) -> Self {
-        let engine = HarvestEngine::build_with(
+        let engine = HarvestEngine::build_faulted(
             lab.world,
             lab.fleet,
             day..day + 1,
             &state.visibility(keyspace),
+            &FaultPlane::zero(),
         );
         let mut seen_ips = FxHashSet::default();
         censor::union_published_ips(&engine, day, lab.fleet.vantages.len(), &mut seen_ips);

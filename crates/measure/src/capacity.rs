@@ -1,12 +1,9 @@
 //! Capacity-flag analyses: Fig. 9 and Table 1, plus the §5.3.1
 //! qualified-floodfill population estimate.
 
-use crate::engine::HarvestEngine;
-use crate::fleet::Fleet;
 use crate::observed::ObservedRouterInfo;
 use crate::source::SnapshotSource;
 use i2p_data::{BandwidthClass, Caps};
-use i2p_sim::world::World;
 
 /// Index of a class in K..X order.
 fn idx(c: BandwidthClass) -> usize {
@@ -24,13 +21,7 @@ pub struct CapacityHistogram {
     pub days: usize,
 }
 
-/// Computes Fig. 9 averaged over the window.
-pub fn capacity_histogram(world: &World, fleet: &Fleet, days: std::ops::Range<u64>) -> CapacityHistogram {
-    let engine = HarvestEngine::build(world, fleet, days.clone());
-    capacity_histogram_from(&engine, days)
-}
-
-/// [`capacity_histogram`] off any source.
+/// Computes Fig. 9 averaged over the window, off any source.
 pub fn capacity_histogram_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
@@ -101,13 +92,7 @@ pub struct BandwidthTable {
     pub group_sizes: [usize; 4],
 }
 
-/// Computes Table 1 for one day.
-pub fn bandwidth_table(world: &World, fleet: &Fleet, day: u64) -> BandwidthTable {
-    let engine = HarvestEngine::build(world, fleet, day..day + 1);
-    bandwidth_table_from(&engine, day)
-}
-
-/// [`bandwidth_table`] off any source.
+/// Computes Table 1 for one day, off any source.
 pub fn bandwidth_table_from<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> BandwidthTable {
     let mut fold = BandwidthFold::default();
     src.for_each_observation_ref(day, src.vantage_count(), &mut |rec| fold.observe(rec));
@@ -191,13 +176,7 @@ pub struct FloodfillEstimate {
 
 /// Reproduces the §5.3.1 arithmetic: count observed floodfills, take the
 /// qualified (N/O/P/X) share, and divide by the 6 % automatic-floodfill
-/// fraction reported on the I2P site.
-pub fn floodfill_estimate(world: &World, fleet: &Fleet, day: u64) -> FloodfillEstimate {
-    let engine = HarvestEngine::build(world, fleet, day..day + 1);
-    floodfill_estimate_from(&engine, day)
-}
-
-/// [`floodfill_estimate`] off any source.
+/// fraction reported on the I2P site. Runs off any source.
 pub fn floodfill_estimate_from<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> FloodfillEstimate {
     let mut fold = FloodfillFold::default();
     src.for_each_observation_ref(day, src.vantage_count(), &mut |rec| fold.observe(rec));
@@ -244,7 +223,9 @@ impl FloodfillFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i2p_sim::world::WorldConfig;
+    use crate::engine::HarvestEngine;
+    use crate::fleet::Fleet;
+    use i2p_sim::world::{World, WorldConfig};
 
     fn setup() -> (World, Fleet) {
         (
@@ -256,7 +237,7 @@ mod tests {
     #[test]
     fn fig9_order_matches_paper() {
         let (w, fleet) = setup();
-        let h = capacity_histogram(&w, &fleet, 2..6);
+        let h = capacity_histogram_from(&HarvestEngine::build(&w, &fleet, 2..6), 2..6);
         let [k, l, m, n, o, p, x] = h.counts;
         assert!(l > n, "L dominates ({l} vs {n})");
         assert!(n > p && p > x, "N > P > X ({n}, {p}, {x})");
@@ -291,7 +272,7 @@ mod tests {
     #[test]
     fn table1_floodfill_group_n_dominant() {
         let (w, fleet) = setup();
-        let t = bandwidth_table(&w, &fleet, 5);
+        let t = bandwidth_table_from(&HarvestEngine::build(&w, &fleet, 5..6), 5);
         let n_i = idx(BandwidthClass::N);
         let l_i = idx(BandwidthClass::L);
         assert!(
@@ -310,7 +291,7 @@ mod tests {
     fn table1_totals_exceed_100_percent() {
         // The compat-O rule makes the column sums exceed 100 %.
         let (w, fleet) = setup();
-        let t = bandwidth_table(&w, &fleet, 5);
+        let t = bandwidth_table_from(&HarvestEngine::build(&w, &fleet, 5..6), 5);
         let sum: f64 = t.total.iter().sum();
         assert!(sum > 100.0, "total column sums to {sum}");
         assert!(sum < 130.0, "but not absurdly ({sum})");
@@ -319,7 +300,7 @@ mod tests {
     #[test]
     fn floodfill_estimate_recovers_population() {
         let (w, fleet) = setup();
-        let est = floodfill_estimate(&w, &fleet, 5);
+        let est = floodfill_estimate_from(&HarvestEngine::build(&w, &fleet, 5..6), 5);
         assert!(est.observed_floodfills > 20);
         assert!(
             (0.55..0.85).contains(&est.qualified_share),

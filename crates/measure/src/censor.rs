@@ -105,7 +105,7 @@ pub fn censor_blacklist(
     // Only the first `n_routers` lanes are ever read, so only they are
     // filled.
     let prefix = fleet.vantages[..n_routers.min(fleet.vantages.len())].to_vec();
-    let engine = HarvestEngine::with_vantages(world, prefix, from..eval_day + 1);
+    let engine = HarvestEngine::build(world, &Fleet { vantages: prefix }, from..eval_day + 1);
     censor_blacklist_from_engine(&engine, n_routers, window_days, eval_day)
 }
 

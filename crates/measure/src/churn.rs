@@ -7,11 +7,8 @@
 //! consecutive sighted days starting at `d0`; the *intermittent* span
 //! runs to the last day the peer is ever sighted.
 
-use crate::engine::HarvestEngine;
-use crate::fleet::Fleet;
 use crate::slots::PeerSlots;
 use crate::source::SnapshotSource;
-use i2p_sim::world::World;
 
 /// The survival curves.
 #[derive(Clone, Debug)]
@@ -36,16 +33,10 @@ impl ChurnCurves {
     }
 }
 
-/// Computes Fig. 7 over a measurement window.
+/// Computes Fig. 7 off any source, over the source's own day range.
 ///
 /// Only peers first seen early enough to have `horizon` days of
 /// follow-up are included, so late joiners do not truncate the curves.
-pub fn churn_curves(world: &World, fleet: &Fleet, days: u64, horizon: usize) -> ChurnCurves {
-    let engine = HarvestEngine::build(world, fleet, 0..days);
-    churn_curves_from(&engine, horizon)
-}
-
-/// [`churn_curves`] off any source, over the source's own day range.
 pub fn churn_curves_from<S: SnapshotSource + ?Sized>(src: &S, horizon: usize) -> ChurnCurves {
     // Survival needs only membership, so no observation records are
     // materialized at all.
@@ -180,12 +171,13 @@ impl ChurnFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i2p_sim::world::WorldConfig;
+    use crate::engine::HarvestEngine;
+    use crate::fleet::Fleet;
+    use i2p_sim::world::{World, WorldConfig};
 
     fn curves() -> ChurnCurves {
         let w = World::generate(WorldConfig { days: 60, scale: 0.015, seed: 21 });
-        let fleet = Fleet::paper_main();
-        churn_curves(&w, &fleet, 60, 40)
+        churn_curves_from(&HarvestEngine::build(&w, &Fleet::paper_main(), 0..60), 40)
     }
 
     #[test]

@@ -28,17 +28,19 @@
 //!   neighboring shards merge through commutative atomic ORs — so the
 //!   lanes are bit-identical at any worker count or claim order, and
 //!   the per-unit caches shrink from O(population) to O(shard). The
-//!   parity suite in `tests/parity.rs` holds the engine to the naive
-//!   oracle and to [`HarvestEngine::build_oracle`], the retained
-//!   unsharded reference fill.
+//!   engine's one reference is the naive path: the parity suite in
+//!   `tests/parity.rs` holds every lane, union and record to it.
 //! * **Streaming queries.** Union/coverage queries walk the lanes in
 //!   fixed-width word blocks ([`STREAM_WORDS`]) with an O(block)
 //!   accumulator, so figure computation never materializes a full-day
 //!   (let alone full-world) bitset.
 //!
-//! The fill worker count honors the `I2PSCOPE_THREADS` knob (0 or
-//! unset = one per core; malformed values panic, like every knob; the
-//! `i2pscope` binary exports its `--threads` flag into it) and is
+//! There is one fill, [`HarvestEngine::build_on`], on an explicit worker
+//! count; [`HarvestEngine::build`] (uniform, no faults) and
+//! [`HarvestEngine::build_faulted`] call it with the count from the
+//! `I2PSCOPE_THREADS` knob (0 or unset = one per core; malformed values
+//! panic, like every knob; the `i2pscope` binary exports its
+//! `--threads` flag into it). The count is
 //! logged through the telemetry *timing* plane's gauge table —
 //! deliberately not the counter plane, whose totals CI byte-diffs
 //! across thread counts. [`HarvestEngine::workers`] hands the resolved
@@ -47,13 +49,12 @@
 //!
 //! Full [`ObservedRouterInfo`] records are materialized lazily — only
 //! when an analysis needs fields beyond set membership (caps, addresses,
-//! introducers), via [`HarvestEngine::harvest_union_prefix`] or
-//! [`HarvestEngine::for_each_observation`].
+//! introducers), via [`HarvestEngine::for_each_observation`].
 
-use crate::fleet::{DailyHarvest, Fleet, Vantage, VantageMode};
+use crate::fleet::{Fleet, Vantage, VantageMode};
 use crate::keyspace::{self, VisibilityModel};
 use crate::observed::ObservedRouterInfo;
-use i2p_data::FxHashMap;
+use i2p_faults::FaultPlane;
 use i2p_sim::peer::PeerRecord;
 use i2p_sim::world::{DayIndex, World};
 use std::borrow::Cow;
@@ -85,52 +86,49 @@ pub struct HarvestEngine<'w> {
     /// order. Bit `i` of a day's slice is set iff the vantage saw the
     /// `i`-th online peer of the day (positions per `day_ids`).
     lanes: Vec<Vec<u64>>,
-    /// Fill worker count resolved from the thread knob (1 for the
-    /// sequential oracle fill).
+    /// Fill worker count resolved from the thread knob or given to
+    /// [`HarvestEngine::build_on`].
     workers: usize,
 }
 
 impl<'w> HarvestEngine<'w> {
     /// Fills the engine for `fleet` over `days` under the uniform
-    /// visibility model (the oracle mode).
+    /// visibility model, with no faults, on the thread knob's workers.
+    /// The fleet's vantage order defines prefix semantics.
     pub fn build(world: &'w World, fleet: &Fleet, days: Range<u64>) -> Self {
-        Self::with_vantages(world, fleet.vantages.clone(), days)
+        Self::build_faulted(world, fleet, days, &VisibilityModel::Uniform, &FaultPlane::zero())
     }
 
-    /// Fills the engine for `fleet` over `days` under an explicit
-    /// [`VisibilityModel`]: [`VisibilityModel::Uniform`] reproduces
-    /// [`HarvestEngine::build`] exactly; [`VisibilityModel::Keyspace`]
-    /// additionally ANDs each lane with the day's keyspace placement
-    /// gates (see [`crate::keyspace`]), so a floodfill vantage's bitset
-    /// is derived from its position in the rotating keyspace.
-    pub fn build_with(
-        world: &'w World,
-        fleet: &Fleet,
-        days: Range<u64>,
-        model: &VisibilityModel,
-    ) -> Self {
-        Self::with_vantages_model(world, fleet.vantages.clone(), days, model)
-    }
-
-    /// [`HarvestEngine::build`] for an explicit vantage list; the list
-    /// order defines prefix semantics.
-    pub fn with_vantages(world: &'w World, vantages: Vec<Vantage>, days: Range<u64>) -> Self {
-        Self::with_vantages_model(world, vantages, days, &VisibilityModel::Uniform)
-    }
-
-    /// [`HarvestEngine::build_with`] under a fault plane: after the
-    /// normal fill, every (vantage, day) the plane marks as a vantage
-    /// outage is blanked — that vantage contributes nothing that day,
-    /// yielding a partial harvest. A zero plane is exactly
-    /// [`HarvestEngine::build_with`].
+    /// [`HarvestEngine::build_on`] on the thread knob's workers
+    /// ([`fill_threads`]).
     pub fn build_faulted(
         world: &'w World,
         fleet: &Fleet,
         days: Range<u64>,
         model: &VisibilityModel,
-        plane: &i2p_faults::FaultPlane,
+        plane: &FaultPlane,
     ) -> Self {
-        let mut engine = Self::build_with(world, fleet, days, model);
+        Self::build_on(world, fleet, days, model, plane, fill_threads())
+    }
+
+    /// Fills the engine for `fleet` over `days` on `workers` fill
+    /// workers (at least one). Under [`VisibilityModel::Keyspace`] each
+    /// lane is then ANDed with the day's keyspace placement gates (see
+    /// [`crate::keyspace`]), so a floodfill vantage's bitset derives
+    /// from its position in the rotating keyspace. Last, every
+    /// (vantage, day) the plane marks as a vantage outage is blanked:
+    /// that vantage contributes nothing that day, a partial harvest. A
+    /// zero plane blanks nothing. The lanes are the same for every
+    /// worker count; tests pin one here without touching the knob.
+    pub fn build_on(
+        world: &'w World,
+        fleet: &Fleet,
+        days: Range<u64>,
+        model: &VisibilityModel,
+        plane: &FaultPlane,
+        workers: usize,
+    ) -> Self {
+        let mut engine = Self::assemble(world, fleet.vantages.clone(), days, model, workers.max(1));
         engine.apply_outages(plane);
         engine
     }
@@ -139,7 +137,7 @@ impl<'w> HarvestEngine<'w> {
     /// Keyed on the vantage salt + absolute day, so the outage schedule
     /// is a pure function of (seed, spec, fleet) — identical across
     /// runs and thread counts.
-    pub fn apply_outages(&mut self, plane: &i2p_faults::FaultPlane) {
+    fn apply_outages(&mut self, plane: &FaultPlane) {
         if plane.is_zero() {
             return;
         }
@@ -153,52 +151,15 @@ impl<'w> HarvestEngine<'w> {
         }
     }
 
-    /// The unsharded reference fill: one sequential pass per vantage
-    /// with population-sized caches, exactly the pre-shard engine. Kept
-    /// as the parity oracle — `tests/scale_parity.rs` renders the full
-    /// figure suite through both paths and diffs the bytes.
-    pub fn build_oracle(
-        world: &'w World,
-        fleet: &Fleet,
-        days: Range<u64>,
-        model: &VisibilityModel,
-    ) -> Self {
-        Self::assemble(world, fleet.vantages.clone(), days, model, None)
-    }
-
-    /// [`HarvestEngine::build_with`] for an explicit vantage list.
-    pub fn with_vantages_model(
-        world: &'w World,
-        vantages: Vec<Vantage>,
-        days: Range<u64>,
-        model: &VisibilityModel,
-    ) -> Self {
-        Self::assemble(world, vantages, days, model, Some(fill_threads()))
-    }
-
-    /// [`HarvestEngine::with_vantages_model`] with an explicit fill
-    /// worker count, bypassing the `I2PSCOPE_THREADS` lookup — the
-    /// parity tests use this to pin bit-identity across worker counts
-    /// without racing on process-global environment mutation.
-    pub fn with_vantages_model_threads(
-        world: &'w World,
-        vantages: Vec<Vantage>,
-        days: Range<u64>,
-        model: &VisibilityModel,
-        threads: usize,
-    ) -> Self {
-        Self::assemble(world, vantages, days, model, Some(threads.max(1)))
-    }
-
-    /// Shared fill driver: lays out the day geometry, fills the lanes
-    /// (sharded queue when `fill_workers` is set, sequential oracle
-    /// otherwise), then applies the visibility model's keyspace gates.
+    /// The fill: lays out the day geometry, fills the lanes on
+    /// `workers` sharded-queue workers, then applies the visibility
+    /// model's keyspace gates.
     fn assemble(
         world: &'w World,
         vantages: Vec<Vantage>,
         days: Range<u64>,
         model: &VisibilityModel,
-        fill_workers: Option<usize>,
+        workers: usize,
     ) -> Self {
         let _span = i2p_telemetry::span("measure.engine_fill");
         let day_ids: Vec<Cow<'w, [u32]>> = days
@@ -218,32 +179,18 @@ impl<'w> HarvestEngine<'w> {
             day_off.push(total_words);
         }
 
-        let workers = fill_workers.unwrap_or(1);
-        let mut lanes: Vec<Vec<u64>> = match fill_workers {
-            Some(threads) => fill_sharded(
-                world, &vantages, days.start, &day_ids, &day_off, total_words, threads,
-            ),
-            None => {
-                let mut lanes = vec![vec![0u64; total_words]; vantages.len().max(1)];
-                lanes.truncate(vantages.len());
-                for (v, lane) in lanes.iter_mut().enumerate() {
-                    fill_lane_chunk(
-                        world, vantages[v], days.start, 0..n_days, &day_ids, &day_words, lane,
-                    );
-                }
-                lanes
-            }
-        };
+        let mut lanes =
+            fill_sharded(world, &vantages, days.start, &day_ids, &day_off, total_words, workers);
 
         // Keyspace mode: AND each floodfill vantage's lane with the
         // day's placement gates. The gate masks are a pure function of
         // (world, vantages, day, config) and shared across vantages, so
         // each day's placement is computed once — through the scenario
-        // lab's sweep driver on the fill's thread count (one worker per
-        // core for the oracle), giving a parallel, thread-count-
-        // independent fill. Fleets without floodfill vantages skip the
-        // pass outright: tunnel visibility is keyspace-independent, so
-        // every gate would be all-ones anyway.
+        // lab's sweep driver on the fill's worker count, giving a
+        // parallel, thread-count-independent fill. Fleets without
+        // floodfill vantages skip the pass outright: tunnel visibility
+        // is keyspace-independent, so every gate would be all-ones
+        // anyway.
         if let VisibilityModel::Keyspace(cfg) = model {
             cfg.validate();
             if vantages.iter().any(|v| v.mode == VantageMode::Floodfill) {
@@ -251,7 +198,7 @@ impl<'w> HarvestEngine<'w> {
                 let gates = crate::lab::sweep(
                     &(world, &vantages, &day_ids),
                     &day_list,
-                    fill_workers.unwrap_or(0),
+                    workers,
                     |(world, vantages, day_ids), &di, _| {
                         keyspace::day_gates(
                             world,
@@ -297,9 +244,9 @@ impl<'w> HarvestEngine<'w> {
     }
 
     /// The fill worker count resolved from `I2PSCOPE_THREADS` or the
-    /// explicit count (the `measure.engine_workers` gauge); 1 for
-    /// [`HarvestEngine::build_oracle`]. Work derived from a filled
-    /// engine — the store's capture — runs on the same count.
+    /// explicit count (the `measure.engine_workers` gauge). Work
+    /// derived from a filled engine — the store's capture — runs on the
+    /// same count.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -520,40 +467,6 @@ impl<'w> HarvestEngine<'w> {
         let geo = &self.world.geo;
         self.for_each_union_peer(day, k, |peer| f(ObservedRouterInfo::capture(peer, day, geo)));
     }
-
-    /// Materialized harvest of a single vantage on `day` (engine
-    /// counterpart of [`Fleet::harvest_one`]).
-    pub fn harvest_one(&self, vantage: usize, day: u64) -> DailyHarvest {
-        let ids = self.ids(day);
-        let peers = &self.world.peers;
-        let mut records = FxHashMap::default();
-        for_each_set_bit(self.lane(vantage, self.di(day)), |i| {
-            let peer = &peers[ids[i] as usize];
-            records.insert(peer.id, ObservedRouterInfo::capture(peer, day, &self.world.geo));
-        });
-        DailyHarvest { records }
-    }
-
-    /// Materialized union harvest of the first `k` vantages on `day`
-    /// (engine counterpart of [`Fleet::harvest_union_prefix`]).
-    pub fn harvest_union_prefix(&self, day: u64, k: usize) -> DailyHarvest {
-        let mut records = FxHashMap::default();
-        self.for_each_observation(day, k, |rec| {
-            records.insert(rec.peer_id, rec);
-        });
-        DailyHarvest { records }
-    }
-
-    /// Materialized union harvest of the whole fleet on `day`.
-    pub fn harvest_union(&self, day: u64) -> DailyHarvest {
-        self.harvest_union_prefix(day, self.vantages.len())
-    }
-
-    /// Per-day union harvests over `days` (engine counterpart of
-    /// [`Fleet::harvest_window`]).
-    pub fn harvest_window(&self, days: Range<u64>) -> Vec<DailyHarvest> {
-        days.map(|d| self.harvest_union(d)).collect()
-    }
 }
 
 /// Resolves the engine's fill worker count from the documented
@@ -669,8 +582,11 @@ fn fill_shard_unit(
     lane: &[AtomicU64],
 ) {
     let shard_base = shard * SHARD_IDS;
-    // Same sentinel scheme as the oracle fill (`p == 0.0` = not yet
-    // cached), shrunk to the shard's id range.
+    // Day-invariant pair cache, dense by id within the shard: the
+    // pair's draw seed, its sighting probability, and the
+    // persistent-draw outcome (a bit). `p == 0.0` marks "not yet
+    // cached", which is sound because a missed sentinel merely
+    // recomputes the same values.
     let mut seeds = vec![0u64; SHARD_IDS];
     let mut ps = vec![0.0f64; SHARD_IDS];
     let mut pers = vec![0u64; SHARD_IDS / 64];
@@ -722,61 +638,6 @@ fn fill_shard_unit(
     }
 }
 
-/// Fills one vantage's bitsets for a contiguous chunk of days.
-fn fill_lane_chunk(
-    world: &World,
-    vantage: Vantage,
-    first_day: u64,
-    chunk: Range<usize>,
-    day_ids: &[Cow<'_, [u32]>],
-    day_words: &[usize],
-    out: &mut [u64],
-) {
-    // Day-invariant pair cache, dense by peer id: the pair's draw seed,
-    // its sighting probability, and the persistent-draw outcome (a bit).
-    // Each is computed at most once per peer the vantage meets in this
-    // chunk; the daily hot loop then touches only these flat arrays —
-    // never a full `PeerRecord`. All three are zero-initialized (cheap
-    // `alloc_zeroed` pages); `p == 0.0` marks "not yet cached", which is
-    // sound because a missed sentinel merely recomputes the same values.
-    let n = world.total_peers();
-    let mut seeds = vec![0u64; n];
-    let mut ps = vec![0.0f64; n];
-    let mut pers = vec![0u64; n.div_ceil(64)];
-    let mut base = 0usize;
-    for di in chunk {
-        let day = first_day + di as u64;
-        let ids: &[u32] = &day_ids[di];
-        // Counted per (vantage, day), never per worker chunk, so the
-        // total is invariant under the chunking chosen above.
-        i2p_telemetry::count(i2p_telemetry::Counter::HarvestDraws, ids.len() as u64);
-        let lane = &mut out[base..base + day_words[di]];
-        for (i, &id) in ids.iter().enumerate() {
-            // Ids come from the day index, so the peer is online by
-            // construction; only the sighting draw remains.
-            let iu = id as usize;
-            let mut p = ps[iu];
-            let (seed, pers_hit);
-            if p == 0.0 {
-                let peer = &world.peers[iu];
-                seed = vantage.pair_seed(peer);
-                p = vantage.sight_probability(peer);
-                pers_hit = vantage.persistent_draw(peer) < p;
-                seeds[iu] = seed;
-                ps[iu] = p;
-                pers[iu / 64] |= (pers_hit as u64) << (iu % 64);
-            } else {
-                seed = seeds[iu];
-                pers_hit = (pers[iu / 64] >> (iu % 64)) & 1 == 1;
-            }
-            if vantage.draw_against(seed, day, p, || pers_hit) {
-                lane[i / 64] |= 1u64 << (i % 64);
-            }
-        }
-        base += day_words[di];
-    }
-}
-
 /// Calls `f` with the index of every set bit, ascending.
 fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
     for (j, &word) in words.iter().enumerate() {
@@ -804,6 +665,35 @@ mod tests {
 
     fn small_world() -> World {
         World::generate(WorldConfig { days: 8, scale: 0.03, seed: 17 })
+    }
+
+    /// The naive reference for one day: per vantage, the ids
+    /// `Fleet::harvest_one` sees, ascending, ANDed with the day's
+    /// keyspace gates under the keyspace model. The gates are laid over
+    /// the world's own online ids, which past the index horizon come
+    /// from its scan, as the fill's do.
+    fn naive_day(w: &World, fleet: &Fleet, day: u64, model: &VisibilityModel) -> Vec<Vec<u32>> {
+        let online: Vec<u32> = w.online_peers(day).map(|p| p.id).collect();
+        let gates = match model {
+            VisibilityModel::Uniform => None,
+            VisibilityModel::Keyspace(cfg) => {
+                Some(keyspace::day_gates(w, &fleet.vantages, &online, day, cfg))
+            }
+        };
+        let mut lanes = Vec::new();
+        for (v, vantage) in fleet.vantages.iter().enumerate() {
+            let harvest = fleet.harvest_one(w, vantage, day);
+            let mut ids: Vec<u32> = harvest.records.into_keys().collect();
+            ids.sort_unstable();
+            if let Some(gates) = &gates {
+                ids.retain(|id| {
+                    let i = online.binary_search(id).expect("a sighted peer is online");
+                    gates[v][i / 64] >> (i % 64) & 1 == 1
+                });
+            }
+            lanes.push(ids);
+        }
+        lanes
     }
 
     #[test]
@@ -848,7 +738,9 @@ mod tests {
         for day in 3..5 {
             let naive = fleet.harvest_one(&w, &v, day);
             assert_eq!(engine.count_one(0, day), naive.peer_count());
-            assert_eq!(engine.harvest_one(0, day).records, naive.records);
+            let mut ids: Vec<u32> = naive.records.into_keys().collect();
+            ids.sort_unstable();
+            assert_eq!(engine.vantage_ids(0, day), ids);
         }
     }
 
@@ -875,7 +767,11 @@ mod tests {
         for day in 6..11 {
             let naive = fleet.harvest_union(&w, day);
             assert_eq!(engine.count_union(day), naive.peer_count(), "day {day}");
-            assert_eq!(engine.harvest_union(day).records, naive.records);
+            let mut records = Vec::new();
+            engine.for_each_observation(day, 3, |rec| records.push(rec));
+            let mut want: Vec<ObservedRouterInfo> = naive.records.into_values().collect();
+            want.sort_by_key(|rec| rec.peer_id);
+            assert_eq!(records, want, "day {day}");
         }
         assert!(engine.count_union(9) > 0, "life continues past the window");
     }
@@ -897,16 +793,16 @@ mod tests {
             VisibilityModel::Uniform,
             VisibilityModel::Keyspace(crate::keyspace::KeyspaceConfig::paper()),
         ] {
-            let oracle = HarvestEngine::build_oracle(&w, &fleet, 0..10, &model);
+            let naive: Vec<_> = (0..10).map(|day| naive_day(&w, &fleet, day, &model)).collect();
             for threads in [1usize, 2, 3, 7] {
-                let sharded = HarvestEngine::with_vantages_model_threads(
-                    &w,
-                    fleet.vantages.clone(),
-                    0..10,
-                    &model,
-                    threads,
-                );
-                assert_eq!(sharded.lanes, oracle.lanes, "threads {threads}");
+                let zero = FaultPlane::zero();
+                let sharded = HarvestEngine::build_on(&w, &fleet, 0..10, &model, &zero, threads);
+                for (day, lanes) in (0..10).zip(&naive) {
+                    for (v, ids) in lanes.iter().enumerate() {
+                        let got = sharded.vantage_ids(v, day);
+                        assert_eq!(&got, ids, "threads {threads} day {day} vantage {v}");
+                    }
+                }
             }
         }
     }

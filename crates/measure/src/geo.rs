@@ -10,13 +10,9 @@
 //! ([`GeoReport::from_table`], [`AsReport::from_table`]), the one
 //! accumulator they share with Figs. 8 and 12.
 
-use crate::engine::HarvestEngine;
-use crate::fleet::Fleet;
-use crate::ipchurn::{ip_table_from, IpTable};
-use crate::source::SnapshotSource;
+use crate::ipchurn::IpTable;
 use i2p_data::FxHashMap;
 use i2p_geoip::{CountryId, GeoDb};
-use i2p_sim::world::World;
 
 /// A ranked distribution row.
 #[derive(Clone, Debug)]
@@ -44,20 +40,6 @@ pub struct GeoReport {
     pub countries_observed: usize,
     /// Addresses the geo database could not resolve (§5.3.2's ~2 K).
     pub unresolved_addresses: usize,
-}
-
-/// Computes Fig. 10 over the window.
-pub fn country_distribution(world: &World, fleet: &Fleet, days: std::ops::Range<u64>) -> GeoReport {
-    let engine = HarvestEngine::build(world, fleet, days.clone());
-    country_distribution_from(&engine, days)
-}
-
-/// [`country_distribution`] off any source.
-pub fn country_distribution_from<S: SnapshotSource + ?Sized>(
-    src: &S,
-    days: std::ops::Range<u64>,
-) -> GeoReport {
-    GeoReport::from_table(&ip_table_from(src, days), src.geo())
 }
 
 impl GeoReport {
@@ -118,20 +100,6 @@ pub struct AsReport {
     pub total: usize,
 }
 
-/// Computes Fig. 11 over the window.
-pub fn as_distribution(world: &World, fleet: &Fleet, days: std::ops::Range<u64>) -> AsReport {
-    let engine = HarvestEngine::build(world, fleet, days.clone());
-    as_distribution_from(&engine, days)
-}
-
-/// [`as_distribution`] off any source.
-pub fn as_distribution_from<S: SnapshotSource + ?Sized>(
-    src: &S,
-    days: std::ops::Range<u64>,
-) -> AsReport {
-    AsReport::from_table(&ip_table_from(src, days))
-}
-
 impl AsReport {
     /// Fig. 11 off a finished per-peer [`IpTable`].
     pub fn from_table(table: &IpTable) -> AsReport {
@@ -177,20 +145,22 @@ fn ranked_rows<L: Ord + ToString>(mut items: Vec<(L, usize)>) -> Vec<RankedRow> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ipchurn::ip_table;
-    use i2p_sim::world::WorldConfig;
+    use crate::engine::HarvestEngine;
+    use crate::fleet::Fleet;
+    use crate::ipchurn::ip_table_from;
+    use i2p_sim::world::{World, WorldConfig};
 
-    fn setup() -> (World, Fleet) {
-        (
-            World::generate(WorldConfig { days: 30, scale: 0.03, seed: 51 }),
-            Fleet::paper_main(),
-        )
+    /// The world and its 30-day per-peer table under the paper's fleet.
+    fn setup() -> (World, IpTable) {
+        let w = World::generate(WorldConfig { days: 30, scale: 0.03, seed: 51 });
+        let table = ip_table_from(&HarvestEngine::build(&w, &Fleet::paper_main(), 0..30), 0..30);
+        (w, table)
     }
 
     #[test]
     fn fig10_us_leads_top20_majority() {
-        let (w, fleet) = setup();
-        let rep = country_distribution(&w, &fleet, 0..30);
+        let (w, table) = setup();
+        let rep = GeoReport::from_table(&table, &w.geo);
         assert_eq!(rep.rows[0].label, "United States", "US tops Fig. 10");
         // Top-20 carry the majority (paper: >60 %).
         let top20 = rep.rows.get(19).map(|r| r.cumulative_pct).unwrap_or(100.0);
@@ -200,8 +170,8 @@ mod tests {
 
     #[test]
     fn fig10_censored_countries_present() {
-        let (w, fleet) = setup();
-        let rep = country_distribution(&w, &fleet, 0..30);
+        let (w, table) = setup();
+        let rep = GeoReport::from_table(&table, &w.geo);
         assert!(rep.censored_countries >= 10, "censored countries {}", rep.censored_countries);
         let share = rep.censored_peers as f64 / rep.total as f64;
         // Paper: ~6 K of ~170 K cumulative ≈ 3.5 %.
@@ -225,8 +195,8 @@ mod tests {
 
     #[test]
     fn fig11_comcast_leads() {
-        let (w, fleet) = setup();
-        let rep = as_distribution(&w, &fleet, 0..30);
+        let (_, table) = setup();
+        let rep = AsReport::from_table(&table);
         assert_eq!(rep.rows[0].label, "7922", "AS7922 tops Fig. 11");
         // Top-20 ASes: paper says >30 % of peers.
         let top20 = rep.rows.get(19).map(|r| r.cumulative_pct).unwrap_or(100.0);
@@ -276,9 +246,8 @@ mod tests {
 
     #[test]
     fn multi_country_peers_counted_once_per_country() {
-        let (w, fleet) = setup();
-        let rep = country_distribution(&w, &fleet, 0..30);
-        let table = ip_table(&w, &fleet, 0..30);
+        let (w, table) = setup();
+        let rep = GeoReport::from_table(&table, &w.geo);
         let naive: usize = table.peers().map(|p| p.country_count()).sum();
         assert_eq!(rep.total, naive, "counting rule: once per (peer, country)");
         // And the total exceeds the number of peers (roamers add

@@ -6,14 +6,11 @@
 //! (0.65 %) exceeded one hundred addresses; §5.3.2 traces the multi-AS
 //! tail to VPN/Tor-routed routers.
 
-use crate::engine::HarvestEngine;
-use crate::fleet::Fleet;
 use crate::observed::ObservedRouterInfo;
 use crate::slots::PeerSlots;
 use crate::source::SnapshotSource;
 use i2p_data::PeerIp;
 use i2p_geoip::GeoDb;
-use i2p_sim::world::World;
 
 /// One known-IP peer's window: its distinct addresses, and the distinct
 /// ASes and countries they resolve to (unresolvable addresses are
@@ -189,13 +186,7 @@ pub struct IpChurnReport {
     pub max_countries: usize,
 }
 
-/// The per-peer IP table of a window.
-pub fn ip_table(world: &World, fleet: &Fleet, days: std::ops::Range<u64>) -> IpTable {
-    let engine = HarvestEngine::build(world, fleet, days.clone());
-    ip_table_from(&engine, days)
-}
-
-/// [`ip_table`] off any source.
+/// The per-peer IP table of a window, off any source.
 pub fn ip_table_from<S: SnapshotSource + ?Sized>(src: &S, days: std::ops::Range<u64>) -> IpTable {
     let k = src.vantage_count();
     let mut slots = PeerSlots::new();
@@ -252,20 +243,6 @@ impl<'g> IpFold<'g> {
     pub fn finish(self) -> IpTable {
         IpTable { parts: vec![self.peers] }
     }
-}
-
-/// Builds the Fig. 8 / Fig. 12 report.
-pub fn ip_churn_report(world: &World, fleet: &Fleet, days: std::ops::Range<u64>) -> IpChurnReport {
-    let engine = HarvestEngine::build(world, fleet, days.clone());
-    ip_churn_report_from(&engine, days)
-}
-
-/// [`ip_churn_report`] off any source.
-pub fn ip_churn_report_from<S: SnapshotSource + ?Sized>(
-    src: &S,
-    days: std::ops::Range<u64>,
-) -> IpChurnReport {
-    IpChurnReport::from_table(&ip_table_from(src, days))
 }
 
 impl IpChurnReport {
@@ -358,7 +335,7 @@ pub(crate) mod reference {
     }
 
     /// Figs. 8/12 off the map.
-    pub fn ip_churn_report(map: &IpMap) -> IpChurnReport {
+    pub fn churn_report(map: &IpMap) -> IpChurnReport {
         IpChurnReport::from_counts(
             map.values().map(|s| (s.ips.len(), s.ases.len(), s.countries.len())),
         )
@@ -394,12 +371,14 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::HarvestEngine;
+    use crate::fleet::Fleet;
     use crate::geo::{AsReport, GeoReport, RankedRow};
     use crate::keyspace::{KeyspaceConfig, VisibilityModel};
     use crate::report;
     use i2p_data::FxHashSet;
     use i2p_faults::{FaultPlane, FaultSpec};
-    use i2p_sim::world::WorldConfig;
+    use i2p_sim::world::{World, WorldConfig};
 
     /// Holds the table to the hash-map reference on `src`: the same
     /// peers, each with the same addresses, ASes and countries, none
@@ -421,7 +400,7 @@ mod tests {
             assert_eq!(peer.country_count(), stats.countries.len(), "peer {id} repeats a country");
         }
         let ours = IpChurnReport::from_table(&table);
-        let theirs = reference::ip_churn_report(&map);
+        let theirs = reference::churn_report(&map);
         assert_eq!(report::render_fig8(&ours), report::render_fig8(&theirs));
         assert_eq!(report::csv_fig8(&ours), report::csv_fig8(&theirs));
         assert_eq!(report::render_fig12(&ours), report::render_fig12(&theirs));
@@ -519,8 +498,8 @@ mod tests {
 
     fn report() -> IpChurnReport {
         let w = World::generate(WorldConfig { days: 89, scale: 0.01, seed: 31 });
-        let fleet = Fleet::paper_main();
-        ip_churn_report(&w, &fleet, 0..89)
+        let engine = HarvestEngine::build(&w, &Fleet::paper_main(), 0..89);
+        IpChurnReport::from_table(&ip_table_from(&engine, 0..89))
     }
 
     #[test]

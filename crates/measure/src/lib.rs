@@ -11,9 +11,10 @@
 //!   cleanup — §4.3). Produces [`observed::ObservedRouterInfo`] records;
 //!   every analysis below consumes only those observations.
 //! * [`engine`] — the indexed harvest engine: each (vantage, peer, day)
-//!   sighting drawn once into per-vantage bitsets (filled in parallel
-//!   across days), unions answered by OR + popcount, records
-//!   materialized lazily. The naive [`fleet`] path remains the oracle.
+//!   sighting drawn once into per-vantage bitsets (filled in parallel,
+//!   one unit per (vantage, id-range shard)), unions answered by OR +
+//!   popcount, records materialized lazily. The naive [`fleet`] path is
+//!   its one reference.
 //! * [`keyspace`] — the keyspace-routed visibility model: publication
 //!   lands on the k closest floodfills under the day's rotated routing
 //!   key, so a floodfill vantage's sightings derive from its keyspace

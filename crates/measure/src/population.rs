@@ -1,10 +1,9 @@
 //! Population analyses: Figs. 2–6, on the indexed harvest engine.
 //!
-//! Each figure has a `*_from` variant that runs off any
-//! [`SnapshotSource`] — a live engine or a loaded `i2p-store` snapshot —
-//! with bit-identical results; the `(world, fleet, …)` entrypoints are
-//! thin wrappers that fill an engine and delegate. Figs. 4–6 also expose
-//! their accumulators ([`CoverageFold`], [`CensusFold`], [`OverlapFold`]):
+//! Figs. 2 and 3 fill engines over vantages of their own. Figs. 4–6
+//! run off any [`SnapshotSource`] — a live engine or a loaded
+//! `i2p-store` snapshot — with bit-identical results, and expose their
+//! accumulators ([`CoverageFold`], [`CensusFold`], [`OverlapFold`]):
 //! each `*_from` is a loop over one, and the CLI's day-major figure pass
 //! feeds the same folds (DESIGN.md §14).
 
@@ -32,8 +31,8 @@ pub fn single_router_experiment(world: &World, salt: u64) -> SingleRouterSeries 
     let nf = Vantage::monitoring(VantageMode::NonFloodfill, salt);
     // One single-lane engine per phase: the floodfill half runs days
     // 0..5, the non-floodfill half days 5..10.
-    let eng_ff = HarvestEngine::with_vantages(world, vec![ff], 0..5);
-    let eng_nf = HarvestEngine::with_vantages(world, vec![nf], 5..10);
+    let eng_ff = HarvestEngine::build(world, &Fleet { vantages: vec![ff] }, 0..5);
+    let eng_nf = HarvestEngine::build(world, &Fleet { vantages: vec![nf] }, 5..10);
     SingleRouterSeries {
         floodfill: (0..5).map(|d| (d + 1, eng_ff.count_one(0, d))).collect(),
         non_floodfill: (5..10).map(|d| (d + 1, eng_nf.count_one(0, d))).collect(),
@@ -75,7 +74,7 @@ pub fn bandwidth_sweep(world: &World, days: std::ops::Range<u64>) -> Vec<Bandwid
             ]
         })
         .collect();
-    let engine = HarvestEngine::with_vantages(world, vantages, days.clone());
+    let engine = HarvestEngine::build(world, &Fleet { vantages }, days.clone());
     BANDWIDTHS
         .iter()
         .enumerate()
@@ -96,20 +95,9 @@ pub fn bandwidth_sweep(world: &World, days: std::ops::Range<u64>) -> Vec<Bandwid
         .collect()
 }
 
-/// Fig. 4: cumulative peers observed when operating 1..=n routers
-/// (half floodfill, half non-floodfill), averaged over `days`.
-pub fn cumulative_by_router_count(
-    world: &World,
-    max_routers: usize,
-    days: std::ops::Range<u64>,
-) -> Vec<(usize, usize)> {
-    let fleet = Fleet::alternating(max_routers);
-    let engine = HarvestEngine::build(world, &fleet, days.clone());
-    cumulative_by_router_count_from(&engine, days)
-}
-
-/// [`cumulative_by_router_count`] off any source; the curve spans the
-/// source's own vantage list.
+/// Fig. 4: cumulative peers observed when operating 1..=n routers,
+/// averaged over `days`, off any source; the curve spans the source's
+/// own vantage list (n routers, in prefix order).
 pub fn cumulative_by_router_count_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
@@ -170,13 +158,8 @@ pub struct DailyCensus {
     pub hidden: usize,
 }
 
-/// Fig. 5 + Fig. 6 (single day): full-fleet census of peers and IPs.
-pub fn daily_census(world: &World, fleet: &Fleet, day: u64) -> DailyCensus {
-    let engine = HarvestEngine::build(world, fleet, day..day + 1);
-    daily_census_from(&engine, day)
-}
-
-/// [`daily_census`] off any source (full-fleet union on `day`).
+/// Fig. 5 + Fig. 6 (single day): the census of peers and IPs in the
+/// full-fleet union on `day`, off any source.
 pub fn daily_census_from<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> DailyCensus {
     let mut fold = CensusFold::default();
     src.for_each_observation_ref(day, src.vantage_count(), &mut |rec| fold.observe(rec));
@@ -242,13 +225,7 @@ impl CensusFold {
 }
 
 /// Fig. 6's overlap group: peers seen as firewalled on one day and
-/// hidden on another within the window.
-pub fn firewalled_hidden_overlap(world: &World, fleet: &Fleet, days: std::ops::Range<u64>) -> usize {
-    let engine = HarvestEngine::build(world, fleet, days.clone());
-    firewalled_hidden_overlap_from(&engine, days)
-}
-
-/// [`firewalled_hidden_overlap`] off any source. The observation
+/// hidden on another within the window, off any source. The observation
 /// predicates mirror the world's reachability postures exactly
 /// (`Reach::Firewalled` ⇔ `is_firewalled`, `Reach::Hidden` ⇔
 /// `is_hidden` for observed online peers), so this needs only archived
@@ -352,7 +329,8 @@ mod tests {
     #[test]
     fn fig4_concave_and_saturating() {
         let w = world();
-        let curve = cumulative_by_router_count(&w, 12, 3..5);
+        let engine = HarvestEngine::build(&w, &Fleet::alternating(12), 3..5);
+        let curve = cumulative_by_router_count_from(&engine, 3..5);
         // Monotone non-decreasing.
         for win in curve.windows(2) {
             assert!(win[1].1 >= win[0].1);
@@ -367,8 +345,7 @@ mod tests {
     #[test]
     fn fig5_ips_below_peers() {
         let w = world();
-        let fleet = Fleet::paper_main();
-        let c = daily_census(&w, &fleet, 6);
+        let c = daily_census_from(&HarvestEngine::build(&w, &Fleet::paper_main(), 6..7), 6);
         assert!(c.all_ips < c.peers, "unique IPs ({}) below peers ({})", c.all_ips, c.peers);
         assert!(c.ipv6 < c.ipv4, "IPv6 well below IPv4");
         assert!(c.peers > 0 && c.ipv4 > 0 && c.ipv6 > 0);
@@ -377,8 +354,7 @@ mod tests {
     #[test]
     fn fig6_firewalled_dominate_unknown_ip() {
         let w = world();
-        let fleet = Fleet::paper_main();
-        let c = daily_census(&w, &fleet, 6);
+        let c = daily_census_from(&HarvestEngine::build(&w, &Fleet::paper_main(), 6..7), 6);
         assert_eq!(c.unknown_ip, c.firewalled + c.hidden);
         assert!(c.firewalled > c.hidden * 2, "fw {} vs hidden {}", c.firewalled, c.hidden);
         // Roughly half the network has no published IP.
@@ -444,8 +420,8 @@ mod tests {
     #[test]
     fn fig6_overlap_nonempty() {
         let w = world();
-        let fleet = Fleet::paper_main();
-        let overlap = firewalled_hidden_overlap(&w, &fleet, 0..10);
+        let engine = HarvestEngine::build(&w, &Fleet::paper_main(), 0..10);
+        let overlap = firewalled_hidden_overlap_from(&engine, 0..10);
         assert!(overlap > 0, "switching peers must appear in both groups");
     }
 }

@@ -37,7 +37,7 @@ pub fn stats_site_estimate(world: &World, eval_day: u64) -> StatsSiteEstimate {
     // "An average non-floodfill router": default L-class bandwidth.
     let avg = Vantage { mode: VantageMode::NonFloodfill, shared_kbps: 30, salt: 0x57A7 };
     let from = eval_day.saturating_sub(29);
-    let engine = HarvestEngine::with_vantages(world, vec![avg], from..eval_day + 1);
+    let engine = HarvestEngine::build(world, &Fleet { vantages: vec![avg] }, from..eval_day + 1);
     let mut uniques: FxHashSet<u32> = FxHashSet::default();
     for day in from..=eval_day {
         for id in engine.union_prefix_ids(day, 1) {

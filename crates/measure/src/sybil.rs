@@ -43,6 +43,7 @@ use crate::fleet::Fleet;
 use crate::keyspace::{self, KeyspaceConfig, Owner, VisibilityModel};
 use i2p_data::hash::Distance;
 use i2p_data::{FxHashMap, FxHashSet, Hash256, SimTime};
+use i2p_faults::FaultPlane;
 use i2p_netdb::kbucket::KBucketTable;
 use i2p_netdb::lookup::IterativeLookup;
 use i2p_netdb::store::REPLICATION;
@@ -328,8 +329,13 @@ pub fn attack_config(world: &World, cfg: &SybilConfig, target_id: u32, count: us
 pub fn run_point(world: &World, fleet: &Fleet, cfg: &SybilConfig, target_id: u32, count: usize) -> SybilPoint {
     let target = world.peers[target_id as usize].hash;
     let ks = attack_config(world, cfg, target_id, count);
-    let engine =
-        HarvestEngine::build_with(world, fleet, cfg.days.clone(), &VisibilityModel::Keyspace(ks.clone()));
+    let engine = HarvestEngine::build_faulted(
+        world,
+        fleet,
+        cfg.days.clone(),
+        &VisibilityModel::Keyspace(ks.clone()),
+        &FaultPlane::zero(),
+    );
     let coverage = mean_coverage(&engine, world);
 
     let mut eclipsed_days = 0usize;
@@ -395,7 +401,7 @@ pub fn run(world: &World, fleet: &Fleet, cfg: &SybilConfig) -> SybilSweep {
     let baseline_coverage = match points.iter().find(|p| p.sybils == 0) {
         Some(p) => p.coverage,
         None => mean_coverage(
-            &HarvestEngine::build_with(
+            &HarvestEngine::build_faulted(
                 world,
                 fleet,
                 cfg.days.clone(),
@@ -403,6 +409,7 @@ pub fn run(world: &World, fleet: &Fleet, cfg: &SybilConfig) -> SybilSweep {
                     replication: cfg.replication,
                     sybils: FxHashMap::default(),
                 }),
+                &FaultPlane::zero(),
             ),
             world,
         ),
@@ -421,7 +428,13 @@ pub fn attacked_engine<'w>(
     count: usize,
 ) -> HarvestEngine<'w> {
     let ks = attack_config(world, cfg, target_id, count);
-    HarvestEngine::build_with(world, fleet, cfg.days.clone(), &VisibilityModel::Keyspace(ks))
+    HarvestEngine::build_faulted(
+        world,
+        fleet,
+        cfg.days.clone(),
+        &VisibilityModel::Keyspace(ks),
+        &FaultPlane::zero(),
+    )
 }
 
 #[cfg(test)]

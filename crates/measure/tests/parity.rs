@@ -2,16 +2,17 @@
 //!
 //! The indexed/bitset/parallel `HarvestEngine` must be *bit-identical*
 //! to the seed's naive per-peer path (`Fleet::harvest_*`, retained as
-//! the oracle): same peer-id sets, same counts, same materialized
-//! records, for every (day, vantage, prefix) — across several
-//! (seed, scale, fleet) combinations. Any divergence means the engine
-//! changed the measurement, not just its cost.
+//! the engine's one oracle): same peer-id sets, same counts, same
+//! materialized records, for every (day, vantage, prefix) — across
+//! several (seed, scale, fleet) combinations. Any divergence means the
+//! engine changed the measurement, not just its cost.
 
+use i2p_faults::FaultPlane;
 use i2p_measure::censor::censor_blacklist_from_engine;
 use i2p_measure::engine::HarvestEngine;
-use i2p_measure::fleet::Fleet;
-use i2p_measure::keyspace::KeyspaceConfig;
-use i2p_measure::VisibilityModel;
+use i2p_measure::fleet::{DailyHarvest, Fleet};
+use i2p_measure::keyspace::{self, KeyspaceConfig};
+use i2p_measure::{ObservedRouterInfo, VisibilityModel};
 use i2p_sim::world::{World, WorldConfig};
 use std::collections::BTreeSet;
 
@@ -25,8 +26,50 @@ fn combos() -> Vec<(u64, f64, Fleet)> {
     ]
 }
 
-fn ids(h: &i2p_measure::fleet::DailyHarvest) -> BTreeSet<u32> {
+fn ids(h: &DailyHarvest) -> BTreeSet<u32> {
     h.records.keys().copied().collect()
+}
+
+/// A harvest's records, ascending by peer id.
+fn sorted_records(h: DailyHarvest) -> Vec<ObservedRouterInfo> {
+    let mut records: Vec<ObservedRouterInfo> = h.records.into_values().collect();
+    records.sort_by_key(|rec| rec.peer_id);
+    records
+}
+
+/// The engine's union records of the first `k` vantages on `day`, in
+/// the ascending id order it visits them.
+fn engine_records(engine: &HarvestEngine<'_>, day: u64, k: usize) -> Vec<ObservedRouterInfo> {
+    let mut records = Vec::new();
+    engine.for_each_observation(day, k, |rec| records.push(rec));
+    records
+}
+
+/// The naive reference for one day: per vantage, the ids
+/// `Fleet::harvest_one` sees, ascending, ANDed with the day's keyspace
+/// gates under the keyspace model. The gates are laid over the world's
+/// own online ids, which past the index horizon come from its scan, as
+/// the fill's do.
+fn naive_day(world: &World, fleet: &Fleet, day: u64, model: &VisibilityModel) -> Vec<Vec<u32>> {
+    let online: Vec<u32> = world.online_peers(day).map(|p| p.id).collect();
+    let gates = match model {
+        VisibilityModel::Uniform => None,
+        VisibilityModel::Keyspace(cfg) => {
+            Some(keyspace::day_gates(world, &fleet.vantages, &online, day, cfg))
+        }
+    };
+    let mut lanes = Vec::new();
+    for (v, vantage) in fleet.vantages.iter().enumerate() {
+        let mut seen: Vec<u32> = ids(&fleet.harvest_one(world, vantage, day)).into_iter().collect();
+        if let Some(gates) = &gates {
+            seen.retain(|id| {
+                let i = online.binary_search(id).expect("a sighted peer is online");
+                gates[v][i / 64] >> (i % 64) & 1 == 1
+            });
+        }
+        lanes.push(seen);
+    }
+    lanes
 }
 
 #[test]
@@ -73,9 +116,8 @@ fn per_vantage_lanes_match_oracle() {
                     naive.peer_count(),
                     "seed {seed} vantage {v} day {day}"
                 );
-                // Materialized records are equal field-for-field, not
-                // just as id sets (caps, addresses, introducers).
-                assert_eq!(engine.harvest_one(v, day).records, naive.records);
+                let want: Vec<u32> = ids(&naive).into_iter().collect();
+                assert_eq!(engine.vantage_ids(v, day), want, "seed {seed} vantage {v} day {day}");
             }
         }
     }
@@ -86,15 +128,18 @@ fn materialized_union_records_match_oracle() {
     let world = World::generate(WorldConfig { days: 6, scale: 0.03, seed: 29 });
     let fleet = Fleet::paper_main();
     let engine = HarvestEngine::build(&world, &fleet, 0..6);
+    let n = fleet.vantages.len();
+    // Materialized records are equal field-for-field, not just as id
+    // sets (caps, addresses, introducers).
     for day in 0..6 {
-        assert_eq!(engine.harvest_union(day).records, fleet.harvest_union(&world, day).records);
+        let want = sorted_records(fleet.harvest_union(&world, day));
+        assert_eq!(engine_records(&engine, day, n), want, "day {day}");
     }
-    // And the window helper agrees day by day.
-    let windows = engine.harvest_window(1..4);
+    // And the naive window agrees day by day.
     let naive_windows = fleet.harvest_window(&world, 1..4);
-    assert_eq!(windows.len(), naive_windows.len());
-    for (e, o) in windows.iter().zip(&naive_windows) {
-        assert_eq!(e.records, o.records);
+    assert_eq!(naive_windows.len(), 3);
+    for (day, naive) in (1..4).zip(naive_windows) {
+        assert_eq!(engine_records(&engine, day, n), sorted_records(naive), "day {day}");
     }
 }
 
@@ -140,32 +185,37 @@ fn censor_blacklist_engine_path_matches_record_path() {
 #[test]
 fn sharded_fill_matches_oracle_at_every_worker_count() {
     // The work-stealing (vantage, id-shard) fill must agree with the
-    // retained sequential oracle fill per-lane and per-bit — at any
-    // worker count, under both visibility models, including days past
-    // the DayIndex horizon (owned-scan cut path).
+    // naive path per lane and per bit — at any worker count, under both
+    // visibility models, including days past the DayIndex horizon
+    // (owned-scan cut path).
     for (seed, scale, fleet) in combos() {
         let world = World::generate(WorldConfig { days: 6, scale, seed });
         for model in
             [VisibilityModel::Uniform, VisibilityModel::Keyspace(KeyspaceConfig::paper())]
         {
-            let oracle = HarvestEngine::build_oracle(&world, &fleet, 0..8, &model);
+            let naive: Vec<_> = (0..8).map(|day| naive_day(&world, &fleet, day, &model)).collect();
             for threads in [1usize, 2, 5, 13] {
-                let sharded = HarvestEngine::with_vantages_model_threads(
+                let sharded = HarvestEngine::build_on(
                     &world,
-                    fleet.vantages.clone(),
+                    &fleet,
                     0..8,
                     &model,
+                    &FaultPlane::zero(),
                     threads,
                 );
-                for day in 0..8 {
-                    for v in 0..fleet.vantages.len() {
+                for (day, lanes) in (0..8).zip(&naive) {
+                    let mut union: BTreeSet<u32> = BTreeSet::new();
+                    let mut curve = Vec::new();
+                    for (v, want) in lanes.iter().enumerate() {
                         assert_eq!(
-                            sharded.vantage_ids(v, day),
-                            oracle.vantage_ids(v, day),
+                            &sharded.vantage_ids(v, day),
+                            want,
                             "seed {seed} threads {threads} day {day} vantage {v}"
                         );
+                        union.extend(want.iter().copied());
+                        curve.push(union.len());
                     }
-                    assert_eq!(sharded.coverage_curve(day), oracle.coverage_curve(day));
+                    assert_eq!(sharded.coverage_curve(day), curve);
                 }
             }
         }
@@ -174,7 +224,7 @@ fn sharded_fill_matches_oracle_at_every_worker_count() {
 
 #[test]
 fn engine_is_deterministic_across_builds() {
-    // Two fills (each parallel across days) must agree word-for-word —
+    // Two fills (each parallel across id shards) must agree word-for-word —
     // the determinism-under-threads contract.
     let world = World::generate(WorldConfig { days: 10, scale: 0.02, seed: 42 });
     let fleet = Fleet::paper_main();

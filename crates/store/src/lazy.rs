@@ -432,7 +432,8 @@ mod tests {
         assert_eq!(highest, u32::MAX - 1, "the forged id survives decoding");
         let fig7 = |src: &LazySnapshot| format!("{:?}", churn::churn_curves_from(src, 3));
         let fig8_12 = |src: &LazySnapshot| {
-            format!("{:?}", ipchurn::ip_churn_report_from(src, 0..6))
+            let table = ipchurn::ip_table_from(src, 0..6);
+            format!("{:?}", ipchurn::IpChurnReport::from_table(&table))
         };
         let fig6 = |src: &LazySnapshot| population::firewalled_hidden_overlap_from(src, 0..6);
         assert_eq!(fig7(&forged), fig7(&clean), "Fig. 7");

@@ -616,11 +616,12 @@ mod tests {
         use i2p_measure::keyspace::{KeyspaceConfig, VisibilityModel};
         use i2p_measure::sybil;
         let (world, fleet) = tiny();
-        let keyed = HarvestEngine::build_with(
+        let keyed = HarvestEngine::build_faulted(
             &world,
             &fleet,
             0..4,
             &VisibilityModel::Keyspace(KeyspaceConfig::paper()),
+            &FaultPlane::zero(),
         );
         let cfg = sybil::SybilConfig { threads: 1, ..sybil::SybilConfig::paper(0..4) };
         let target = sybil::pick_target(&world, 0..4);
@@ -754,17 +755,10 @@ mod tests {
             let mut clean = Vec::new();
             for faulted in [false, true] {
                 let mut first: Option<Vec<u8>> = None;
+                let plane = if faulted { outages } else { FaultPlane::zero() };
                 for threads in [1usize, 2, 3, 7] {
-                    let mut engine = HarvestEngine::with_vantages_model_threads(
-                        &world,
-                        fleet.vantages.clone(),
-                        0..4,
-                        &model,
-                        threads,
-                    );
-                    if faulted {
-                        engine.apply_outages(&outages);
-                    }
+                    let engine =
+                        HarvestEngine::build_on(&world, &fleet, 0..4, &model, &plane, threads);
                     assert_eq!(engine.workers(), threads);
                     let snap = Snapshot::capture(&engine);
                     let bytes = snap.to_bytes().expect("encode");

@@ -6,25 +6,26 @@
 //! cargo run --release --example churn_analysis
 //! ```
 
-use i2pscope::measure::churn::churn_curves;
+use i2pscope::measure::churn::churn_curves_from;
 use i2pscope::measure::fleet::Fleet;
-use i2pscope::measure::ipchurn::ip_churn_report;
-use i2pscope::measure::report;
+use i2pscope::measure::ipchurn::{ip_table_from, IpChurnReport};
+use i2pscope::measure::{report, HarvestEngine};
 use i2pscope::sim::world::{World, WorldConfig};
 
 fn main() {
     let days = 60u64;
     let world = World::generate(WorldConfig { days, scale: 0.05, seed: 527 });
-    let fleet = Fleet::paper_main();
+    // One fill serves every figure below.
+    let engine = HarvestEngine::build(&world, &Fleet::paper_main(), 0..days);
 
-    let curves = churn_curves(&world, &fleet, days, 40);
+    let curves = churn_curves_from(&engine, 40);
     println!("{}", report::render_fig7(&curves, &[1, 3, 7, 14, 21, 30, 40]));
     println!(
         "paper anchors: >7 d — 56.36% continuous / 73.93% intermittent; \
          >30 d — 20.03% / 31.15%\n"
     );
 
-    let rep = ip_churn_report(&world, &fleet, 0..days);
+    let rep = IpChurnReport::from_table(&ip_table_from(&engine, 0..days));
     println!("{}", report::render_fig8(&rep));
     println!("{}", report::render_fig12(&rep));
     println!(

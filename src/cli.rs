@@ -24,6 +24,7 @@ use i2p_measure::{geo, ipchurn, pass, report, sybil};
 use i2p_sim::world::{World, WorldConfig};
 use i2p_store::{LazySnapshot, Snapshot, StoreError};
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::path::Path;
 
 /// Salt mixed into the fault plane's seed so fault draws never reuse
@@ -147,6 +148,13 @@ impl Knobs {
         } else {
             Fleet::alternating(self.fleet)
         }
+    }
+
+    /// The live harvest of `world` over `days`: the configured fleet,
+    /// visibility model and fault plane.
+    pub fn engine<'w>(&self, world: &'w World, days: Range<u64>) -> HarvestEngine<'w> {
+        let model = self.model.visibility();
+        HarvestEngine::build_faulted(world, &self.fleet(), days, &model, &self.plane())
     }
 }
 
@@ -444,20 +452,13 @@ pub fn audit_line(knobs: &Knobs, src: &dyn SnapshotSource) -> String {
 /// is this function at example scale).
 pub fn census(knobs: &Knobs, format: Format, figs: &[FigId]) -> String {
     let world = knobs.world();
-    let fleet = knobs.fleet();
-    let engine = HarvestEngine::build_faulted(
-        &world,
-        &fleet,
-        0..knobs.days,
-        &knobs.model.visibility(),
-        &knobs.plane(),
-    );
+    let engine = knobs.engine(&world, 0..knobs.days);
     let mut out = format!(
         "world: {} peers over {} days, ~{} online daily; fleet: {} monitoring routers\n\n",
         world.total_peers(),
         knobs.days,
         world.online_count(knobs.days / 2),
-        fleet.vantages.len()
+        engine.vantages().len()
     );
     out.push_str(&render_figures(&engine, format, figs));
     out
@@ -490,13 +491,7 @@ pub fn harvest(knobs: &Knobs, out_path: &Path, resume: bool) -> Result<String, S
         let done = m.n_days as u64;
         let _ = writeln!(out, "resume: existing snapshot {report}");
         if done < knobs.days {
-            let engine = HarvestEngine::build_faulted(
-                &world,
-                &fleet,
-                done..knobs.days,
-                &knobs.model.visibility(),
-                &plane,
-            );
+            let engine = knobs.engine(&world, done..knobs.days);
             head.extend(Snapshot::capture(&engine))?;
             let _ = writeln!(out, "resume: harvested days {done}..{}", knobs.days);
         } else {
@@ -504,14 +499,7 @@ pub fn harvest(knobs: &Knobs, out_path: &Path, resume: bool) -> Result<String, S
         }
         head
     } else {
-        let engine = HarvestEngine::build_faulted(
-            &world,
-            &fleet,
-            0..knobs.days,
-            &knobs.model.visibility(),
-            &plane,
-        );
-        Snapshot::capture(&engine)
+        Snapshot::capture(&knobs.engine(&world, 0..knobs.days))
     };
     snapshot.write_to_with(out_path, &plane)?;
     // The size of the file just written: encoding again only to measure
@@ -541,29 +529,14 @@ pub fn harvest(knobs: &Knobs, out_path: &Path, resume: bool) -> Result<String, S
 /// world and live harvest.
 pub fn figures_live(knobs: &Knobs, format: Format, figs: &[FigId]) -> String {
     let world = knobs.world();
-    let fleet = knobs.fleet();
-    let engine = HarvestEngine::build_faulted(
-        &world,
-        &fleet,
-        0..knobs.days,
-        &knobs.model.visibility(),
-        &knobs.plane(),
-    );
-    render_figures(&engine, format, figs)
+    render_figures(&knobs.engine(&world, 0..knobs.days), format, figs)
 }
 
 /// [`figures_live`] plus the trailing audit line (a `#` comment in CSV
 /// mode) — the form the chaos goldens pin.
 pub fn figures_live_audited(knobs: &Knobs, format: Format, figs: &[FigId]) -> String {
     let world = knobs.world();
-    let fleet = knobs.fleet();
-    let engine = HarvestEngine::build_faulted(
-        &world,
-        &fleet,
-        0..knobs.days,
-        &knobs.model.visibility(),
-        &knobs.plane(),
-    );
+    let engine = knobs.engine(&world, 0..knobs.days);
     let mut out = render_figures(&engine, format, figs);
     let prefix = match format {
         Format::Text => "",

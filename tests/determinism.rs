@@ -4,7 +4,8 @@
 //! unrepeatable.
 
 use i2pscope::measure::fleet::Fleet;
-use i2pscope::measure::population::daily_census;
+use i2pscope::measure::population::daily_census_from;
+use i2pscope::measure::HarvestEngine;
 use i2pscope::sim::world::{World, WorldConfig};
 
 #[test]
@@ -13,9 +14,10 @@ fn world_generation_is_deterministic_across_runs() {
     let fleet = Fleet::paper_main();
 
     let censuses = |w: &World| -> Vec<(usize, usize, usize, usize, usize)> {
+        let engine = HarvestEngine::build(w, &fleet, 0..12);
         (0..12)
             .map(|day| {
-                let c = daily_census(w, &fleet, day);
+                let c = daily_census_from(&engine, day);
                 (c.peers, c.ipv4, c.all_ips, c.firewalled, c.hidden)
             })
             .collect()
@@ -38,7 +40,7 @@ fn world_generation_depends_on_every_config_field() {
     let fleet = Fleet::paper_main();
     let probe = |cfg: WorldConfig| {
         let w = World::generate(cfg);
-        let c = daily_census(&w, &fleet, 3);
+        let c = daily_census_from(&HarvestEngine::build(&w, &fleet, 3..4), 3);
         (c.peers, c.ipv4)
     };
 

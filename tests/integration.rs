@@ -2,14 +2,18 @@
 //! world generation through every analysis, plus determinism and
 //! consistency checks that span crate boundaries.
 
-use i2pscope::measure::capacity::{bandwidth_table, capacity_histogram, floodfill_estimate};
+use i2pscope::measure::capacity::{
+    bandwidth_table_from, capacity_histogram_from, floodfill_estimate_from,
+};
 use i2pscope::measure::censor::{blocking_matrix, censor_blacklist, victim_view};
-use i2pscope::measure::churn::churn_curves;
+use i2pscope::measure::churn::churn_curves_from;
 use i2pscope::measure::fleet::Fleet;
-use i2pscope::measure::geo::{as_distribution, country_distribution};
-use i2pscope::measure::ipchurn::ip_churn_report;
-use i2pscope::measure::population::{bandwidth_sweep, cumulative_by_router_count, daily_census};
-use i2pscope::measure::report;
+use i2pscope::measure::geo::{AsReport, GeoReport};
+use i2pscope::measure::ipchurn::{ip_table_from, IpChurnReport};
+use i2pscope::measure::population::{
+    bandwidth_sweep, cumulative_by_router_count_from, daily_census_from,
+};
+use i2pscope::measure::{report, HarvestEngine};
 use i2pscope::sim::world::{World, WorldConfig};
 
 fn world() -> World {
@@ -20,37 +24,40 @@ fn world() -> World {
 fn full_pipeline_produces_all_figures() {
     let w = world();
     let fleet = Fleet::paper_main();
+    let engine = HarvestEngine::build(&w, &fleet, 0..40);
 
     // Every figure renders non-trivially from one world.
     let sweep = bandwidth_sweep(&w, 2..5);
     assert_eq!(sweep.len(), 7);
     assert!(!report::render_fig3(&sweep).is_empty());
 
-    let curve = cumulative_by_router_count(&w, 20, 2..4);
+    let alternating = HarvestEngine::build(&w, &Fleet::alternating(20), 2..4);
+    let curve = cumulative_by_router_count_from(&alternating, 2..4);
     assert_eq!(curve.len(), 20);
 
-    let census: Vec<_> = (0..10).map(|d| (d, daily_census(&w, &fleet, d))).collect();
+    let census: Vec<_> = (0..10).map(|d| (d, daily_census_from(&engine, d))).collect();
     assert!(census.iter().all(|(_, c)| c.peers > 0));
     assert!(!report::render_fig5(&census).is_empty());
 
-    let churn = churn_curves(&w, &fleet, 40, 30);
+    let churn = churn_curves_from(&engine, 30);
     assert!(churn.cohort > 0);
 
-    let ip = ip_churn_report(&w, &fleet, 0..40);
+    let ip = IpChurnReport::from_table(&ip_table_from(&engine, 0..40));
     assert!(ip.known_ip_peers > 0);
 
-    let cap = capacity_histogram(&w, &fleet, 2..6);
+    let cap = capacity_histogram_from(&engine, 2..6);
     assert!(cap.counts.iter().sum::<usize>() > 0);
 
-    let t1 = bandwidth_table(&w, &fleet, 5);
+    let t1 = bandwidth_table_from(&engine, 5);
     assert!(t1.group_sizes[3] > 0);
 
-    let est = floodfill_estimate(&w, &fleet, 5);
+    let est = floodfill_estimate_from(&engine, 5);
     assert!(est.observed_floodfills > 0);
 
-    let geo = country_distribution(&w, &fleet, 0..20);
+    let table = ip_table_from(&engine, 0..20);
+    let geo = GeoReport::from_table(&table, &w.geo);
     assert!(geo.total > 0);
-    let ases = as_distribution(&w, &fleet, 0..20);
+    let ases = AsReport::from_table(&table);
     assert!(ases.total > 0);
 
     let blocking = blocking_matrix(&w, &fleet, 35, &[1, 10], &[1, 5]);
@@ -63,8 +70,9 @@ fn whole_pipeline_is_deterministic() {
     let run = || {
         let w = world();
         let fleet = Fleet::paper_main();
-        let census = daily_census(&w, &fleet, 5);
-        let est = floodfill_estimate(&w, &fleet, 5);
+        let engine = HarvestEngine::build(&w, &fleet, 5..6);
+        let census = daily_census_from(&engine, 5);
+        let est = floodfill_estimate_from(&engine, 5);
         let blocking = blocking_matrix(&w, &fleet, 35, &[5], &[1]);
         (census.peers, census.ipv4, est.observed_floodfills, blocking[0].points[0].1.to_bits())
     };
@@ -89,8 +97,9 @@ fn censuses_relate_sanely_across_analyses() {
     let w = world();
     let fleet = Fleet::paper_main();
     let day = 5u64;
-    let census = daily_census(&w, &fleet, day);
-    let t1 = bandwidth_table(&w, &fleet, day);
+    let engine = HarvestEngine::build(&w, &fleet, day..day + 1);
+    let census = daily_census_from(&engine, day);
+    let t1 = bandwidth_table_from(&engine, day);
     // Table 1's total group equals the census peer count.
     assert_eq!(t1.group_sizes[3], census.peers);
     // Reachable + unreachable = total.
@@ -98,7 +107,7 @@ fn censuses_relate_sanely_across_analyses() {
     // Unknown-IP peers are a subset of unreachable peers.
     assert!(census.unknown_ip <= t1.group_sizes[2]);
     // Floodfill estimate's observed floodfills never exceed the total.
-    let est = floodfill_estimate(&w, &fleet, day);
+    let est = floodfill_estimate_from(&engine, day);
     assert!(est.observed_floodfills <= census.peers);
     assert!(est.qualified_floodfills <= est.observed_floodfills);
 }
@@ -106,9 +115,9 @@ fn censuses_relate_sanely_across_analyses() {
 #[test]
 fn geo_totals_dominated_by_peers_but_bounded() {
     let w = world();
-    let fleet = Fleet::paper_main();
-    let geo = country_distribution(&w, &fleet, 0..15);
-    let ip = ip_churn_report(&w, &fleet, 0..15);
+    let table = ip_table_from(&HarvestEngine::build(&w, &Fleet::paper_main(), 0..15), 0..15);
+    let geo = GeoReport::from_table(&table, &w.geo);
+    let ip = IpChurnReport::from_table(&table);
     // Every known-IP peer contributes at least one (peer, country) and
     // at most its distinct-country count.
     assert!(geo.total >= ip.known_ip_peers - geo.unresolved_addresses.min(ip.known_ip_peers));
@@ -146,8 +155,8 @@ fn seeds_change_everything_but_structure() {
     let a = World::generate(WorldConfig { days: 10, scale: 0.02, seed: 1 });
     let b = World::generate(WorldConfig { days: 10, scale: 0.02, seed: 2 });
     let fleet = Fleet::paper_main();
-    let ca = daily_census(&a, &fleet, 3);
-    let cb = daily_census(&b, &fleet, 3);
+    let ca = daily_census_from(&HarvestEngine::build(&a, &fleet, 3..4), 3);
+    let cb = daily_census_from(&HarvestEngine::build(&b, &fleet, 3..4), 3);
     // Different seeds: different exact numbers…
     assert_ne!((ca.peers, ca.ipv4), (cb.peers, cb.ipv4));
     // …same structural facts.

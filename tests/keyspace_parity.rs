@@ -14,6 +14,7 @@
 //!   floodfill lanes, untouched for the non-floodfill lanes.
 
 use i2pscope::cli::{self, FigId, Format};
+use i2pscope::faults::FaultPlane;
 use i2pscope::measure::fleet::{Fleet, VantageMode};
 use i2pscope::measure::keyspace::{KeyspaceConfig, VisibilityModel};
 use i2pscope::measure::HarvestEngine;
@@ -30,11 +31,12 @@ fn setup() -> (World, Fleet) {
 fn full_overlap_is_bit_identical_to_the_uniform_oracle() {
     let (world, fleet) = setup();
     let uniform = HarvestEngine::build(&world, &fleet, 0..6);
-    let keyed = HarvestEngine::build_with(
+    let keyed = HarvestEngine::build_faulted(
         &world,
         &fleet,
         0..6,
         &VisibilityModel::Keyspace(KeyspaceConfig::full_overlap()),
+        &FaultPlane::zero(),
     );
     for day in 0..6 {
         for v in 0..8 {
@@ -67,7 +69,8 @@ fn replication_above_population_is_the_same_degenerate_case() {
     let (world, fleet) = setup();
     let uniform = HarvestEngine::build(&world, &fleet, 2..4);
     let big = KeyspaceConfig { replication: 100_000, ..KeyspaceConfig::full_overlap() };
-    let keyed = HarvestEngine::build_with(&world, &fleet, 2..4, &VisibilityModel::Keyspace(big));
+    let model = VisibilityModel::Keyspace(big);
+    let keyed = HarvestEngine::build_faulted(&world, &fleet, 2..4, &model, &FaultPlane::zero());
     for day in 2..4 {
         for v in 0..8 {
             assert_eq!(keyed.vantage_ids(v, day), uniform.vantage_ids(v, day));
@@ -79,11 +82,12 @@ fn replication_above_population_is_the_same_degenerate_case() {
 fn paper_placement_stays_inside_the_coverage_envelope() {
     let (world, fleet) = setup();
     let uniform = HarvestEngine::build(&world, &fleet, 0..6);
-    let keyed = HarvestEngine::build_with(
+    let keyed = HarvestEngine::build_faulted(
         &world,
         &fleet,
         0..6,
         &VisibilityModel::Keyspace(KeyspaceConfig::paper()),
+        &FaultPlane::zero(),
     );
     for day in 0..6 {
         let online = world.online_count(day) as f64;
@@ -145,10 +149,11 @@ fn keyspace_fill_is_thread_count_independent() {
     // parallel) and the single-day incremental build.
     let (world, fleet) = setup();
     let model = VisibilityModel::Keyspace(KeyspaceConfig::paper());
-    let a = HarvestEngine::build_with(&world, &fleet, 0..6, &model);
-    let b = HarvestEngine::build_with(&world, &fleet, 0..6, &model);
+    let a = HarvestEngine::build_faulted(&world, &fleet, 0..6, &model, &FaultPlane::zero());
+    let b = HarvestEngine::build_faulted(&world, &fleet, 0..6, &model, &FaultPlane::zero());
     for day in 0..6 {
-        let single = HarvestEngine::build_with(&world, &fleet, day..day + 1, &model);
+        let single =
+            HarvestEngine::build_faulted(&world, &fleet, day..day + 1, &model, &FaultPlane::zero());
         for v in 0..8 {
             assert_eq!(a.vantage_ids(v, day), b.vantage_ids(v, day));
             assert_eq!(a.vantage_ids(v, day), single.vantage_ids(v, day), "day {day} v {v}");
