@@ -10,14 +10,29 @@
 //! The generator is xoshiro256++ seeded through SplitMix64, both
 //! implemented here (public-domain algorithms by Blackman & Vigna).
 
+/// SplitMix64's state increment.
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// SplitMix64 step; used for seeding and forking.
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+    *state = state.wrapping_add(SPLITMIX_GAMMA);
+    splitmix_mix(*state)
+}
+
+/// SplitMix64's output function.
+#[inline]
+fn splitmix_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Word `k` (1-based) of the SplitMix64 stream started at `seed`: the
+/// `k`-th [`splitmix64`] output, without the `k - 1` before it.
+#[inline]
+fn splitmix_word(seed: u64, k: u64) -> u64 {
+    splitmix_mix(seed.wrapping_add(SPLITMIX_GAMMA.wrapping_mul(k)))
 }
 
 /// A deterministic xoshiro256++ random-number generator.
@@ -38,6 +53,25 @@ impl DetRng {
             splitmix64(&mut sm),
         ];
         DetRng { s }
+    }
+
+    /// The first two outputs of `DetRng::new(seed)`. Neither reads the
+    /// third SplitMix64 seed word (`s[2]` first reaches the third
+    /// output), so three of the four are computed; a caller that uses
+    /// only the first output leaves the compiler one more to drop.
+    /// Keyed draws that need at most two uniforms per seed run on this
+    /// instead of building a generator.
+    #[inline]
+    pub fn first_two_outputs(seed: u64) -> (u64, u64) {
+        let (s0, s1) = (splitmix_word(seed, 1), splitmix_word(seed, 2));
+        let s3 = splitmix_word(seed, 4);
+        let first = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
+        // One `next_u64` step, keeping only the words the second output
+        // reads: s[0] becomes s0 ^ s1 ^ s3 and s[3] (s3 ^ s1) <<< 45.
+        let mixed = s3 ^ s1;
+        let s0 = s0 ^ mixed;
+        let second = s0.wrapping_add(mixed.rotate_left(45)).rotate_left(23).wrapping_add(s0);
+        (first, second)
     }
 
     /// Derives an independent child stream labelled by `label`.
@@ -250,6 +284,17 @@ mod tests {
         let mut b = DetRng::new(42);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn first_two_outputs_match_the_generator() {
+        let mut seeds = DetRng::new(31);
+        let edges = [0, 1, u64::MAX, SPLITMIX_GAMMA];
+        for seed in edges.into_iter().chain((0..1000).map(|_| seeds.next_u64())) {
+            let mut r = DetRng::new(seed);
+            let (first, second) = (r.next_u64(), r.next_u64());
+            assert_eq!(DetRng::first_two_outputs(seed), (first, second), "seed {seed:#x}");
         }
     }
 

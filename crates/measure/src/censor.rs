@@ -11,7 +11,6 @@
 
 use crate::engine::HarvestEngine;
 use crate::fleet::{self, Fleet};
-use i2p_crypto::DetRng;
 use i2p_data::{FxHashMap, FxHashSet, PeerIp};
 use i2p_sim::params;
 use i2p_sim::peer::PeerRecord;
@@ -39,9 +38,9 @@ fn victim_sees(peer: &PeerRecord, day: u64, salt: u64) -> bool {
         return false;
     }
     let exposure = params::VICTIM_CAPTURE * (0.85 * peer.w + 0.15 * peer.u);
-    let p = 1.0 - (-exposure).exp();
+    let bound = fleet::draw_bound(1.0 - (-exposure).exp());
     let pair_seed = peer.seed ^ salt.wrapping_mul(0xA076_1D64_78BD_642F);
-    fleet::daily_draw(pair_seed, day, p, || DetRng::new(pair_seed ^ 0xF00D).next_f64() < p) // i2plint: allow(rng-containment) -- keyed fallback draw derived from (pair_seed, day) only
+    fleet::daily_draw(pair_seed, day, bound, fleet::persistent_hit(pair_seed ^ 0xF00D, bound))
 }
 
 /// Builds the victim's view as of `eval_day`: RouterInfos gathered over

@@ -14,14 +14,17 @@
 //!
 //! Three further cost levers:
 //!
-//! * **Day-invariant caching.** A pair's sighting probability (one
-//!   `exp`) and the persistent component of its daily draw are constant
-//!   across days; the fill computes both once per (vantage, peer) and
-//!   replays only the cheap daily part ([`Vantage::draw_against`]).
+//! * **Day-invariant caching.** A peer's sighting probability (one
+//!   `exp`) depends on the vantage only through its class, the
+//!   `(mode, shared_kbps)` pair, and the persistent component of each
+//!   pair's daily draw is constant across days. The fill reads each
+//!   peer's record once, keeps one integer draw bound per (class, peer)
+//!   and one persistence bit per (vantage, peer), and replays only the
+//!   daily part ([`fleet::daily_draw`]) for every vantage at each visit.
 //! * **Sharded, work-stealing fill.** The fill is cut along the
-//!   [`DayIndex`](i2p_sim::world::DayIndex) shard plane into
-//!   (vantage, id-range shard) units covering every day, pulled from a
-//!   shared atomic queue by `std::thread::scope` workers
+//!   [`DayIndex`](i2p_sim::world::DayIndex) shard plane into one unit
+//!   per id-range shard, covering every day and every vantage, pulled
+//!   from a shared atomic queue by `std::thread::scope` workers
 //!   ([`crate::lab::claim`], the loop [`crate::lab::sweep`] runs on).
 //!   Each draw is a pure function of (vantage salt, peer seed, day),
 //!   each unit sets a disjoint *bit* set, and words shared by
@@ -51,7 +54,7 @@
 //! when an analysis needs fields beyond set membership (caps, addresses,
 //! introducers), via [`HarvestEngine::for_each_observation`].
 
-use crate::fleet::{Fleet, Vantage, VantageMode};
+use crate::fleet::{self, Fleet, Vantage, VantageMode};
 use crate::keyspace::{self, VisibilityModel};
 use crate::observed::ObservedRouterInfo;
 use i2p_faults::FaultPlane;
@@ -194,6 +197,7 @@ impl<'w> HarvestEngine<'w> {
         if let VisibilityModel::Keyspace(cfg) = model {
             cfg.validate();
             if vantages.iter().any(|v| v.mode == VantageMode::Floodfill) {
+                let _span = i2p_telemetry::span("measure.keyspace_gates");
                 let day_list: Vec<usize> = (0..n_days).collect();
                 let gates = crate::lab::sweep(
                     &(world, &vantages, &day_ids),
@@ -499,10 +503,10 @@ fn resolve_threads(raw: Option<&str>) -> usize {
     }
 }
 
-/// The work-stealing sharded fill: one unit per (vantage, id-range
-/// shard), covering every day of the range, claimed through
-/// [`crate::lab::claim`], the loop [`crate::lab::sweep`]'s grid runs
-/// on. Lanes are `AtomicU64` during the fill because a shard's position
+/// The work-stealing sharded fill: one unit per id-range shard, covering
+/// every day of the range and every vantage, claimed through
+/// [`crate::lab::claim`], the loop [`crate::lab::sweep`]'s grid runs on.
+/// Lanes are `AtomicU64` during the fill because a shard's position
 /// range within a day is not word-aligned — the boundary words are
 /// shared with the neighboring shard's unit and merge through
 /// `fetch_or`, which is commutative, so the result is bit-identical at
@@ -517,29 +521,8 @@ fn fill_sharded(
     total_words: usize,
     threads: usize,
 ) -> Vec<Vec<u64>> {
-    let n_shards = world.index.shard_count();
-    let n_days = day_ids.len();
-    // Per-(day, shard) position bounds, shared by every vantage: row
-    // `di` holds the cumulative cut positions [0, …, online(day)]. In
-    // the study window these come straight from the `DayIndex` shard
-    // plane; past its horizon (owned scan days) the same cuts fall out
-    // of a binary search, since scan results stay id-ascending.
-    let mut cuts: Vec<u32> = Vec::with_capacity(n_days * (n_shards + 1));
-    for (di, ids) in day_ids.iter().enumerate() {
-        let day = first_day + di as u64;
-        cuts.push(0);
-        for s in 0..n_shards {
-            let end = match world.index.shard_bounds(day, s) {
-                Some(r) => r.end as u32,
-                None => {
-                    ids.partition_point(|&id| (id as usize) < (s + 1) * SHARD_IDS) as u32
-                }
-            };
-            cuts.push(end);
-        }
-    }
-
-    let units = vantages.len() * n_shards;
+    let grid = ShardGrid::new(world, first_day, day_ids, day_off);
+    let units = if vantages.is_empty() { 0 } else { grid.n_shards };
     // The shard grid is a pure function of (fleet, world) — never of
     // the worker count — so the unit total lives in the deterministic
     // counter plane, while the machine-dependent thread count goes to
@@ -549,93 +532,243 @@ fn fill_sharded(
     i2p_telemetry::count(i2p_telemetry::Counter::EngineShardUnits, units as u64);
     i2p_telemetry::gauge("measure.engine_workers", threads as u64);
 
+    let plan = DrawPlan::new(vantages);
     let lanes_a: Vec<Vec<AtomicU64>> = (0..vantages.len())
         .map(|_| (0..total_words).map(|_| AtomicU64::new(0)).collect())
         .collect();
-    crate::lab::claim(units, threads.max(1), || (), |_, u| {
-        let (v, s) = (u / n_shards, u % n_shards);
-        fill_shard_unit(
-            world, vantages[v], first_day, s, n_shards, day_ids, day_off, &cuts, &lanes_a[v],
-        );
-    });
+    {
+        let _span = i2p_telemetry::span("measure.engine_draws");
+        crate::lab::claim(units, threads.max(1), || PairCache::new(&plan), |cache, s| {
+            fill_shard(&grid, s, &plan, cache, &lanes_a);
+        });
+    }
     lanes_a
         .into_iter()
         .map(|lane| lane.into_iter().map(AtomicU64::into_inner).collect())
         .collect()
 }
 
-/// Fills one (vantage, id-range shard) unit across every day. The
-/// day-invariant caches are shard-local — indexed by `id - shard_base`
-/// and [`SHARD_IDS`] wide — so the fill's per-worker footprint is
-/// O(shard), not O(population): the lever that lets million-router
-/// worlds fill without million-entry scratch per task.
-#[allow(clippy::too_many_arguments)]
-fn fill_shard_unit(
-    world: &World,
-    vantage: Vantage,
+/// The fill's day geometry: the filled days' online ids and lane word
+/// offsets, and where each id shard's peers sit within each day.
+struct ShardGrid<'a> {
+    world: &'a World,
     first_day: u64,
-    shard: usize,
+    day_ids: &'a [Cow<'a, [u32]>],
+    day_off: &'a [usize],
     n_shards: usize,
-    day_ids: &[Cow<'_, [u32]>],
-    day_off: &[usize],
-    cuts: &[u32],
-    lane: &[AtomicU64],
+    /// Row `di` (`n_shards + 1` entries) holds day `di`'s cumulative
+    /// cut positions [0, …, online(day)].
+    cuts: Vec<u32>,
+}
+
+impl<'a> ShardGrid<'a> {
+    /// In the study window the cuts come straight from the `DayIndex`
+    /// shard plane; past its horizon (owned scan days) the same cuts
+    /// fall out of a binary search, since scan results stay
+    /// id-ascending.
+    fn new(
+        world: &'a World,
+        first_day: u64,
+        day_ids: &'a [Cow<'a, [u32]>],
+        day_off: &'a [usize],
+    ) -> Self {
+        let n_shards = world.index.shard_count();
+        let mut cuts: Vec<u32> = Vec::with_capacity(day_ids.len() * (n_shards + 1));
+        for (di, ids) in day_ids.iter().enumerate() {
+            let day = first_day + di as u64;
+            cuts.push(0);
+            for s in 0..n_shards {
+                let end = match world.index.shard_bounds(day, s) {
+                    Some(r) => r.end as u32,
+                    None => {
+                        ids.partition_point(|&id| (id as usize) < (s + 1) * SHARD_IDS) as u32
+                    }
+                };
+                cuts.push(end);
+            }
+        }
+        ShardGrid { world, first_day, day_ids, day_off, n_shards, cuts }
+    }
+
+    /// The positions of `shard`'s online peers on day `di`.
+    fn positions(&self, di: usize, shard: usize) -> Range<usize> {
+        let row = di * (self.n_shards + 1) + shard;
+        self.cuts[row] as usize..self.cuts[row + 1] as usize
+    }
+}
+
+/// The fleet regrouped for the fill. A vantage *class* is one distinct
+/// `(mode, shared_kbps)`, the only vantage fields
+/// [`Vantage::sight_probability`] reads, so a peer's sighting
+/// probability is computed once per class. The fill visits vantages in
+/// *slots*: class by class, in first-appearance order, and in fleet
+/// order within a class.
+struct DrawPlan {
+    /// One vantage per class, standing for the class's probability.
+    classes: Vec<Vantage>,
+    /// Class `c` holds the slots from `class_end[c - 1]` (0 for the
+    /// first class) up to `class_end[c]`.
+    class_end: Vec<usize>,
+    /// Per slot: the vantage's fleet index, i.e. its lane.
+    lane: Vec<usize>,
+    /// Per slot: the vantage's [`Vantage::seed_key`].
+    keys: Vec<u64>,
+}
+
+impl DrawPlan {
+    fn new(vantages: &[Vantage]) -> Self {
+        let same_class =
+            |a: &Vantage, b: &Vantage| (a.mode, a.shared_kbps) == (b.mode, b.shared_kbps);
+        let mut classes: Vec<Vantage> = Vec::new();
+        for v in vantages {
+            if !classes.iter().any(|c| same_class(c, v)) {
+                classes.push(*v);
+            }
+        }
+        let mut class_end = Vec::with_capacity(classes.len());
+        let mut lane = Vec::with_capacity(vantages.len());
+        for class in &classes {
+            lane.extend((0..vantages.len()).filter(|&v| same_class(class, &vantages[v])));
+            class_end.push(lane.len());
+        }
+        let keys = lane.iter().map(|&v| vantages[v].seed_key()).collect();
+        DrawPlan { classes, class_end, lane, keys }
+    }
+
+    /// Words of one peer's persistence mask: one bit per slot.
+    fn mask_words(&self) -> usize {
+        self.keys.len().div_ceil(64)
+    }
+}
+
+/// A worker's day-invariant cache for the shard it is filling, dense by
+/// `id - shard_base` and [`SHARD_IDS`] wide, so the fill's per-worker
+/// footprint is O(shard), not O(population). An entry is filled when
+/// the peer is first met online, from one read of its record: the
+/// peer seed, one [`fleet::draw_bound`] per class and the persistent
+/// outcome of every slot ([`fleet::persistent_hit`]), one bit each.
+struct PairCache {
+    /// Whether the id's entry is filled for the current shard.
+    filled: Vec<bool>,
+    seeds: Vec<u64>,
+    /// `classes` bounds per id.
+    bounds: Vec<u64>,
+    /// [`DrawPlan::mask_words`] persistence words per id.
+    masks: Vec<u64>,
+    /// Per slot: the lane word being assembled.
+    acc: Vec<u64>,
+}
+
+impl PairCache {
+    fn new(plan: &DrawPlan) -> Self {
+        PairCache {
+            filled: vec![false; SHARD_IDS],
+            seeds: vec![0; SHARD_IDS],
+            bounds: vec![0; SHARD_IDS * plan.classes.len()],
+            masks: vec![0; SHARD_IDS * plan.mask_words()],
+            acc: vec![0; plan.keys.len()],
+        }
+    }
+
+    /// Fills entry `ci` from `peer`.
+    fn fill(&mut self, ci: usize, peer: &PeerRecord, plan: &DrawPlan) {
+        let nc = plan.classes.len();
+        let nw = plan.mask_words();
+        let bounds = &mut self.bounds[ci * nc..(ci + 1) * nc];
+        let mask = &mut self.masks[ci * nw..(ci + 1) * nw];
+        mask.fill(0);
+        let mut start = 0;
+        for ((class, bound), &end) in plan.classes.iter().zip(bounds).zip(&plan.class_end) {
+            *bound = fleet::draw_bound(class.sight_probability(peer));
+            for j in start..end {
+                let hit = fleet::persistent_hit(peer.seed ^ plan.keys[j], *bound);
+                mask[j / 64] |= u64::from(hit) << (j % 64);
+            }
+            start = end;
+        }
+        self.seeds[ci] = peer.seed;
+        self.filled[ci] = true;
+    }
+}
+
+/// Fills one id-range shard across every day and every vantage. The
+/// shard's days are walked once; at each online peer every slot's
+/// daily draw ([`fleet::daily_draw`]) sets one bit of the slot's word
+/// accumulator, and a full word goes to its lane. Only a day's first
+/// and last word of the shard can be shared with a neighbouring shard,
+/// so only they merge by `fetch_or`; the others are stored.
+fn fill_shard(
+    grid: &ShardGrid<'_>,
+    shard: usize,
+    plan: &DrawPlan,
+    cache: &mut PairCache,
+    lanes: &[Vec<AtomicU64>],
 ) {
     let shard_base = shard * SHARD_IDS;
-    // Day-invariant pair cache, dense by id within the shard: the
-    // pair's draw seed, its sighting probability, and the
-    // persistent-draw outcome (a bit). `p == 0.0` marks "not yet
-    // cached", which is sound because a missed sentinel merely
-    // recomputes the same values.
-    let mut seeds = vec![0u64; SHARD_IDS];
-    let mut ps = vec![0.0f64; SHARD_IDS];
-    let mut pers = vec![0u64; SHARD_IDS / 64];
-    for (di, ids) in day_ids.iter().enumerate() {
-        let row = di * (n_shards + 1) + shard;
-        let (a, b) = (cuts[row] as usize, cuts[row + 1] as usize);
+    let nc = plan.classes.len();
+    let nw = plan.mask_words();
+    cache.filled.fill(false);
+    let mut draws = 0u64;
+    for (di, ids) in grid.day_ids.iter().enumerate() {
+        let Range { start: a, end: b } = grid.positions(di, shard);
         if a == b {
             continue;
         }
-        let day = first_day + di as u64;
-        // Counted per (vantage, day, shard) as the positions drawn; the
-        // per-day totals telescope to `online(day)` per vantage, so the
-        // counter stays invariant under worker count and claim order.
-        i2p_telemetry::count(i2p_telemetry::Counter::HarvestDraws, (b - a) as u64);
-        let day_base = day_off[di];
+        draws += ((b - a) * plan.keys.len()) as u64;
+        let day = grid.first_day + di as u64;
+        let day_base = grid.day_off[di];
+        // A slot's bit for each position enters its accumulator at bit
+        // 63 and moves down one place per later position, so when the
+        // word's last position is `last`, shifting by `63 - last % 64`
+        // puts position `p` on bit `p % 64`.
+        let flush = |word: usize, last: usize, acc: &mut [u64]| {
+            let shared = word * 64 < a || (word + 1) * 64 > b;
+            let shift = 63 - last % 64;
+            for (bits, &v) in acc.iter_mut().zip(&plan.lane) {
+                let w = *bits >> shift;
+                if w != 0 {
+                    let cell = &lanes[v][day_base + word];
+                    if shared {
+                        cell.fetch_or(w, Ordering::Relaxed);
+                    } else {
+                        cell.store(w, Ordering::Relaxed);
+                    }
+                }
+                *bits = 0;
+            }
+        };
         let mut word = a / 64;
-        let mut acc = 0u64;
         for (pos, &id) in (a..b).zip(&ids[a..b]) {
             if pos / 64 != word {
-                if acc != 0 {
-                    lane[day_base + word].fetch_or(acc, Ordering::Relaxed);
-                }
+                flush(word, pos - 1, &mut cache.acc);
                 word = pos / 64;
-                acc = 0;
             }
-            let iu = id as usize;
-            let ci = iu - shard_base;
-            let mut p = ps[ci];
-            let (seed, pers_hit);
-            if p == 0.0 {
-                let peer = &world.peers[iu];
-                seed = vantage.pair_seed(peer);
-                p = vantage.sight_probability(peer);
-                pers_hit = vantage.persistent_draw(peer) < p;
-                seeds[ci] = seed;
-                ps[ci] = p;
-                pers[ci / 64] |= (pers_hit as u64) << (ci % 64);
-            } else {
-                seed = seeds[ci];
-                pers_hit = (pers[ci / 64] >> (ci % 64)) & 1 == 1;
+            let ci = id as usize - shard_base;
+            if !cache.filled[ci] {
+                cache.fill(ci, &grid.world.peers[id as usize], plan);
             }
-            if vantage.draw_against(seed, day, p, || pers_hit) {
-                acc |= 1u64 << (pos % 64);
+            let seed = cache.seeds[ci];
+            let bounds = &cache.bounds[ci * nc..(ci + 1) * nc];
+            let mask = &cache.masks[ci * nw..(ci + 1) * nw];
+            let mut start = 0;
+            for (&bound, &end) in bounds.iter().zip(&plan.class_end) {
+                let slots = start..end;
+                let keys = plan.keys[slots.clone()].iter();
+                for ((j, &key), acc) in slots.zip(keys).zip(&mut cache.acc[start..end]) {
+                    let persistent = mask[j / 64] >> (j % 64) & 1 == 1;
+                    let hit = fleet::daily_draw(seed ^ key, day, bound, persistent);
+                    // Bit 0 is free until the word's 64th position.
+                    *acc = (*acc | u64::from(hit)).rotate_right(1);
+                }
+                start = end;
             }
         }
-        if acc != 0 {
-            lane[day_base + word].fetch_or(acc, Ordering::Relaxed);
-        }
+        flush(word, b - 1, &mut cache.acc);
     }
+    // Counted per unit as the (slot, position) pairs drawn; the totals
+    // telescope to `vantages × online(day)` per day, so the counter
+    // stays invariant under worker count and claim order.
+    i2p_telemetry::count(i2p_telemetry::Counter::HarvestDraws, draws);
 }
 
 /// Calls `f` with the index of every set bit, ascending.

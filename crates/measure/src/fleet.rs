@@ -46,7 +46,10 @@ impl Vantage {
         Vantage { mode, shared_kbps: 8_192, salt }
     }
 
-    /// Daily sighting probability for `peer`.
+    /// Daily sighting probability for `peer`. Of the vantage it reads
+    /// only `mode` and `shared_kbps`, the vantage's class, so vantages
+    /// that differ only in salt share it (the engine computes it once
+    /// per class and peer).
     pub fn sight_probability(&self, peer: &PeerRecord) -> f64 {
         let exposure = match self.mode {
             VantageMode::NonFloodfill => params::a_nonff(self.shared_kbps) * peer.w,
@@ -66,21 +69,18 @@ impl Vantage {
     /// ([`params::FRESH_DRAW_PROB`]); this is what keeps multi-day
     /// blacklist windows from trivially uniting to 100 % (Fig. 13).
     pub fn sees(&self, peer: &PeerRecord, day: u64) -> bool {
-        peer.online(day as i64) && self.sees_online(peer, day)
+        if !peer.online(day as i64) {
+            return false;
+        }
+        let pair_seed = peer.seed ^ self.seed_key();
+        let bound = draw_bound(self.sight_probability(peer));
+        daily_draw(pair_seed, day, bound, persistent_hit(pair_seed, bound))
     }
 
-    /// The sighting draw alone, for a peer already known to be online on
-    /// `day` (the indexed engine iterates only online peers, so it skips
-    /// the redundant presence re-draw).
-    pub fn sees_online(&self, peer: &PeerRecord, day: u64) -> bool {
-        let pair_seed = self.pair_seed(peer);
-        let p = self.sight_probability(peer);
-        self.draw_against(pair_seed, day, p, || DetRng::new(pair_seed).next_f64() < p)
-    }
-
-    /// The per-pair seed all (vantage, peer) draws key off.
-    pub fn pair_seed(&self, peer: &PeerRecord) -> u64 {
-        peer.seed ^ self.salt.wrapping_mul(0xD6E8_FEB8_6659_FD93)
+    /// The per-vantage key of every pair seed: the (vantage, peer)
+    /// draws key off `peer.seed ^ seed_key()`.
+    pub(crate) fn seed_key(&self) -> u64 {
+        self.salt.wrapping_mul(0xD6E8_FEB8_6659_FD93)
     }
 
     /// The vantage router's cryptographic identity hash — its anchor in
@@ -101,44 +101,51 @@ impl Vantage {
         };
         Hash256::digest(&material)
     }
+}
 
-    /// The persistent component of the pair's daily draws — constant
-    /// across days, so the engine computes it once per (vantage, peer).
-    pub fn persistent_draw(&self, peer: &PeerRecord) -> f64 {
-        DetRng::new(self.pair_seed(peer)).next_f64()
-    }
+/// `2⁵³`, the range of the 53-bit uniforms the draws compare.
+const UNIT_53: f64 = (1u64 << 53) as f64;
 
-    /// The daily sighting decision given the pair's day-invariants:
-    /// `pair_seed` must be [`Vantage::pair_seed`], `p` must be
-    /// [`Vantage::sight_probability`], and `persistent_hit` must yield
-    /// `persistent_draw < p`. Splitting the invariants out lets the
-    /// engine cache them (an `exp`, an RNG stream, and a `PeerRecord`
-    /// fetch per pair) while staying bit-identical to [`Vantage::sees`].
-    pub fn draw_against(
-        &self,
-        pair_seed: u64,
-        day: u64,
-        p: f64,
-        persistent_hit: impl FnOnce() -> bool,
-    ) -> bool {
-        daily_draw(pair_seed, day, p, persistent_hit)
-    }
+/// The integer form of a draw probability: for every 53-bit `x`,
+/// `x < draw_bound(p)` exactly when `x as f64 · 2⁻⁵³ < p`, the
+/// comparison `DetRng::next_f64() < p` makes. Both sides are exact:
+/// `x · 2⁻⁵³` and `p · 2⁵³` only scale by a power of two, and an
+/// integer is below a real exactly when it is below its ceiling. A
+/// `p` of at most 0 (or NaN) gives 0, one of at least 1 gives `2⁵³`
+/// or more: never and always.
+pub fn draw_bound(p: f64) -> u64 {
+    (p * UNIT_53).ceil() as u64
+}
+
+/// The persistent component of a pair's daily draws: the first uniform
+/// of `DetRng::new(seed)` against the pair's [`draw_bound`]. It does
+/// not depend on the day, so the engine draws it once per pair.
+#[inline]
+pub fn persistent_hit(seed: u64, bound: u64) -> bool {
+    DetRng::first_two_outputs(seed).0 >> 11 < bound
 }
 
 /// The one daily-draw definition every observer in the system shares:
 /// mix a fresh per-day component with a persistent per-pair one
-/// ([`params::FRESH_DRAW_PROB`]). Monitoring vantages route here via
-/// [`Vantage::draw_against`]; the Fig. 13 victim client
-/// (`censor::victim_view`) calls it directly with its own seed/strength
-/// derivation. Keeping a single definition is what guarantees the two
-/// observer populations stay on the same sighting process as it evolves.
-pub fn daily_draw(pair_seed: u64, day: u64, p: f64, persistent_hit: impl FnOnce() -> bool) -> bool {
-    let mut daily = DetRng::new(pair_seed ^ (day + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    if daily.next_f64() < params::FRESH_DRAW_PROB {
-        daily.next_f64() < p
-    } else {
-        persistent_hit()
-    }
+/// ([`params::FRESH_DRAW_PROB`]). `bound` is the pair's
+/// [`draw_bound`] and `persistent` its [`persistent_hit`]. The engine
+/// fill, the naive [`Vantage::sees`] reference and the Fig. 13 victim
+/// client (`censor::victim_view`, with its own seed and strength) all
+/// call it, which keeps the observer populations on one sighting
+/// process.
+///
+/// The draw is `DetRng::new(pair_seed ^ day key)`: a first uniform
+/// below `FRESH_DRAW_PROB` makes the day fresh, decided by a second
+/// uniform below `p`; otherwise the persistent outcome stands. Both
+/// uniforms are compared as 53-bit integers, both are always drawn,
+/// and the outcome is selected without a branch (a fresh day is a coin
+/// flip the processor cannot predict).
+#[inline]
+pub fn daily_draw(pair_seed: u64, day: u64, bound: u64, persistent: bool) -> bool {
+    let (first, second) =
+        DetRng::first_two_outputs(pair_seed ^ (day + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let fresh = first >> 11 < draw_bound(params::FRESH_DRAW_PROB);
+    (fresh & (second >> 11 < bound)) | (!fresh & persistent)
 }
 
 /// What one vantage harvested on one day.
@@ -234,6 +241,74 @@ pub fn harvest_union_of(world: &World, vantages: &[Vantage], day: u64) -> DailyH
 mod tests {
     use super::*;
     use i2p_sim::world::WorldConfig;
+    use proptest::prelude::*;
+
+    /// The floating-point draw [`daily_draw`] replaced: `f64` uniforms
+    /// of a `DetRng` stream per (pair, day), the persistent component
+    /// the first uniform of `DetRng::new(persistent_seed)`.
+    fn f64_daily_draw(pair_seed: u64, day: u64, p: f64, persistent_seed: u64) -> bool {
+        let mut daily = DetRng::new(pair_seed ^ (day + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        if daily.next_f64() < params::FRESH_DRAW_PROB {
+            daily.next_f64() < p
+        } else {
+            DetRng::new(persistent_seed).next_f64() < p
+        }
+    }
+
+    /// `p` one ulp down (`step` 1), unchanged (0) or one ulp up (2), for
+    /// a positive finite `p` (`f64::next_down`/`next_up` postdate the
+    /// workspace's MSRV).
+    fn ulp_step(p: f64, step: u64) -> f64 {
+        f64::from_bits(p.to_bits() + step - 1)
+    }
+
+    /// The probabilities the integer draw must get exactly right: both
+    /// ends, the smallest step, the fresh-draw share, every multiple of
+    /// `2⁻⁵³` with its neighbours, and arbitrary values.
+    fn probabilities() -> impl Strategy<Value = f64> {
+        let grid =
+            (1u64..1 << 53, 0u64..3).prop_map(|(k, step)| ulp_step(k as f64 / UNIT_53, step));
+        prop_oneof![
+            Just(0.0),
+            Just(1.0 / UNIT_53),
+            Just(params::FRESH_DRAW_PROB),
+            Just(0.5),
+            Just(1.0 - 1.0 / UNIT_53),
+            Just(1.0),
+            grid,
+            0.0f64..1.0,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn integer_draw_matches_the_f64_definition(
+            pair_seed in any::<u64>(),
+            persistent_key in prop_oneof![Just(0u64), any::<u64>()],
+            day in 0u64..400,
+            p in probabilities(),
+        ) {
+            let bound = draw_bound(p);
+            let persistent_seed = pair_seed ^ persistent_key;
+            prop_assert_eq!(
+                persistent_hit(persistent_seed, bound),
+                DetRng::new(persistent_seed).next_f64() < p,
+                "persistent draw, p {}", p
+            );
+            prop_assert_eq!(
+                daily_draw(pair_seed, day, bound, persistent_hit(persistent_seed, bound)),
+                f64_daily_draw(pair_seed, day, p, persistent_seed),
+                "seed {:#x} day {} p {}", pair_seed, day, p
+            );
+            // The bound is tight: the uniforms just below and at it fall
+            // on the two sides of `p`.
+            for x in [bound.wrapping_sub(1), bound].into_iter().filter(|&x| x < 1 << 53) {
+                prop_assert_eq!(x < bound, (x as f64) * (1.0 / UNIT_53) < p, "x {} p {}", x, p);
+            }
+        }
+    }
 
     fn small_world() -> World {
         World::generate(WorldConfig { days: 12, scale: 0.04, seed: 3 })

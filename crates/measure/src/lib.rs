@@ -12,7 +12,7 @@
 //!   every analysis below consumes only those observations.
 //! * [`engine`] — the indexed harvest engine: each (vantage, peer, day)
 //!   sighting drawn once into per-vantage bitsets (filled in parallel,
-//!   one unit per (vantage, id-range shard)), unions answered by OR +
+//!   one unit per id-range shard), unions answered by OR +
 //!   popcount, records materialized lazily. The naive [`fleet`] path is
 //!   its one reference.
 //! * [`keyspace`] — the keyspace-routed visibility model: publication

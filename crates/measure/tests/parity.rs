@@ -7,10 +7,10 @@
 //! several (seed, scale, fleet) combinations. Any divergence means the
 //! engine changed the measurement, not just its cost.
 
-use i2p_faults::FaultPlane;
+use i2p_faults::{FaultPlane, FaultSpec};
 use i2p_measure::censor::censor_blacklist_from_engine;
 use i2p_measure::engine::HarvestEngine;
-use i2p_measure::fleet::{DailyHarvest, Fleet};
+use i2p_measure::fleet::{DailyHarvest, Fleet, Vantage, VantageMode};
 use i2p_measure::keyspace::{self, KeyspaceConfig};
 use i2p_measure::{ObservedRouterInfo, VisibilityModel};
 use i2p_sim::world::{World, WorldConfig};
@@ -184,7 +184,7 @@ fn censor_blacklist_engine_path_matches_record_path() {
 
 #[test]
 fn sharded_fill_matches_oracle_at_every_worker_count() {
-    // The work-stealing (vantage, id-shard) fill must agree with the
+    // The work-stealing id-shard fill must agree with the
     // naive path per lane and per bit — at any worker count, under both
     // visibility models, including days past the DayIndex horizon
     // (owned-scan cut path).
@@ -216,6 +216,56 @@ fn sharded_fill_matches_oracle_at_every_worker_count() {
                         curve.push(union.len());
                     }
                     assert_eq!(sharded.coverage_curve(day), curve);
+                }
+            }
+        }
+    }
+}
+
+/// A fleet no constructor builds. Modes and bandwidths interleave, so
+/// its six (mode, bandwidth) classes are not contiguous; vantage 1
+/// shares vantage 0's salt in the other mode and vantage 66 copies
+/// vantage 0 outright; and its 67 vantages take a persistence mask of
+/// two words per peer.
+fn mixed_fleet() -> Fleet {
+    let kbps = [128, 2048, 8192];
+    let mut vantages: Vec<Vantage> = (0..66u64)
+        .map(|i| Vantage {
+            mode: if i % 2 == 0 { VantageMode::Floodfill } else { VantageMode::NonFloodfill },
+            shared_kbps: kbps[(i / 2 % 3) as usize],
+            salt: if i == 1 { 0x3000 } else { 0x3000 + i },
+        })
+        .collect();
+    vantages.push(vantages[0]);
+    Fleet { vantages }
+}
+
+#[test]
+fn mixed_class_fleet_fill_matches_oracle() {
+    // Every other fill suite runs `paper_main` or `alternating`: at most
+    // two classes, contiguous or strictly alternating, and at most 20
+    // vantages. This fleet breaks each of those, on a world of several
+    // id shards, with and without vantage outages, days past the
+    // `DayIndex` horizon included.
+    let world = World::generate(WorldConfig { days: 3, scale: 0.05, seed: 23 });
+    assert!(world.index.shard_count() > 2, "the world spans several id shards");
+    let fleet = mixed_fleet();
+    let outage = FaultPlane::new(FaultSpec::parse("outage=0.3").expect("outage spec"), 23);
+    for model in [VisibilityModel::Uniform, VisibilityModel::Keyspace(KeyspaceConfig::paper())] {
+        let naive: Vec<_> = (0..5).map(|day| naive_day(&world, &fleet, day, &model)).collect();
+        for plane in [FaultPlane::zero(), outage] {
+            for threads in [1usize, 2, 3, 7] {
+                let engine = HarvestEngine::build_on(&world, &fleet, 0..5, &model, &plane, threads);
+                for (day, lanes) in (0..5).zip(&naive) {
+                    for (v, want) in lanes.iter().enumerate() {
+                        let dark = plane.vantage_outage(fleet.vantages[v].salt, day);
+                        let want: &[u32] = if dark { &[] } else { want };
+                        assert_eq!(
+                            engine.vantage_ids(v, day),
+                            want,
+                            "{model:?} outage {dark} threads {threads} day {day} vantage {v}"
+                        );
+                    }
                 }
             }
         }

@@ -48,9 +48,10 @@ counters! {
     RoutersHarvested => "routers_harvested",
     /// Bitset words OR'd while answering union/coverage queries.
     BitsetWordsOr => "bitset_words_or",
-    /// (vantage, id-shard) fill units in the engine's shard queue.
-    /// Counted once per fill as `vantages × shards` — the shard grid is
-    /// a pure function of world size, never of worker count.
+    /// Id-shard fill units in the engine's shard queue, each drawing
+    /// every vantage. Counted once per fill as the shard count — the
+    /// shard grid is a pure function of world size, never of worker
+    /// count.
     EngineShardUnits => "engine_shard_units",
     /// Fixed-width word blocks streamed by the engine's union/coverage
     /// queries (each block is visited O(shard) at a time, so this is

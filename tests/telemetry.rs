@@ -13,13 +13,14 @@
 //!
 //! Plus the span tree's shape — the censor's Fig. 13 matrix runs under
 //! its own `measure.censor_matrix` span, with its engine fill beneath
-//! it; a census generates its world under `sim.world` beside the fill
-//! and the figure pass; a sweep warms its TestNet under
-//! `measure.lab_warm` beside `measure.sweep` — and the manifest
-//! contract: after the calibration probe, a run manifest validates
-//! against the `i2p-telemetry/1` schema and its span tree covers the
-//! four core crates (measure, store, netdb, transport), and the Chrome
-//! trace export parses.
+//! it; the fill holds its draws (`measure.engine_draws`) and, under the
+//! keyspace model, its gate sweep (`measure.keyspace_gates`); a census
+//! generates its world under `sim.world` beside the fill and the figure
+//! pass; a sweep warms its TestNet under `measure.lab_warm` beside
+//! `measure.sweep` — and the manifest contract: after the calibration
+//! probe, a run manifest validates against the `i2p-telemetry/1` schema
+//! and its span tree covers the four core crates (measure, store, netdb,
+//! transport), and the Chrome trace export parses.
 //!
 //! Note on globals: `timing::enable()` is process-wide and sticky, so
 //! every on-vs-off comparison renders its "off" output *first* within
@@ -119,6 +120,29 @@ fn censor_matrix_span_holds_its_engine_fill() {
                 .any(|s| s.name == "measure.engine_fill" && matrix.contains(&s.parent)),
             "no measure.engine_fill span under measure.censor_matrix"
         );
+    });
+}
+
+#[test]
+fn engine_fill_span_holds_its_draws_and_keyspace_gates() {
+    // Moves the process-wide counters: hold the counter lock so the
+    // exact-delta tests beside it never see this work.
+    counters::exclusive(|| {
+        timing::enable();
+        let k = Knobs { model: Model::Keyspace, ..knobs(2) };
+        cli::census(&k, Format::Text, &FigId::ALL);
+        let report = timing::report();
+        let fills: Vec<_> =
+            report.spans.iter().filter(|s| s.name == "measure.engine_fill").collect();
+        assert!(!fills.is_empty(), "the census recorded no measure.engine_fill span");
+        for child in ["measure.engine_draws", "measure.keyspace_gates"] {
+            assert!(
+                report.spans.iter().any(|s| {
+                    s.name == child && fills.iter().any(|f| f.id == s.parent && f.tid == s.tid)
+                }),
+                "no {child} span under measure.engine_fill on the calling thread"
+            );
+        }
     });
 }
 
