@@ -14,7 +14,7 @@ fn main() {
     let world = i2p_bench::world(40);
     let fleet = Fleet::alternating(20);
     report.emit("Ablation: blacklist window", || {
-        let victim = victim_view(&world, 35, 0x51C);
+        let victim = victim_view(&world, 35);
         // One engine fill over the widest window serves all nine sweeps.
         let engine = HarvestEngine::build(&world, &fleet, 6..36);
         let mut out = String::from(

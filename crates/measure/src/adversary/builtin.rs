@@ -8,11 +8,11 @@
 //! `closedloop::closed_loop_sweep`, `sybil::run`,
 //! `bridges::sweep_bridges` — so the trait adds composition, not a
 //! second implementation. The registry tests hold each run to its
-//! module's reference: the per-cell blacklist definition for the
-//! censor's one-walk matrix, the legacy serial drivers for the rest.
-//! Scenario grids are derived from the lab's geometry (fleet size,
-//! window length) by `pub` helpers, so tests can reproduce the exact
-//! grid a registered run used.
+//! module's entrypoint over the same grid (for the censor, to the
+//! per-cell blacklist definition of its one-walk matrix); each module's
+//! unit tests hold its sweep to a per-cell reference. Scenario grids are
+//! derived from the lab's geometry (fleet size, window length) by `pub`
+//! helpers, so tests can reproduce the exact grid a registered run used.
 
 use super::{
     Adversary, AdversaryLab, AdversaryOutcome, Capability, ChainKnobs, DayView, SharedState,
@@ -283,22 +283,13 @@ impl Adversary for ClosedLoop {
         // Enforce the chain's deployed rules at the protocol level: the
         // effective blacklist for relay twinning is every published
         // address the state blocks on the evaluation day.
-        let d = lab.eval_day as i64;
-        let mut effective = FxHashSet::default();
-        for peer in lab.world.online_peers(lab.eval_day) {
-            if !peer.publishes_ip(d) {
-                continue;
-            }
-            let v4 = peer.ipv4_on(d, &lab.world.geo);
-            if state.blocks(v4, &lab.world.geo) {
-                effective.insert(v4);
-            }
-            if let Some(v6) = peer.ipv6_on(d, &lab.world.geo) {
-                if state.blocks(v6, &lab.world.geo) {
-                    effective.insert(v6);
-                }
-            }
-        }
+        let (d, geo) = (lab.eval_day as i64, &lab.world.geo);
+        let effective: FxHashSet<_> = lab
+            .world
+            .online_peers(lab.eval_day)
+            .flat_map(|peer| censor::published_ips(peer, d, geo))
+            .filter(|&ip| state.blocks(ip, geo))
+            .collect();
         let sub = warm_substrate(&lab.usability);
         let scenario = ClosedLoopScenario {
             censor_routers: lab.fleet.vantages.len(),
@@ -434,7 +425,7 @@ impl Adversary for SybilEclipse {
             metrics: vec![
                 ("target".into(), sweep.target_id as f64),
                 ("max_eclipsed_d".into(), last.eclipsed_days as f64),
-                ("baseline_coverage%".into(), sweep.baseline_coverage),
+                ("baseline_coverage%".into(), 100.0 * sweep.baseline_coverage),
             ],
             figure: report::render_sybil(&sweep),
             csv: report::csv_sybil(&sweep),
@@ -507,15 +498,11 @@ impl Adversary for Bridges {
     ) {
         // Score the paper's sustainable strategy (new + firewalled)
         // against the chain's deployed rules on the evaluation day.
-        let d = lab.eval_day as i64;
+        let geo = &lab.world.geo;
         let candidates = BridgeStrategy::NewAndFirewalled.candidates(lab.world, lab.eval_day);
         let usable = candidates
             .iter()
-            .filter(|p| match p.reach_on(d) {
-                i2p_sim::peer::Reach::Firewalled => true,
-                i2p_sim::peer::Reach::Hidden => false,
-                _ => !state.blocks(p.ipv4_on(d, &lab.world.geo), &lab.world.geo),
-            })
+            .filter(|p| bridges::usable(p, lab.eval_day, geo, |ip| state.blocks(ip, geo)))
             .count();
         row.push((
             "bridges_ok%".into(),

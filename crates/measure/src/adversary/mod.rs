@@ -15,8 +15,8 @@
 //!   [`Adversary::run`] that executes its sweep through [`lab::sweep`]
 //!   and returns a structured [`AdversaryOutcome`] (figure + CSV twin +
 //!   headline metrics + a deterministic audit line). The five paper
-//!   attacks run their *existing* sweep entrypoints here, so the legacy
-//!   functions double as parity oracles.
+//!   attacks run their module's one sweep entrypoint here, so the trait
+//!   adds no second implementation of any of them.
 //! * **Chain hooks** — a day-granular `observe`/`act` protocol
 //!   ([`Adversary::observe`], [`Adversary::act`]) against a
 //!   [`SharedState`] all chain members read and write. A member that
@@ -162,9 +162,9 @@ impl<'w> AdversaryLab<'w> {
     }
 
     /// The victim every blocking metric is evaluated against — the same
-    /// long-term client Fig. 13 uses ([`censor::VICTIM_SALT`]).
+    /// long-term client Fig. 13 uses ([`censor::victim_view`]).
     pub fn victim(&self) -> VictimView {
-        censor::victim_view(self.world, self.eval_day, censor::VICTIM_SALT)
+        censor::victim_view(self.world, self.eval_day)
     }
 
     /// The config echo every outcome leads with. Deliberately excludes
@@ -227,18 +227,15 @@ impl SharedState {
     /// Blocking rate (%) of the deployed rules against a victim's known
     /// peers — the chain-level analogue of [`censor::blocking_rate`].
     pub fn blocking_rate_against(&self, victim: &VictimView, geo: &GeoDb) -> f64 {
-        if victim.known_ips.is_empty() {
-            return 0.0;
-        }
         let blocked = victim.known_ips.iter().filter(|&&ip| self.blocks(ip, geo)).count();
-        100.0 * blocked as f64 / victim.known_ips.len() as f64
+        censor::rate_pct(blocked, victim.known_ips.len())
     }
 
     /// Union of the recorded sightings over the window of `window_days`
     /// days ending at `day` — the raw material a censor member compiles
-    /// its blacklist from.
+    /// its blacklist from. Panics on a 0-day window.
     pub fn window_union(&self, day: u64, window_days: u64) -> FxHashSet<PeerIp> {
-        let from = day.saturating_sub(window_days.max(1) - 1);
+        let from = censor::window_start(day, window_days);
         let mut union = FxHashSet::default();
         for d in from..=day {
             if let Some(ips) = self.sighted.get(&d) {
@@ -406,9 +403,9 @@ pub(crate) fn format_metric(label: &str, value: f64) -> String {
 /// and the day-granular chain hooks composition is built from.
 ///
 /// The two halves have different contracts. [`Adversary::run`] is the
-/// standalone entrypoint — it must route its scenario grid through
-/// [`lab::sweep`](crate::lab::sweep) and stay bit-identical to its
-/// legacy oracle. The chain hooks ([`Adversary::observe`] /
+/// standalone entrypoint — the five paper attacks run their module's
+/// own sweep there, and every run is byte-identical at any thread
+/// count. The chain hooks ([`Adversary::observe`] /
 /// [`Adversary::act`] / [`Adversary::conclude_chain`]) are called by
 /// [`run_chain`] once per member per day, in declared chain order,
 /// against the shared [`SharedState`]; a member that never reads the
@@ -536,5 +533,11 @@ mod tests {
         state.blacklist.insert(PeerIp::V4(30));
         assert!(state.blocks(PeerIp::V4(30), &world.geo));
         assert!(!state.blocks(PeerIp::V4(10), &world.geo));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1 day")]
+    fn window_union_rejects_zero_day_window() {
+        SharedState::default().window_union(3, 0);
     }
 }

@@ -13,7 +13,7 @@
 //! attacks the paper cites.
 
 use crate::censor::{
-    censor_blacklist, censor_blacklist_from_engine, victim_view, VictimView, VICTIM_SALT,
+    censor_blacklist_from_engine, rate_pct, victim_view, window_start, VictimView,
 };
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
@@ -47,59 +47,6 @@ pub struct AttackOutcome {
     pub tunnels: usize,
 }
 
-/// Builds the attack setup: the censor blocks everything its
-/// `censor_routers` fleet has seen over 30 days and whitelists
-/// `n_malicious` of its own routers.
-pub fn attack_setup(
-    world: &World,
-    fleet: &Fleet,
-    eval_day: u64,
-    censor_routers: usize,
-    window_days: u64,
-    n_malicious: usize,
-) -> (AttackSetup, VictimView, FxHashSet<i2p_data::PeerIp>) {
-    let victim = victim_view(world, eval_day, VICTIM_SALT);
-    let blacklist = censor_blacklist(world, fleet, censor_routers, window_days, eval_day);
-    let setup = setup_for(&victim, &blacklist, n_malicious);
-    (setup, victim, blacklist)
-}
-
-/// The victim-side bookkeeping shared by [`attack_setup`] and
-/// [`run_attack`]: how much of the victim's view survives the blacklist.
-fn setup_for(
-    victim: &VictimView,
-    blacklist: &FxHashSet<i2p_data::PeerIp>,
-    n_malicious: usize,
-) -> AttackSetup {
-    let blocked = victim.known_ips.iter().filter(|ip| blacklist.contains(ip)).count();
-    AttackSetup {
-        honest_reachable: victim.known_ips.len() - blocked,
-        malicious: n_malicious,
-        blocking_rate_pct: 100.0 * blocked as f64 / victim.known_ips.len().max(1) as f64,
-    }
-}
-
-/// Simulates the victim building `n_tunnels` two-hop tunnels from its
-/// post-blocking candidate pool (surviving honest peers + the attacker's
-/// whitelisted routers, which advertise high bandwidth and therefore
-/// high selection weight — they are "high-profile" routers by §4.1's
-/// ranking logic).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_attack(
-    world: &World,
-    fleet: &Fleet,
-    eval_day: u64,
-    censor_routers: usize,
-    window_days: u64,
-    n_malicious: usize,
-    n_tunnels: usize,
-    seed: u64,
-) -> AttackOutcome {
-    let (_, victim, blacklist) =
-        attack_setup(world, fleet, eval_day, censor_routers, window_days, n_malicious);
-    run_attack(&victim, &blacklist, n_malicious, n_tunnels, seed)
-}
-
 /// One cell of the §7.2 sweep grid.
 #[derive(Clone, Copy, Debug)]
 pub struct AttackScenario {
@@ -113,10 +60,12 @@ pub struct AttackScenario {
 
 /// Runs a whole §7.2 scenario grid against one shared substrate: the
 /// victim's view is accumulated once and one engine fill (covering the
-/// longest window) serves every blacklist, instead of re-deriving both
-/// per cell as [`simulate_attack`] (kept as the oracle) does. Scenarios
-/// run across the [`lab`] sweep threads; results are identical to the
-/// serial oracle for every thread count.
+/// longest window) serves every blacklist. In each cell the censor
+/// blocks everything its first `censor_routers` vantages saw over the
+/// window and whitelists `n_malicious` of its own routers, and the
+/// victim builds `n_tunnels` tunnels (`run_attack`). Scenarios run
+/// across the [`lab`] sweep threads; results are identical for every
+/// thread count.
 pub fn sweep_attacks(
     world: &World,
     fleet: &Fleet,
@@ -126,16 +75,9 @@ pub fn sweep_attacks(
     seed: u64,
     threads: usize,
 ) -> Vec<AttackOutcome> {
-    for s in scenarios {
-        assert!(
-            s.window_days >= 1,
-            "AttackScenario: window_days must be at least 1 day, got {}",
-            s.window_days
-        );
-    }
-    let victim = victim_view(world, eval_day, VICTIM_SALT);
-    let max_window = scenarios.iter().map(|s| s.window_days).max().unwrap_or(1);
-    let from = eval_day.saturating_sub(max_window - 1);
+    let from =
+        scenarios.iter().map(|s| window_start(eval_day, s.window_days)).min().unwrap_or(eval_day);
+    let victim = victim_view(world, eval_day);
     let engine = HarvestEngine::build(world, fleet, from..eval_day + 1);
     // The blacklist depends on (censor_routers, window_days) only, not
     // on n_malicious — derive each distinct one exactly once.
@@ -147,16 +89,18 @@ pub fn sweep_attacks(
         censor_blacklist_from_engine(engine, routers, window, eval_day)
     });
     lab::sweep(&victim, scenarios, threads, |victim, s, _| {
-        let k = keys
-            .binary_search(&(s.censor_routers, s.window_days))
-            .expect("every scenario's blacklist key was precomputed"); // i2plint: allow(panic-audit) -- keys were built from the same scenario grid searched here
+        let k = keys.partition_point(|&key| key < (s.censor_routers, s.window_days));
         run_attack(victim, &blacklists[k], s.n_malicious, n_tunnels, seed)
     })
 }
 
-/// The tunnel-building core shared by the oracle, the sweep, and the
-/// adversary chains (which hand it an effective blacklist assembled
-/// from whatever capabilities the chain deployed).
+/// Simulates the victim building `n_tunnels` two-hop tunnels from its
+/// post-blocking candidate pool: the honest peers the blacklist leaves
+/// plus the attacker's whitelisted routers, which advertise high
+/// bandwidth and therefore high selection weight (they are
+/// "high-profile" routers by §4.1's ranking logic). Shared by the sweep
+/// and the adversary chains, which hand it an effective blacklist
+/// assembled from whatever capabilities the chain deployed.
 pub(crate) fn run_attack(
     victim: &VictimView,
     blacklist: &FxHashSet<i2p_data::PeerIp>,
@@ -164,7 +108,13 @@ pub(crate) fn run_attack(
     n_tunnels: usize,
     seed: u64,
 ) -> AttackOutcome {
-    let setup = setup_for(victim, blacklist, n_malicious);
+    let known = victim.known_ips.len();
+    let blocked = victim.known_ips.iter().filter(|ip| blacklist.contains(ip)).count();
+    let setup = AttackSetup {
+        honest_reachable: known - blocked,
+        malicious: n_malicious,
+        blocking_rate_pct: rate_pct(blocked, known),
+    };
     let mut rng = DetRng::new(seed ^ 0xA77AC4); // i2plint: allow(rng-containment) -- keyed draw: seed xor lane fully determines the attack stream
 
     // Honest survivors get the typical L/N-class selection weight; the
@@ -181,7 +131,6 @@ pub(crate) fn run_attack(
             ));
         }
     }
-    let honest_n = candidates.len();
     for m in 0..n_malicious {
         candidates.push((
             HopCandidate {
@@ -213,7 +162,6 @@ pub(crate) fn run_attack(
             }
         }
     }
-    let _ = honest_n;
     AttackOutcome {
         setup,
         fully_compromised_pct: 100.0 * fully as f64 / built.max(1) as f64,
@@ -264,6 +212,7 @@ pub fn csv_attack_sweep(outcomes: &[AttackOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::censor::fresh_blacklist;
     use i2p_sim::world::WorldConfig;
 
     fn setup() -> (World, Fleet) {
@@ -273,11 +222,30 @@ mod tests {
         )
     }
 
+    fn cell(censor_routers: usize, window_days: u64, n_malicious: usize) -> AttackScenario {
+        AttackScenario { censor_routers, window_days, n_malicious }
+    }
+
+    /// The per-cell reference: a fresh victim view and a blacklist from a
+    /// fill of only the cell's routers over only its window.
+    fn per_cell(
+        w: &World,
+        fleet: &Fleet,
+        eval_day: u64,
+        s: &AttackScenario,
+        n_tunnels: usize,
+        seed: u64,
+    ) -> AttackOutcome {
+        let victim = victim_view(w, eval_day);
+        let blacklist = fresh_blacklist(w, fleet, s.censor_routers, s.window_days, eval_day);
+        run_attack(&victim, &blacklist, s.n_malicious, n_tunnels, seed)
+    }
+
     #[test]
     fn more_malicious_routers_more_compromise() {
         let (w, fleet) = setup();
-        let low = simulate_attack(&w, &fleet, 35, 6, 1, 2, 2000, 1);
-        let high = simulate_attack(&w, &fleet, 35, 6, 1, 20, 2000, 1);
+        let swept = sweep_attacks(&w, &fleet, 35, &[cell(6, 1, 2), cell(6, 1, 20)], 2000, 1, 1);
+        let (low, high) = (&swept[0], &swept[1]);
         assert!(
             high.fully_compromised_pct > low.fully_compromised_pct,
             "low {:.1}% vs high {:.1}%",
@@ -290,7 +258,7 @@ mod tests {
     #[test]
     fn high_blocking_makes_compromise_cheap() {
         let (w, fleet) = setup();
-        let o = simulate_attack(&w, &fleet, 35, 20, 5, 10, 2000, 2);
+        let o = &sweep_attacks(&w, &fleet, 35, &[cell(20, 5, 10)], 2000, 2, 1)[0];
         assert!(
             o.setup.blocking_rate_pct > 90.0,
             "precondition: blocking {:.1}%",
@@ -310,9 +278,9 @@ mod tests {
     fn without_blocking_attack_is_weak() {
         let (w, fleet) = setup();
         // Censor with 0 routers blocks nothing.
-        let unblocked = simulate_attack(&w, &fleet, 35, 0, 1, 10, 2000, 3);
+        let swept = sweep_attacks(&w, &fleet, 35, &[cell(0, 1, 10), cell(20, 5, 10)], 2000, 3, 1);
+        let (unblocked, blocked) = (&swept[0], &swept[1]);
         assert_eq!(unblocked.setup.blocking_rate_pct, 0.0);
-        let blocked = simulate_attack(&w, &fleet, 35, 20, 5, 10, 2000, 3);
         assert!(
             unblocked.fully_compromised_pct + 20.0 < blocked.fully_compromised_pct,
             "blocking is the attack's force multiplier: {:.1}% vs {:.1}%",
@@ -324,17 +292,11 @@ mod tests {
     #[test]
     fn sweep_matches_per_cell_oracle() {
         let (w, fleet) = setup();
-        let scenarios = [
-            AttackScenario { censor_routers: 6, window_days: 1, n_malicious: 2 },
-            AttackScenario { censor_routers: 20, window_days: 5, n_malicious: 10 },
-            AttackScenario { censor_routers: 0, window_days: 1, n_malicious: 5 },
-        ];
+        let scenarios = [cell(6, 1, 2), cell(20, 5, 10), cell(0, 1, 5)];
         for threads in [1, 4] {
             let swept = sweep_attacks(&w, &fleet, 35, &scenarios, 800, 9, threads);
             for (s, got) in scenarios.iter().zip(&swept) {
-                let oracle = simulate_attack(
-                    &w, &fleet, 35, s.censor_routers, s.window_days, s.n_malicious, 800, 9,
-                );
+                let oracle = per_cell(&w, &fleet, 35, s, 800, 9);
                 assert_eq!(got.setup.honest_reachable, oracle.setup.honest_reachable);
                 assert_eq!(got.setup.blocking_rate_pct, oracle.setup.blocking_rate_pct);
                 assert_eq!(got.fully_compromised_pct, oracle.fully_compromised_pct);
@@ -345,12 +307,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least 1 day")]
+    fn sweep_rejects_zero_day_window() {
+        let w = World::generate(WorldConfig { days: 4, scale: 0.01, seed: 81 });
+        sweep_attacks(&w, &Fleet::alternating(2), 3, &[cell(1, 1, 1), cell(1, 0, 1)], 10, 1, 1);
+    }
+
+    #[test]
     fn renderer_has_rows() {
         let (w, fleet) = setup();
-        let sweep: Vec<_> = [2usize, 10]
-            .iter()
-            .map(|&m| simulate_attack(&w, &fleet, 35, 20, 5, m, 500, 4))
-            .collect();
+        let sweep = sweep_attacks(&w, &fleet, 35, &[cell(20, 5, 2), cell(20, 5, 10)], 500, 4, 1);
         let text = render_attack_sweep(&sweep);
         assert!(text.contains("deanonymization"));
         assert!(text.lines().count() >= 5);

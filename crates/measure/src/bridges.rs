@@ -17,12 +17,13 @@
 //!   fresh peers for immediate access plus firewalled peers (which have
 //!   no blockable address at all) for longevity.
 
-use crate::censor::{censor_blacklist, censor_blacklist_from_engine};
+use crate::censor::censor_blacklist_from_engine;
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
 use crate::lab;
 use i2p_crypto::DetRng;
 use i2p_data::{FxHashSet, PeerIp};
+use i2p_geoip::GeoDb;
 use i2p_sim::peer::{PeerRecord, Reach};
 use i2p_sim::world::World;
 
@@ -93,32 +94,25 @@ pub struct BridgeOutcome {
     pub horizon: u64,
 }
 
-/// Evaluates one strategy: hand out `n_bridges` on `start_day`, then let
-/// the censor keep monitoring with `censor_routers` routers and an
-/// unbounded blacklist, and measure how many bridges survive.
-///
-/// A *firewalled* bridge counts as usable as long as the peer is alive:
-/// it has no public address for the censor to block (§7.1). A published
-/// bridge survives until its current IP lands on the blacklist.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_strategy(
-    world: &World,
-    fleet: &Fleet,
-    strategy: BridgeStrategy,
-    start_day: u64,
-    horizon: u64,
-    n_bridges: usize,
-    censor_routers: usize,
-    seed: u64,
-) -> BridgeOutcome {
-    // The censor's deployed blacklist lags observation by one day: the
-    // rules active on day D were compiled from harvests through D − 1.
-    // This lag is precisely why "newly joined [peers] are less likely
-    // discovered and blocked immediately" (§7.1).
-    let bl_day0 = censor_blacklist(world, fleet, censor_routers, 30, start_day - 1);
-    let end_day = start_day + horizon;
-    let bl_end = censor_blacklist(world, fleet, censor_routers, 30 + horizon, end_day - 1);
-    evaluate_strategy_with(world, strategy, start_day, horizon, n_bridges, seed, &bl_day0, &bl_end)
+/// Whether `peer` can serve as a bridge on `day` against rules that
+/// block the addresses `blocked` accepts: an online firewalled peer is
+/// reached through introducers, a hidden one never, and a published one
+/// only while its IPv4 address is not blocked.
+pub(crate) fn usable(
+    peer: &PeerRecord,
+    day: u64,
+    geo: &GeoDb,
+    blocked: impl Fn(PeerIp) -> bool,
+) -> bool {
+    let d = day as i64;
+    if !peer.online(d) {
+        return false;
+    }
+    match peer.reach_on(d) {
+        Reach::Firewalled => true,
+        Reach::Hidden => false,
+        _ => !blocked(peer.ipv4_on(d, geo)),
+    }
 }
 
 /// One cell of a bridge-strategy sweep grid.
@@ -130,11 +124,19 @@ pub struct BridgeScenario {
     pub horizon: u64,
 }
 
-/// Runs a (strategy × horizon) grid against one shared engine fill
-/// instead of re-harvesting two blacklists per cell as
-/// [`evaluate_strategy`] (kept as the oracle) does. Scenarios run
-/// across the [`lab`] sweep threads; results are identical to the
-/// serial oracle for every thread count.
+/// Runs a (strategy × horizon) grid against one shared engine fill.
+/// Each cell hands out `n_bridges` on `start_day`, lets the censor keep
+/// monitoring with `censor_routers` routers and an unbounded blacklist,
+/// and measures how many bridges survive. A *firewalled* bridge counts
+/// as usable as long as the peer is alive: it has no public address for
+/// the censor to block (§7.1). A published bridge survives until its
+/// current IP lands on the blacklist.
+///
+/// The censor's deployed blacklist lags observation by one day: the
+/// rules active on day D were compiled from harvests through D − 1.
+/// This lag is precisely why "newly joined [peers] are less likely
+/// discovered and blocked immediately" (§7.1). Scenarios run across the
+/// [`lab`] sweep threads; results are identical for every thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_bridges(
     world: &World,
@@ -160,18 +162,15 @@ pub fn sweep_bridges(
         censor_blacklist_from_engine(engine, censor_routers, 30 + h, start_day + h - 1)
     });
     lab::sweep(&bl_day0, scenarios, threads, |bl_day0, s, _| {
-        let h = horizons
-            .binary_search(&s.horizon)
-            .expect("every scenario's horizon blacklist was precomputed"); // i2plint: allow(panic-audit) -- horizons were built from the same scenario grid searched here
+        let h = horizons.partition_point(|&h| h < s.horizon);
         evaluate_strategy_with(
             world, s.strategy, start_day, s.horizon, n_bridges, seed, bl_day0, &bl_ends[h],
         )
     })
 }
 
-/// The distribution-and-survival core shared by the oracle and the
-/// sweep: hand out bridges on `start_day`, check usability against the
-/// day-0 and horizon blacklists.
+/// One sweep cell: hand out bridges on `start_day`, check usability
+/// against the day-0 and horizon blacklists.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_strategy_with(
     world: &World,
@@ -188,23 +187,11 @@ fn evaluate_strategy_with(
     rng.shuffle(&mut candidates);
     candidates.truncate(n_bridges);
     let distributed = candidates.len();
-    let end_day = start_day + horizon;
-
-    let usable = |peer: &PeerRecord, day: u64, bl: &FxHashSet<PeerIp>| -> bool {
-        let d = day as i64;
-        if !peer.online(d) {
-            return false;
-        }
-        match peer.reach_on(d) {
-            // No address to block; reachable via introducers.
-            Reach::Firewalled => true,
-            Reach::Hidden => false, // cannot serve as a bridge at all
-            _ => !bl.contains(&peer.ipv4_on(d, &world.geo)),
-        }
+    let survivors = |day: u64, bl: &FxHashSet<PeerIp>| {
+        candidates.iter().filter(|p| usable(p, day, &world.geo, |ip| bl.contains(&ip))).count()
     };
-
-    let day0 = candidates.iter().filter(|p| usable(p, start_day, bl_day0)).count();
-    let after = candidates.iter().filter(|p| usable(p, end_day, bl_end)).count();
+    let day0 = survivors(start_day, bl_day0);
+    let after = survivors(start_day + horizon, bl_end);
     BridgeOutcome {
         strategy,
         distributed,
@@ -212,24 +199,6 @@ fn evaluate_strategy_with(
         usable_after_pct: 100.0 * after as f64 / distributed.max(1) as f64,
         horizon,
     }
-}
-
-/// Runs all strategies side by side.
-pub fn compare_strategies(
-    world: &World,
-    fleet: &Fleet,
-    start_day: u64,
-    horizon: u64,
-    n_bridges: usize,
-    censor_routers: usize,
-    seed: u64,
-) -> Vec<BridgeOutcome> {
-    BridgeStrategy::ALL
-        .iter()
-        .map(|&s| {
-            evaluate_strategy(world, fleet, s, start_day, horizon, n_bridges, censor_routers, seed)
-        })
-        .collect()
 }
 
 /// Renders the comparison table.
@@ -275,6 +244,7 @@ pub fn csv_bridge_comparison(outcomes: &[BridgeOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::censor::fresh_blacklist;
     use i2p_sim::world::WorldConfig;
 
     fn setup() -> (World, Fleet) {
@@ -284,10 +254,34 @@ mod tests {
         )
     }
 
+    /// Every strategy at one horizon.
+    fn all_at(horizon: u64) -> Vec<BridgeScenario> {
+        BridgeStrategy::ALL.iter().map(|&strategy| BridgeScenario { strategy, horizon }).collect()
+    }
+
+    /// The per-cell reference: both blacklists from fills of only the
+    /// censor's routers over only their own windows.
+    fn per_cell(
+        w: &World,
+        fleet: &Fleet,
+        s: &BridgeScenario,
+        start_day: u64,
+        n_bridges: usize,
+        censor_routers: usize,
+        seed: u64,
+    ) -> BridgeOutcome {
+        let bl_day0 = fresh_blacklist(w, fleet, censor_routers, 30, start_day - 1);
+        let end = start_day + s.horizon;
+        let bl_end = fresh_blacklist(w, fleet, censor_routers, 30 + s.horizon, end - 1);
+        evaluate_strategy_with(
+            w, s.strategy, start_day, s.horizon, n_bridges, seed, &bl_day0, &bl_end,
+        )
+    }
+
     #[test]
     fn fresh_peers_beat_random_on_day0() {
         let (w, fleet) = setup();
-        let outcomes = compare_strategies(&w, &fleet, 35, 10, 60, 10, 1);
+        let outcomes = sweep_bridges(&w, &fleet, &all_at(10), 35, 60, 10, 1, 1);
         let random = &outcomes[0];
         let fresh = &outcomes[1];
         assert!(
@@ -301,7 +295,7 @@ mod tests {
     #[test]
     fn combination_is_most_sustainable() {
         let (w, fleet) = setup();
-        let outcomes = compare_strategies(&w, &fleet, 35, 10, 60, 10, 2);
+        let outcomes = sweep_bridges(&w, &fleet, &all_at(10), 35, 60, 10, 2, 1);
         let fresh = &outcomes[1];
         let combo = &outcomes[2];
         assert!(
@@ -315,7 +309,8 @@ mod tests {
     #[test]
     fn fresh_bridges_decay_over_time() {
         let (w, fleet) = setup();
-        let o = evaluate_strategy(&w, &fleet, BridgeStrategy::NewlyJoined, 35, 10, 60, 10, 3);
+        let cell = BridgeScenario { strategy: BridgeStrategy::NewlyJoined, horizon: 10 };
+        let o = &sweep_bridges(&w, &fleet, &[cell], 35, 60, 10, 3, 1)[0];
         assert!(
             o.usable_after_pct < o.usable_day0_pct,
             "censor catches up with fresh bridges: {:.1}% -> {:.1}%",
@@ -330,24 +325,20 @@ mod tests {
         // The usable() rule excludes hidden peers; RandomKnown includes
         // them as candidates, so its day-0 usability must be well below
         // 100 even before blacklisting.
-        let o = evaluate_strategy(&w, &fleet, BridgeStrategy::RandomKnown, 35, 5, 200, 20, 4);
+        let cell = BridgeScenario { strategy: BridgeStrategy::RandomKnown, horizon: 5 };
+        let o = &sweep_bridges(&w, &fleet, &[cell], 35, 200, 20, 4, 1)[0];
         assert!(o.usable_day0_pct < 70.0, "random strategy usability {:.1}%", o.usable_day0_pct);
     }
 
     #[test]
     fn sweep_matches_per_cell_oracle() {
         let (w, fleet) = setup();
-        let scenarios: Vec<BridgeScenario> = [1u64, 5, 10]
-            .iter()
-            .flat_map(|&h| {
-                BridgeStrategy::ALL.iter().map(move |&s| BridgeScenario { strategy: s, horizon: h })
-            })
-            .collect();
+        let scenarios: Vec<BridgeScenario> =
+            [1u64, 5, 10].iter().flat_map(|&h| all_at(h)).collect();
         for threads in [1, 3] {
             let swept = sweep_bridges(&w, &fleet, &scenarios, 35, 60, 10, 2, threads);
             for (s, got) in scenarios.iter().zip(&swept) {
-                let oracle =
-                    evaluate_strategy(&w, &fleet, s.strategy, 35, s.horizon, 60, 10, 2);
+                let oracle = per_cell(&w, &fleet, s, 35, 60, 10, 2);
                 assert_eq!(got.strategy, oracle.strategy);
                 assert_eq!(got.distributed, oracle.distributed);
                 assert_eq!(got.usable_day0_pct, oracle.usable_day0_pct);
@@ -360,7 +351,7 @@ mod tests {
     #[test]
     fn renderer_contains_all_rows() {
         let (w, fleet) = setup();
-        let outcomes = compare_strategies(&w, &fleet, 35, 5, 30, 5, 5);
+        let outcomes = sweep_bridges(&w, &fleet, &all_at(5), 35, 30, 5, 5, 1);
         let text = render_bridge_comparison(&outcomes);
         for s in BridgeStrategy::ALL {
             assert!(text.contains(s.label()));

@@ -12,14 +12,15 @@
 use crate::engine::HarvestEngine;
 use crate::fleet::{self, Fleet};
 use i2p_data::{FxHashMap, FxHashSet, PeerIp};
+use i2p_geoip::GeoDb;
 use i2p_sim::params;
 use i2p_sim::peer::PeerRecord;
 use i2p_sim::world::World;
 
-/// The salt every analysis derives the Fig. 13 victim from, so the
-/// censorship, deanonymization, and adversary-chain paths all attack
-/// the *same* long-term client.
-pub const VICTIM_SALT: u64 = 0x51C;
+/// The salt the Fig. 13 victim is derived from, so the censorship,
+/// deanonymization, and adversary-chain paths all attack the *same*
+/// long-term client.
+const VICTIM_SALT: u64 = 0x51C;
 
 /// The victim's accumulated netDb view.
 #[derive(Clone, Debug)]
@@ -33,13 +34,13 @@ pub struct VictimView {
 /// itself is [`fleet::daily_draw`], the same persistent/fresh mix the
 /// monitoring vantages use; only the seed and strength derivations are
 /// victim-specific.
-fn victim_sees(peer: &PeerRecord, day: u64, salt: u64) -> bool {
+fn victim_sees(peer: &PeerRecord, day: u64) -> bool {
     if !peer.online(day as i64) {
         return false;
     }
     let exposure = params::VICTIM_CAPTURE * (0.85 * peer.w + 0.15 * peer.u);
     let bound = fleet::draw_bound(1.0 - (-exposure).exp());
-    let pair_seed = peer.seed ^ salt.wrapping_mul(0xA076_1D64_78BD_642F);
+    let pair_seed = peer.seed ^ VICTIM_SALT.wrapping_mul(0xA076_1D64_78BD_642F);
     fleet::daily_draw(pair_seed, day, bound, fleet::persistent_hit(pair_seed ^ 0xF00D, bound))
 }
 
@@ -47,12 +48,12 @@ fn victim_sees(peer: &PeerRecord, day: u64, salt: u64) -> bool {
 /// the preceding [`params::VICTIM_ACCUMULATION_DAYS`] (they persist on
 /// disk, §4.3). Each known peer contributes the address from the most
 /// recent sighting.
-pub fn victim_view(world: &World, eval_day: u64, salt: u64) -> VictimView {
+pub fn victim_view(world: &World, eval_day: u64) -> VictimView {
     let from = eval_day.saturating_sub(params::VICTIM_ACCUMULATION_DAYS - 1);
     let mut last_seen: FxHashMap<u32, u64> = FxHashMap::default();
     for day in from..=eval_day {
         for peer in world.online_peers(day) {
-            if victim_sees(peer, day, salt) {
+            if victim_sees(peer, day) {
                 last_seen.insert(peer.id, day);
             }
         }
@@ -71,19 +72,35 @@ pub fn victim_view(world: &World, eval_day: u64, salt: u64) -> VictimView {
         // the evaluation day republish, so the stored address is current;
         // peers gone since the last sighting leave their final address.
         let d = if peer.online(eval_day as i64) { eval_day as i64 } else { day as i64 };
-        if peer.publishes_ip(d) {
-            known_ips.insert(peer.ipv4_on(d, &world.geo));
-            if let Some(v6) = peer.ipv6_on(d, &world.geo) {
-                known_ips.insert(v6);
-            }
+        // One insert at a time, in this order: `run_attack` keys each
+        // honest candidate by its position in the set's iteration order.
+        for ip in published_ips(peer, d, &world.geo) {
+            known_ips.insert(ip);
         }
     }
     VictimView { known_ips }
 }
 
+/// The addresses a censor could block for `peer` on day `d`: its IPv4
+/// address, then its IPv6 address if it has one, and nothing for a
+/// firewalled or hidden peer, which publishes none.
+pub(crate) fn published_ips(
+    peer: &PeerRecord,
+    d: i64,
+    geo: &GeoDb,
+) -> impl Iterator<Item = PeerIp> {
+    let (v4, v6) = if peer.publishes_ip(d) {
+        (Some(peer.ipv4_on(d, geo)), peer.ipv6_on(d, geo))
+    } else {
+        (None, None)
+    };
+    v4.into_iter().chain(v6)
+}
+
 /// First day of the blacklist window of `window_days` days ending on
-/// `eval_day`, clamped at day 0.
-fn window_start(eval_day: u64, window_days: u64) -> u64 {
+/// `eval_day`, clamped at day 0. Every blacklist window goes through
+/// it, so a 0-day window panics wherever it is given.
+pub(crate) fn window_start(eval_day: u64, window_days: u64) -> u64 {
     assert!(
         window_days >= 1,
         "censor blacklist: window_days must be at least 1 day, got {window_days}"
@@ -91,26 +108,11 @@ fn window_start(eval_day: u64, window_days: u64) -> u64 {
     eval_day.saturating_sub(window_days - 1)
 }
 
-/// The censor's blacklist: all peer IPs observed by the first `n`
-/// routers of `fleet` within the window ending at `eval_day`.
-pub fn censor_blacklist(
-    world: &World,
-    fleet: &Fleet,
-    n_routers: usize,
-    window_days: u64,
-    eval_day: u64,
-) -> FxHashSet<PeerIp> {
-    let from = window_start(eval_day, window_days);
-    // Only the first `n_routers` lanes are ever read, so only they are
-    // filled.
-    let prefix = fleet.vantages[..n_routers.min(fleet.vantages.len())].to_vec();
-    let engine = HarvestEngine::build(world, &Fleet { vantages: prefix }, from..eval_day + 1);
-    censor_blacklist_from_engine(&engine, n_routers, window_days, eval_day)
-}
-
-/// [`censor_blacklist`] against a pre-filled engine, so a sweep over
-/// blacklists (attack, bridge and closed-loop grids) pays for the
-/// sighting draws exactly once.
+/// The censor's blacklist: all peer IPs observed by the first
+/// `n_routers` vantages of `engine` within the window of `window_days`
+/// days ending at `eval_day`. The engine must cover that window; one
+/// fill serves every blacklist of a sweep (attack, bridge and
+/// closed-loop grids), so the sighting draws are paid for once.
 pub fn censor_blacklist_from_engine(
     engine: &HarvestEngine<'_>,
     n_routers: usize,
@@ -125,6 +127,23 @@ pub fn censor_blacklist_from_engine(
     ips
 }
 
+/// The per-cell blacklist reference the sweeps are tested against: a
+/// fill of only the first `n_routers` vantages of `fleet` over only the
+/// window, shared with nothing else.
+#[cfg(test)]
+pub(crate) fn fresh_blacklist(
+    world: &World,
+    fleet: &Fleet,
+    n_routers: usize,
+    window_days: u64,
+    eval_day: u64,
+) -> FxHashSet<PeerIp> {
+    let prefix = Fleet { vantages: fleet.vantages[..n_routers.min(fleet.vantages.len())].to_vec() };
+    let days = window_start(eval_day, window_days)..eval_day + 1;
+    let engine = HarvestEngine::build(world, &prefix, days);
+    censor_blacklist_from_engine(&engine, n_routers, window_days, eval_day)
+}
+
 /// Projects one harvested day onto the blockable address space: the
 /// published addresses (IPv4 plus optional IPv6) of every peer the
 /// first `k` vantages saw on `day`, accumulated into `into`. This is
@@ -137,15 +156,12 @@ pub fn union_published_ips(
     k: usize,
     into: &mut FxHashSet<PeerIp>,
 ) {
-    let world = engine.world();
+    let geo = &engine.world().geo;
     let d = day as i64;
     // Membership plus the day's published addresses; no records.
     engine.for_each_union_peer(day, k, |peer| {
-        if peer.publishes_ip(d) {
-            into.insert(peer.ipv4_on(d, &world.geo));
-            if let Some(v6) = peer.ipv6_on(d, &world.geo) {
-                into.insert(v6);
-            }
+        for ip in published_ips(peer, d, geo) {
+            into.insert(ip);
         }
     });
 }
@@ -158,10 +174,10 @@ pub fn blocking_rate(victim: &VictimView, blacklist: &FxHashSet<PeerIp>) -> f64 
 }
 
 /// The blocking-rate formula: `blocked` of the victim's `known`
-/// addresses, in percent (0 for a victim that knows none). Shared by
-/// [`blocking_rate`] and [`blocking_matrix`], so both give the same
-/// `f64` for the same counts.
-fn rate_pct(blocked: usize, known: usize) -> f64 {
+/// addresses, in percent (0 for a victim that knows none). Every
+/// blocking rate goes through it (the matrix, the attack set-up and the
+/// adversary chains), so all give the same `f64` for the same counts.
+pub(crate) fn rate_pct(blocked: usize, known: usize) -> f64 {
     if known == 0 {
         return 0.0;
     }
@@ -197,7 +213,7 @@ pub fn blocking_matrix(
 ) -> Vec<BlockingSeries> {
     let _span = i2p_telemetry::span("measure.censor_matrix");
     let starts: Vec<u64> = windows.iter().map(|&w| window_start(eval_day, w)).collect();
-    let victim = victim_view(world, eval_day, VICTIM_SALT);
+    let victim = victim_view(world, eval_day);
     // One fill covering the longest window serves every matrix cell.
     let from = starts.iter().copied().min().unwrap_or(eval_day);
     let engine = HarvestEngine::build(world, fleet, from..eval_day + 1);
@@ -257,10 +273,7 @@ fn blocked_per_prefix(
     for day in engine.days().rev() {
         let d = day as i64;
         engine.for_each_first_sighting(day, |peer, v| {
-            if !peer.publishes_ip(d) {
-                return;
-            }
-            for ip in std::iter::once(peer.ipv4_on(d, geo)).chain(peer.ipv6_on(d, geo)) {
+            for ip in published_ips(peer, d, geo) {
                 if let Some(&i) = slot.get(&ip) {
                     first[i] = first[i].min(v);
                 }
@@ -299,7 +312,7 @@ mod tests {
     #[test]
     fn victim_knows_a_substantial_set() {
         let (w, _) = setup();
-        let v = victim_view(&w, 35, 1);
+        let v = victim_view(&w, 35);
         assert!(v.known_ips.len() > 100, "victim knows {} IPs", v.known_ips.len());
     }
 
@@ -344,7 +357,7 @@ mod tests {
         let routers = [3, 0, 1, 20, 7, 25, 1];
         let windows = [5, 1, 40, 5, 30, 2];
         let series = blocking_matrix(&w, &fleet, eval, &routers, &windows);
-        let victim = victim_view(&w, eval, VICTIM_SALT);
+        let victim = victim_view(&w, eval);
         let engine = HarvestEngine::build(&w, &fleet, 0..eval + 1);
         assert_eq!(series.len(), windows.len());
         for (s, &win) in series.iter().zip(&windows) {
@@ -369,12 +382,6 @@ mod tests {
     #[should_panic(expected = "at least 1 day")]
     fn matrix_rejects_zero_day_window() {
         blocking_matrix(&tiny_world(), &Fleet::alternating(2), 3, &[1, 2], &[1, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1 day")]
-    fn blacklist_rejects_zero_day_window() {
-        censor_blacklist(&tiny_world(), &Fleet::alternating(2), 2, 0, 3);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! harvested blacklist — relays twinned with firewalled or hidden peers
 //! are unblockable, exactly like their world-side counterparts (§7.1).
 
-use crate::censor::censor_blacklist_from_engine;
+use crate::censor::{censor_blacklist_from_engine, published_ips, window_start};
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
 use crate::lab;
@@ -55,6 +55,7 @@ pub struct ClosedLoopOutcome {
 
 /// Runs the closed loop for every scenario against one shared warmed
 /// substrate and one shared engine fill (covering the longest window).
+/// The windows are checked before the substrate is warmed.
 pub fn closed_loop_sweep(
     world: &World,
     fleet: &Fleet,
@@ -62,17 +63,9 @@ pub fn closed_loop_sweep(
     scenarios: &[ClosedLoopScenario],
     eval_day: u64,
 ) -> Vec<ClosedLoopOutcome> {
-    cfg.validate();
-    for s in scenarios {
-        assert!(
-            s.window_days >= 1,
-            "ClosedLoopScenario: window_days must be at least 1 day, got {}",
-            s.window_days
-        );
-    }
+    let from =
+        scenarios.iter().map(|s| window_start(eval_day, s.window_days)).min().unwrap_or(eval_day);
     let sub = warm_substrate(cfg);
-    let max_window = scenarios.iter().map(|s| s.window_days).max().unwrap_or(1);
-    let from = eval_day.saturating_sub(max_window - 1);
     let engine = HarvestEngine::build(world, fleet, from..eval_day + 1);
     let shared = (sub, engine);
     lab::sweep(&shared, scenarios, cfg.threads, |(sub, engine), s, _| {
@@ -100,14 +93,8 @@ pub fn run_closed_loop_on(
     for relay in 0..sub.relays {
         // Deterministic stride mapping relay → world twin.
         let twin = online[(relay * online.len()) / sub.relays.max(1) % online.len()];
-        if !twin.publishes_ip(d) {
-            continue; // firewalled/hidden twin: nothing to blacklist
-        }
-        let v4_hit = blacklist.contains(&twin.ipv4_on(d, &world.geo));
-        let v6_hit = twin
-            .ipv6_on(d, &world.geo)
-            .is_some_and(|v6| blacklist.contains(&v6));
-        if v4_hit || v6_hit {
+        // A firewalled or hidden twin publishes nothing to blacklist.
+        if published_ips(twin, d, &world.geo).any(|ip| blacklist.contains(&ip)) {
             bl.observe(sub.net.source_ip(relay), 0);
             blocked += 1;
         }
@@ -212,5 +199,19 @@ mod tests {
         let text = render_closed_loop(&outcomes);
         assert!(text.contains("achieved rate"));
         assert!(text.lines().count() >= 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1 day")]
+    fn zero_day_window_is_rejected_before_the_warm_up() {
+        // The warm-up would reject this config with its own message, so
+        // the window panic proves no TestNet was built first.
+        let cfg = UsabilityConfig { fetches_per_rate: 0, ..quick_cfg() };
+        let world = World::generate(WorldConfig { days: 4, scale: 0.01, seed: 91 });
+        let scenarios = [
+            ClosedLoopScenario { censor_routers: 1, window_days: 1 },
+            ClosedLoopScenario { censor_routers: 1, window_days: 0 },
+        ];
+        closed_loop_sweep(&world, &Fleet::alternating(2), &cfg, &scenarios, 3);
     }
 }

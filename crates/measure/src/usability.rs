@@ -12,11 +12,11 @@
 //! for every blocking rate, so [`evaluate`] builds it **once** as a
 //! [`WarmSubstrate`] and forks the network per `(rate, replicate)`
 //! scenario via the [`crate::lab`] sweep driver. Replicate 0 of each
-//! rate continues the parent RNG stream unchanged, so a single-threaded
-//! default sweep is bit-identical to the rebuild-from-scratch oracle
-//! ([`run_one_rate`], retained and pinned by `tests/scenario_lab.rs`);
-//! replicates ≥ 1 re-split the RNG per [`i2p_router::TestNet::fork`]
-//! and feed the confidence intervals on each point.
+//! rate continues the parent RNG stream unchanged, so it is
+//! bit-identical to warming a fresh substrate for that rate alone
+//! (`tests/scenario_lab.rs` pins this); replicates ≥ 1 re-split the RNG
+//! per [`i2p_router::TestNet::fork`] and feed the confidence intervals
+//! on each point.
 
 use crate::lab;
 use i2p_data::{Duration, Hash256, PeerIp};
@@ -137,7 +137,7 @@ pub struct UsabilityPoint {
 }
 
 /// A bootstrapped, published, settled `TestNet` plus the experiment's
-/// cast — everything of [`run_one_rate`] that does not depend on the
+/// cast — everything of the experiment that does not depend on the
 /// blocking rate, built once and forked per scenario.
 pub struct WarmSubstrate {
     /// The warmed network.
@@ -191,34 +191,7 @@ pub fn evaluate_on(sub: &WarmSubstrate, cfg: &UsabilityConfig) -> Vec<UsabilityP
 pub fn warm_substrate(cfg: &UsabilityConfig) -> WarmSubstrate {
     let _span = i2p_telemetry::span("measure.lab_warm");
     cfg.validate();
-    warm_substrate_with_seed(cfg, cfg.seed)
-}
-
-/// One `(rate, replicate)` scenario on a fork of the warm substrate.
-/// Replicate 0 continues the substrate's own RNG stream (bit-identical
-/// to rebuilding from scratch); higher replicates re-split it.
-pub fn run_scenario(
-    sub: &WarmSubstrate,
-    cfg: &UsabilityConfig,
-    rate: f64,
-    replicate: usize,
-) -> UsabilityPoint {
-    let net = if replicate == 0 { sub.net.clone() } else { sub.net.fork(replicate as u64) };
-    run_rate_on_net(net, sub, cfg, rate, cfg.seed)
-}
-
-/// Runs one blocking rate the pre-lab way: rebuild, reseed and re-warm
-/// a whole network, then censor it. Kept as the scenario lab's oracle —
-/// `tests/scenario_lab.rs` holds the forked path bit-identical to this.
-pub fn run_one_rate(cfg: &UsabilityConfig, rate: f64, seed: u64) -> UsabilityPoint {
-    cfg.validate();
-    let sub = warm_substrate_with_seed(cfg, seed);
-    let net = sub.net.clone();
-    run_rate_on_net(net, &sub, cfg, rate, seed)
-}
-
-fn warm_substrate_with_seed(cfg: &UsabilityConfig, seed: u64) -> WarmSubstrate {
-    let mut net = TestNet::new(seed);
+    let mut net = TestNet::new(cfg.seed);
     // The fault plane sits on the fabric from the start: ambient loss,
     // delay and duplication affect warm-up and fetches alike, and the
     // per-message keys come from the fabric's own send counter, so the
@@ -264,19 +237,30 @@ fn warm_substrate_with_seed(cfg: &UsabilityConfig, seed: u64) -> WarmSubstrate {
     WarmSubstrate { net, server, victim, dest, relays: cfg.relays }
 }
 
+/// One `(rate, replicate)` scenario on a fork of the warm substrate.
+/// Replicate 0 continues the substrate's own RNG stream (bit-identical
+/// to rebuilding from scratch); higher replicates re-split it.
+pub fn run_scenario(
+    sub: &WarmSubstrate,
+    cfg: &UsabilityConfig,
+    rate: f64,
+    replicate: usize,
+) -> UsabilityPoint {
+    let net = if replicate == 0 { sub.net.clone() } else { sub.net.fork(replicate as u64) };
+    run_rate_on_net(net, sub, cfg, rate)
+}
+
 /// The rate-dependent tail of the experiment: censor installation,
-/// server maintenance, and the fetch loop. Shared verbatim by the
-/// rebuild oracle and the forked scenarios.
+/// server maintenance, and the fetch loop.
 fn run_rate_on_net(
     mut net: TestNet,
     sub: &WarmSubstrate,
     cfg: &UsabilityConfig,
     rate: f64,
-    seed: u64,
 ) -> UsabilityPoint {
     // Install the censor: a random `rate` share of relay IPs, scoped to
     // the victim's uplink (null routing or active reset, §6.2.3).
-    let mut rng = net.fork_rng(0xB10C ^ seed);
+    let mut rng = net.fork_rng(0xB10C ^ cfg.seed);
     let victim_ip = net.source_ip(sub.victim);
     let mut bl = BlockList::new(3650);
     let mut relay_ips: Vec<PeerIp> = (0..sub.relays).map(|i| net.source_ip(i)).collect();

@@ -8,7 +8,8 @@
 //! cargo run --release --example censorship_blocking
 //! ```
 
-use i2pscope::measure::censor::{blocking_matrix, censor_blacklist, victim_view};
+use i2pscope::measure::censor::{blocking_matrix, censor_blacklist_from_engine, victim_view};
+use i2pscope::measure::engine::HarvestEngine;
 use i2pscope::measure::fleet::Fleet;
 use i2pscope::measure::report::render_fig13;
 use i2pscope::sim::peer::Reach;
@@ -25,8 +26,9 @@ fn main() {
 
     // The escape hatch the paper highlights (§7.1): which of the
     // victim's peers survive the best censor?
-    let victim = victim_view(&world, eval_day, 0x51C);
-    let blacklist = censor_blacklist(&world, &fleet, 20, 30, eval_day);
+    let victim = victim_view(&world, eval_day);
+    let engine = HarvestEngine::build(&world, &fleet, eval_day - 29..eval_day + 1);
+    let blacklist = censor_blacklist_from_engine(&engine, 20, 30, eval_day);
     let unblocked: Vec<_> = victim
         .known_ips
         .iter()

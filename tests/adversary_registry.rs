@@ -1,13 +1,14 @@
 //! Adversary registry + composition determinism suite (DESIGN.md §9).
 //!
 //! The trait refactor's contract: the five registered paper attacks are
-//! *plumbing* over the legacy entrypoints, not reimplementations — so
-//! each trait-path figure must be byte-identical to the legacy oracle
-//! run with the same grid (for the censor, the per-cell blacklist
-//! definition of Fig. 13). On top of that, the composed scenarios pin
-//! the lab-wide determinism guarantees: rebuild ≡ rerun bit for bit,
-//! 1 ≡ N sweep threads, and capture → store → replay roundtrips with
-//! identical figures.
+//! *plumbing* over their modules' sweeps, not reimplementations — so
+//! each trait-path figure must be byte-identical to its module's sweep
+//! run directly over the same grid at one thread (for the censor, to
+//! the per-cell blacklist definition of Fig. 13; each module's unit
+//! tests hold its sweep to a per-cell reference). On top of that, the
+//! composed scenarios pin the lab-wide determinism guarantees: rebuild
+//! ≡ rerun bit for bit, 1 ≡ N sweep threads, and capture → store →
+//! replay roundtrips with identical figures.
 
 use i2pscope::cli::{self, FigId, Format};
 use i2pscope::measure::adversary::{
@@ -25,7 +26,7 @@ fn lab_over<'w>(world: &'w World, fleet: &'w Fleet, threads: usize) -> Adversary
     AdversaryLab::new(world, fleet, 0..world.config.days, threads)
 }
 
-// ---- legacy ↔ trait byte-identical figures ----------------------------
+// ---- module sweep ↔ trait byte-identical figures -----------------------
 
 #[test]
 fn censor_trait_path_matches_legacy_oracle() {
@@ -36,7 +37,7 @@ fn censor_trait_path_matches_legacy_oracle() {
     // over a shared fill, scored against the victim's known addresses —
     // not the one-walk matrix the registered run goes through.
     let eval = lab.eval_day;
-    let victim = censor::victim_view(&world, eval, censor::VICTIM_SALT);
+    let victim = censor::victim_view(&world, eval);
     let engine = HarvestEngine::build(&world, &fleet, 0..eval + 1);
     let series: Vec<censor::BlockingSeries> = Censor::window_grid(&lab)
         .into_iter()
@@ -60,23 +61,15 @@ fn deanon_trait_path_matches_legacy_oracle() {
     let (world, fleet) = fixture();
     let lab = lab_over(&world, &fleet, 1);
     let run = Deanon.run(&lab);
-    // The serial per-cell oracle re-derives the victim view and engine
-    // fill for every grid cell — the strongest cross-check available.
-    let outcomes: Vec<_> = Deanon::grid(&lab)
-        .iter()
-        .map(|s| {
-            attack::simulate_attack(
-                &world,
-                &fleet,
-                lab.eval_day,
-                s.censor_routers,
-                s.window_days,
-                s.n_malicious,
-                Deanon::TUNNELS,
-                lab.seed,
-            )
-        })
-        .collect();
+    let outcomes = attack::sweep_attacks(
+        &world,
+        &fleet,
+        lab.eval_day,
+        &Deanon::grid(&lab),
+        Deanon::TUNNELS,
+        lab.seed,
+        1,
+    );
     assert_eq!(run.figure, attack::render_attack_sweep(&outcomes));
     assert_eq!(run.csv, attack::csv_attack_sweep(&outcomes));
 }
@@ -112,17 +105,15 @@ fn bridges_trait_path_matches_legacy_oracle() {
     let (world, fleet) = fixture();
     let lab = lab_over(&world, &fleet, 1);
     let run = Bridges.run(&lab);
-    // The serial oracle harvests two blacklists per strategy from
-    // scratch instead of sharing one engine fill.
-    let horizon = Bridges::horizon(&lab);
-    let outcomes = bridges::compare_strategies(
+    let outcomes = bridges::sweep_bridges(
         &world,
         &fleet,
-        lab.eval_day - horizon,
-        horizon,
+        &Bridges::grid(&lab),
+        lab.eval_day - Bridges::horizon(&lab),
         Bridges::N_BRIDGES,
         fleet.vantages.len(),
         lab.seed,
+        1,
     );
     assert_eq!(run.figure, bridges::render_bridge_comparison(&outcomes));
     assert_eq!(run.csv, bridges::csv_bridge_comparison(&outcomes));

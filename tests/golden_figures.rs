@@ -198,3 +198,22 @@ fn golden_adversary_composed() {
     check_golden("adversary_composed.txt", &text);
     check_golden("adversary_composed.csv", &csv);
 }
+
+#[test]
+fn golden_adversary_paper() {
+    // The five registered paper attacks, standalone: each figure with
+    // its audit line, and each CSV, so the censor, deanonymization,
+    // closed-loop, Sybil and bridge sweeps are pinned at the byte level.
+    let world = world();
+    let fleet = Fleet::alternating(6);
+    let lab = AdversaryLab::new(&world, &fleet, 0..DAYS, 1);
+    let mut text = String::new();
+    let mut csv = String::new();
+    for name in ["censor", "deanon", "closedloop", "sybil", "bridges"] {
+        let outcome = parse_spec(name).expect("registered paper attack").run(&lab);
+        let _ = write!(text, "{}{}\n\n", outcome.figure, outcome.audit_line());
+        let _ = write!(csv, "{}", outcome.csv);
+    }
+    check_golden("adversary_paper.txt", &text);
+    check_golden("adversary_paper.csv", &csv);
+}

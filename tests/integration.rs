@@ -5,7 +5,7 @@
 use i2pscope::measure::capacity::{
     bandwidth_table_from, capacity_histogram_from, floodfill_estimate_from,
 };
-use i2pscope::measure::censor::{blocking_matrix, censor_blacklist, victim_view};
+use i2pscope::measure::censor::{blocking_matrix, censor_blacklist_from_engine, victim_view};
 use i2pscope::measure::churn::churn_curves_from;
 use i2pscope::measure::fleet::Fleet;
 use i2pscope::measure::geo::{AsReport, GeoReport};
@@ -83,8 +83,8 @@ fn whole_pipeline_is_deterministic() {
 fn blocking_rate_consistent_with_raw_sets() {
     let w = world();
     let fleet = Fleet::alternating(20);
-    let victim = victim_view(&w, 35, 0x51C);
-    let bl = censor_blacklist(&w, &fleet, 10, 5, 35);
+    let victim = victim_view(&w, 35);
+    let bl = censor_blacklist_from_engine(&HarvestEngine::build(&w, &fleet, 31..36), 10, 5, 35);
     let manual = victim.known_ips.iter().filter(|ip| bl.contains(ip)).count() as f64
         / victim.known_ips.len().max(1) as f64
         * 100.0;
@@ -132,18 +132,18 @@ fn geo_totals_dominated_by_peers_but_bounded() {
 
 #[test]
 fn usability_single_rate_end_to_end() {
-    use i2pscope::measure::usability::{run_one_rate, UsabilityConfig};
-    let cfg = UsabilityConfig {
+    use i2pscope::measure::usability::{evaluate, UsabilityConfig};
+    let points = evaluate(&UsabilityConfig {
         relays: 32,
         floodfills: 6,
         fetches_per_rate: 3,
-        blocking_rates: vec![],
+        blocking_rates: vec![0.0, 0.9],
+        seed: 99,
         ..Default::default()
-    };
-    let clean = run_one_rate(&cfg, 0.0, 99);
+    });
+    let (clean, censored) = (&points[0], &points[1]);
     assert_eq!(clean.timeout_pct, 0.0);
     assert!(clean.avg_load_time_s > 0.0 && clean.avg_load_time_s < 15.0);
-    let censored = run_one_rate(&cfg, 0.9, 99);
     assert!(
         censored.timeout_pct >= 33.0 || censored.avg_load_time_s > clean.avg_load_time_s * 3.0,
         "90% blocking must degrade service: {censored:?}"

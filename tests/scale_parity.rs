@@ -171,7 +171,7 @@ fn fig13_walk_matches_per_cell_definition_at_scale_one() {
     let routers: Vec<usize> = (1..=20).collect();
     let windows = [1u64, 5, 10, 20, 30];
     let series = censor::blocking_matrix(&world, &fleet, eval, &routers, &windows);
-    let victim = censor::victim_view(&world, eval, censor::VICTIM_SALT);
+    let victim = censor::victim_view(&world, eval);
     let engine = HarvestEngine::build(&world, &fleet, eval + 1 - 30..eval + 1);
     let mut cells = 0;
     for (s, &w) in series.iter().zip(&windows) {

@@ -2,9 +2,10 @@
 //!
 //! The lab's whole value proposition is that forking a warmed substrate
 //! is *free of measurement drift*: (a) a single-threaded forked sweep is
-//! bit-identical to the rebuild-from-scratch oracle ([`run_one_rate`],
-//! which still bootstraps, reseeds and settles a whole network per
-//! rate), and (b) sweep results are identical at 1 vs N threads. Any
+//! bit-identical to rebuilding the experiment for each rate (a fresh
+//! `warm_substrate` per rate, which bootstraps, reseeds and settles a
+//! whole network, then that rate's replicate 0 on it), and (b) sweep
+//! results are identical at 1 vs N threads. Any
 //! divergence means the lab changed the experiment, not just its cost —
 //! the same contract `crates/measure/tests/parity.rs` pins for the
 //! harvest engine. (The fetch loop itself gained two intentional
@@ -14,9 +15,7 @@
 //! earlier releases' raw numbers.)
 
 use i2pscope::measure::adversary::{registry, run_chain, AdversaryLab, ChainKnobs};
-use i2pscope::measure::usability::{
-    evaluate, run_one_rate, run_scenario, warm_substrate, UsabilityConfig,
-};
+use i2pscope::measure::usability::{evaluate, run_scenario, warm_substrate, UsabilityConfig};
 use i2pscope::measure::Fleet;
 use i2pscope::sim::world::{World, WorldConfig};
 use i2pscope::transport::CensorMode;
@@ -39,7 +38,7 @@ fn forked_sweep_is_bit_identical_to_rebuild_path() {
     let forked = evaluate(&cfg);
     assert_eq!(forked.len(), cfg.blocking_rates.len());
     for (point, &rate) in forked.iter().zip(&cfg.blocking_rates) {
-        let oracle = run_one_rate(&cfg, rate, cfg.seed);
+        let oracle = run_scenario(&warm_substrate(&cfg), &cfg, rate, 0);
         // Exact f64 equality: the fork must replay the rebuild path
         // bit for bit, not merely approximate it.
         assert_eq!(point.fetches, oracle.fetches, "rate {rate}");
