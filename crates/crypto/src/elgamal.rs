@@ -8,7 +8,7 @@
 //! symmetric layer ([`ElGamalPublic::seal`] / [`ElGamalKeyPair::open`]).
 
 use crate::chacha20::ChaCha20;
-use crate::dh::{inv_mod, mul_mod, pow_mod, GENERATOR, MODULUS};
+use crate::dh::{mul_mod, pow_mod, GENERATOR, MODULUS};
 use crate::rng::DetRng;
 use crate::sha256::sha256;
 
@@ -49,10 +49,12 @@ impl ElGamalKeyPair {
         ElGamalKeyPair { secret, public: ElGamalPublic(pow_mod(GENERATOR, secret, MODULUS)) }
     }
 
-    /// Decrypts a raw group-element message.
+    /// Decrypts a raw group-element message: `c2 · c1^(−x)`. By
+    /// Fermat, `c1^(−x) = c1^(p−1−x)`, one exponentiation where
+    /// `(c1^x)^(p−2)` takes two; and since `x ≤ p−2`, the exponent is
+    /// at least 1, so `c1 ≡ 0` still decrypts to 0.
     pub fn decrypt(&self, ct: ElGamalCiphertext) -> u64 {
-        let s = pow_mod(ct.c1, self.secret, MODULUS);
-        mul_mod(ct.c2, inv_mod(s, MODULUS), MODULUS)
+        mul_mod(ct.c2, pow_mod(ct.c1, MODULUS - 1 - self.secret, MODULUS), MODULUS)
     }
 
     /// Opens a [`SealedBox`], returning the plaintext, or `None` if the
@@ -112,6 +114,32 @@ impl ElGamalPublic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn decrypt_matches_the_inverse_formula(
+            material in any::<u64>(),
+            c1 in prop_oneof![
+                any::<u64>(),
+                (0u64..=u64::MAX / MODULUS).prop_map(|k| k * MODULUS),
+                Just(1u64),
+                Just(MODULUS - 1),
+                MODULUS..=u64::MAX,
+            ],
+            c2 in any::<u64>(),
+        ) {
+            // The textbook formula `c2 · (c1^x)^(−1)`, the inverse taken
+            // by Fermat as `dh::inv_mod` does, without its debug check
+            // that refuses 0 (whose "inverse" it computes as 0).
+            let kp = ElGamalKeyPair::from_secret_material(material);
+            let s = pow_mod(c1, kp.secret, MODULUS);
+            let textbook = mul_mod(c2, pow_mod(s, MODULUS - 2, MODULUS), MODULUS);
+            prop_assert_eq!(kp.decrypt(ElGamalCiphertext { c1, c2 }), textbook);
+        }
+    }
 
     #[test]
     fn raw_roundtrip() {

@@ -25,12 +25,11 @@ pub struct RouterIdentity {
 impl RouterIdentity {
     /// Generates a fresh identity from an RNG stream.
     pub fn generate(rng: &mut DetRng) -> (RouterIdentity, IdentitySecrets) {
-        let enc_material = rng.next_u64();
-        let kp = i2p_crypto::ElGamalKeyPair::from_secret_material(enc_material);
+        let enc_keypair = i2p_crypto::ElGamalKeyPair::from_secret_material(rng.next_u64());
         let mut sign_key = [0u8; 32];
         rng.fill_bytes(&mut sign_key);
-        let ident = RouterIdentity { enc_key: kp.public, sign_key, cert: 0 };
-        (ident, IdentitySecrets { enc_material, sign_key })
+        let ident = RouterIdentity { enc_key: enc_keypair.public, sign_key, cert: 0 };
+        (ident, IdentitySecrets { enc_keypair, sign_key })
     }
 
     /// Encodes the identity.
@@ -59,8 +58,8 @@ impl RouterIdentity {
 /// The secret half of an identity (held by the router only).
 #[derive(Clone, Debug)]
 pub struct IdentitySecrets {
-    /// ElGamal secret material.
-    pub enc_material: u64,
+    /// The ElGamal decryption key pair, derived once at generation.
+    enc_keypair: i2p_crypto::ElGamalKeyPair,
     /// HMAC signing key (simulation-grade signatures).
     pub sign_key: [u8; 32],
 }
@@ -78,8 +77,8 @@ impl IdentitySecrets {
     }
 
     /// The decryption key pair.
-    pub fn enc_keypair(&self) -> i2p_crypto::ElGamalKeyPair {
-        i2p_crypto::ElGamalKeyPair::from_secret_material(self.enc_material)
+    pub fn enc_keypair(&self) -> &i2p_crypto::ElGamalKeyPair {
+        &self.enc_keypair
     }
 }
 

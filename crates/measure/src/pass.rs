@@ -4,6 +4,9 @@
 //! Every §5 result (Figs. 4–12, Table 1) is a fold over the same
 //! per-day observation stream, so [`figure_pass`] walks a source's days
 //! once, ascending, and feeds the accumulator of every selected figure.
+//! Every [`READ_AHEAD_DAYS`] days it lets the source read the next
+//! batch ahead on the workers ([`SnapshotSource::read_ahead`]: a lazy
+//! snapshot decodes its day segments there).
 //! Per day the calling thread folds the coverage ledger, computes the
 //! Fig. 4 curve and lists the day's union once
 //! ([`SnapshotSource::with_day_union`]). Workers then claim the
@@ -27,6 +30,12 @@ use crate::slots::PeerSlots;
 use crate::source::{Coverage, DayUnion, SnapshotSource};
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
+
+/// Days the pass asks its source to read ahead at once
+/// ([`SnapshotSource::read_ahead`]). A lazy snapshot holds two decoded
+/// days (`i2p-store`'s `CACHE_SEGMENTS`), so it decodes a batch of two
+/// on two workers and still decodes each day once.
+pub const READ_AHEAD_DAYS: u64 = 2;
 
 /// The accumulators a pass feeds. A fold that is not wanted is never
 /// fed, so no figure's bytes depend on which others share the pass.
@@ -89,11 +98,14 @@ pub struct Folds {
 
 /// Walks `src`'s days once, ascending, feeding the `wants` folds, with
 /// each day's records split by id shard across `workers` workers (one
-/// runs inline). Per day that is the coverage ledger's `count_one`
-/// calls, at most one `coverage_curve` and at most one union listing,
-/// so a lazy snapshot decodes each day once and the engine's query
-/// counters do not depend on `workers`; neither does any fold. The
-/// count is recorded as the `measure.figure_workers` timing gauge.
+/// runs inline). Before each batch of [`READ_AHEAD_DAYS`] days the
+/// source may prepare the batch on the same workers
+/// ([`SnapshotSource::read_ahead`]). Per day the pass then makes the
+/// coverage ledger's `count_one` calls, at most one `coverage_curve`
+/// and at most one union listing, so a lazy snapshot decodes each day
+/// once and the engine's query counters do not depend on `workers`;
+/// neither does any fold. The count is recorded as the
+/// `measure.figure_workers` timing gauge.
 pub fn figure_pass(src: &dyn SnapshotSource, wants: Wants, workers: usize) -> Folds {
     let _span = i2p_telemetry::span("measure.figure_pass");
     // Observation only, like the fill's `measure.engine_workers`: the
@@ -128,6 +140,9 @@ pub fn figure_pass(src: &dyn SnapshotSource, wants: Wants, workers: usize) -> Fo
     // by a shard number, which a forged id near `u32::MAX` would size.
     let mut shards: Vec<Shard<'_>> = Vec::new();
     for day in span.clone() {
+        if (day - span.start) % READ_AHEAD_DAYS == 0 {
+            src.read_ahead(day..span.end.min(day + READ_AHEAD_DAYS), workers);
+        }
         coverage.add_day(src, day);
         if wants.curve {
             curve.add_day(&src.coverage_curve(day));

@@ -123,6 +123,15 @@ pub trait SnapshotSource {
     /// shard across its workers.
     fn with_day_union(&self, day: u64, k: usize, f: &mut dyn FnMut(&DayUnion<'_>));
 
+    /// Tells the source that the queries for `days` come next, and that
+    /// `workers` workers may prepare them (the calling thread is one).
+    /// A hint: it changes no answer and reports nothing. The default
+    /// does nothing, which is right for the live engine and the eager
+    /// snapshot; a lazy snapshot decodes the days it does not hold. The
+    /// figure pass calls it before each batch of
+    /// [`READ_AHEAD_DAYS`](crate::pass::READ_AHEAD_DAYS) days.
+    fn read_ahead(&self, _days: Range<u64>, _workers: usize) {}
+
     /// Visits the id of every peer the first `k` vantages saw on `day`,
     /// ascending.
     fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32)) {

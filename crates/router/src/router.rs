@@ -506,8 +506,7 @@ impl Router {
         now: SimTime,
     ) -> Vec<Outbound> {
         let me = self.hash();
-        let keypair = self.secrets.enc_keypair();
-        let Some(record) = request.process_as(&me, &keypair) else {
+        let Some(record) = request.process_as(&me, self.secrets.enc_keypair()) else {
             return Vec::new(); // not for us; drop
         };
         // Capacity check: refuse when over the participating-tunnel cap
@@ -635,8 +634,7 @@ impl Router {
     }
 
     fn on_garlic(&mut self, garlic: GarlicMessage, now: SimTime, rng: &mut DetRng) -> Vec<Outbound> {
-        let keypair = self.secrets.enc_keypair();
-        let Some(cloves) = garlic.open(&keypair) else {
+        let Some(cloves) = garlic.open(self.secrets.enc_keypair()) else {
             return Vec::new(); // not for us
         };
         let mut out = Vec::new();

@@ -12,13 +12,26 @@
 //! segment stream recording only each day's byte extent (validating tag
 //! structure and day sequence as it goes), and verifies the whole-file
 //! trailer checksum through the streaming [`format::Hasher`] in
-//! O(chunk) memory. Day segments are then seeked, checksummed and
+//! O(chunk) memory. Day segments are then read, checksummed and
 //! decoded on demand behind [`SnapshotSource`], with a tiny
 //! deterministic most-recently-used cache — so peak memory is
 //! O(largest day), not O(archive), and replayed figures remain
 //! byte-identical to the eager loader's (pinned by
-//! `tests/scale_parity.rs`). Every cache miss is ledgered by the
-//! `segments_lazy_loaded` counter.
+//! `tests/scale_parity.rs`).
+//!
+//! Loads run where the caller asks. A query that misses the cache loads
+//! its day on the calling thread. The figure pass announces each batch
+//! of two days first ([`SnapshotSource::read_ahead`]), and when it has
+//! two workers or more, the batch's missing days are then loaded on the
+//! pass's claim-loop workers, one day a worker, the calling thread
+//! among them. Either way a load does the same positional read,
+//! segment checksum and decode, inside one `store.segment_load` span on
+//! the thread that runs it, and every load is ledgered by the
+//! `segments_lazy_loaded` counter. A read-ahead load that fails is
+//! dropped; the query for its day then misses and reports the failure
+//! as any on-demand load does. The reader is `Sync`: loads read the
+//! file at explicit offsets, the cache sits behind a lock, and decoded
+//! segments are shared behind `Arc`.
 
 use crate::format::{checksum, Hasher, CHECKSUM_LEN, MAGIC, SEGMENT_TAG, TRAILER_TAG};
 use crate::snapshot::{verify_segment_router_infos, DaySegment};
@@ -26,22 +39,23 @@ use crate::{SnapshotMeta, StoreError};
 use i2p_data::codec::Reader;
 use i2p_geoip::GeoDb;
 use i2p_measure::source::{DayUnion, SnapshotSource};
-use std::cell::RefCell;
 use std::fs::File;
 use std::io::{Read as _, Seek as _, SeekFrom};
 use std::ops::Range;
 use std::path::Path;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Decoded segments kept hot. The figure pass (`render_figures` in the
-/// `i2pscope` CLI) is day-major: it makes every query for a day —
-/// coverage ledger, Fig. 4 curve, one observation or union walk — back
-/// to back and never revisits the day, so one slot already gives it one
-/// decode per day. The second slot lets other callers alternate between
-/// two days (a day-pair comparison, a re-query of the previous day)
-/// without reloading either, for one more decoded day in the replay's
-/// peak. The size is fixed so the load sequence — and therefore the
-/// lazy-load counter — stays a pure function of the query sequence.
+/// Decoded segments kept hot. The figure pass (`i2p_measure::pass`) is
+/// day-major: it makes every query for a day — coverage ledger, Fig. 4
+/// curve, one union listing — back to back and never revisits the day.
+/// It reads ahead two days at a time
+/// (`i2p_measure::pass::READ_AHEAD_DAYS`), so both slots hold the batch
+/// its workers decoded, and each day is still decoded once. Outside the
+/// pass the second slot lets callers alternate between two days (a
+/// day-pair comparison, a re-query of the previous day) without
+/// reloading either. The size is fixed so the load sequence — and
+/// therefore the lazy-load counter — stays a pure function of the
+/// query and read-ahead sequence, whatever thread runs each load.
 const CACHE_SEGMENTS: usize = 2;
 
 /// Chunk size of the streaming trailer verification at open.
@@ -62,10 +76,36 @@ struct SegmentLoc {
 pub struct LazySnapshot {
     meta: SnapshotMeta,
     geo: GeoDb,
-    file: RefCell<File>,
+    /// The open archive. Loads read it at explicit offsets
+    /// ([`read_exact_at`]), never through its cursor.
+    file: File,
     segments: Vec<SegmentLoc>,
-    /// MRU-front decoded-segment cache: `(day index, segment)`.
-    cache: RefCell<Vec<(usize, Rc<DaySegment>)>>,
+    /// MRU-front decoded-segment cache: `(day index, segment)`. Never
+    /// locked while a segment loads.
+    cache: Mutex<Vec<(usize, Arc<DaySegment>)>>,
+}
+
+/// Locks `m`, recovering the guard from a poisoned lock: every cache
+/// update leaves a valid cache (at worst one entry short).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Fills `buf` from `file` at `offset` with a positional read, which
+/// moves no shared cursor, so workers load different days at once.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+/// [`read_exact_at`] where the standard library has no positional read:
+/// one lock keeps each seek with its read.
+#[cfg(not(unix))]
+fn read_exact_at(mut file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    static CURSOR: Mutex<()> = Mutex::new(());
+    let _cursor = lock(&CURSOR);
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(buf)
 }
 
 impl LazySnapshot {
@@ -162,9 +202,9 @@ impl LazySnapshot {
         Ok(LazySnapshot {
             meta,
             geo: GeoDb::new(),
-            file: RefCell::new(file),
+            file,
             segments,
-            cache: RefCell::new(Vec::with_capacity(CACHE_SEGMENTS)),
+            cache: Mutex::new(Vec::with_capacity(CACHE_SEGMENTS)),
         })
     }
 
@@ -173,35 +213,40 @@ impl LazySnapshot {
         &self.meta
     }
 
-    /// Seeks, checksums and decodes one day segment, or returns it from
-    /// the MRU cache. Each miss is a `segments_lazy_loaded` event.
-    fn load_segment(&self, di: usize) -> Result<Rc<DaySegment>, StoreError> {
-        {
-            let mut cache = self.cache.borrow_mut();
-            if let Some(hit) = cache.iter().position(|(d, _)| *d == di) {
-                let entry = cache.remove(hit);
-                let seg = Rc::clone(&entry.1);
-                cache.insert(0, entry);
-                return Ok(seg);
-            }
-        }
+    /// Reads, checksums and decodes day segment `di`, bypassing
+    /// the cache, on the thread that calls it: one `store.segment_load`
+    /// span and, if it succeeds, one `segments_lazy_loaded` event.
+    fn read_segment(&self, di: usize) -> Result<DaySegment, StoreError> {
+        let _span = i2p_telemetry::span("store.segment_load");
         let loc = &self.segments[di];
         let mut buf = vec![0u8; loc.body_len + CHECKSUM_LEN];
-        {
-            let mut file = self.file.borrow_mut();
-            file.seek(SeekFrom::Start(loc.body_offset))?;
-            file.read_exact(&mut buf)?;
-        }
+        read_exact_at(&self.file, &mut buf, loc.body_offset)?;
         let (body, sum) = buf.split_at(loc.body_len);
         if checksum(body) != sum {
             return Err(StoreError::Corrupt { what: "segment checksum" });
         }
         buf.truncate(loc.body_len);
-        let seg = Rc::new(crate::wire::decode_segment(buf, self.meta.vantages.len())?);
+        let seg = crate::wire::decode_segment(buf, self.meta.vantages.len())?;
         i2p_telemetry::count_one(i2p_telemetry::Counter::SegmentsLazyLoaded);
         i2p_telemetry::count_one(i2p_telemetry::Counter::SegmentsDecoded);
-        let mut cache = self.cache.borrow_mut();
-        cache.insert(0, (di, Rc::clone(&seg)));
+        Ok(seg)
+    }
+
+    /// Day segment `di` from the MRU cache, or [read](Self::read_segment)
+    /// on the calling thread and cached.
+    fn load_segment(&self, di: usize) -> Result<Arc<DaySegment>, StoreError> {
+        {
+            let mut cache = lock(&self.cache);
+            if let Some(hit) = cache.iter().position(|(d, _)| *d == di) {
+                let entry = cache.remove(hit);
+                let seg = Arc::clone(&entry.1);
+                cache.insert(0, entry);
+                return Ok(seg);
+            }
+        }
+        let seg = Arc::new(self.read_segment(di)?);
+        let mut cache = lock(&self.cache);
+        cache.insert(0, (di, Arc::clone(&seg)));
         cache.truncate(CACHE_SEGMENTS);
         Ok(seg)
     }
@@ -212,7 +257,7 @@ impl LazySnapshot {
     /// truncated or rewritten underneath the replay — abort loudly
     /// rather than return figures off a file that is no longer the one
     /// that was opened.
-    fn segment(&self, day: u64) -> Rc<DaySegment> {
+    fn segment(&self, day: u64) -> Arc<DaySegment> {
         let di = self.meta.day_index(day);
         self.load_segment(di).unwrap_or_else(|e| {
             panic!("lazy snapshot: day segment {di} unreadable after a verified open: {e}") // i2plint: allow(panic-audit) -- the file verified at open; losing it mid-replay is unrecoverable external interference
@@ -262,6 +307,51 @@ impl SnapshotSource for LazySnapshot {
 
     fn with_day_union(&self, day: u64, k: usize, f: &mut dyn FnMut(&DayUnion<'_>)) {
         f(&self.segment(day).union(k))
+    }
+
+    /// Takes the first [`CACHE_SEGMENTS`] days of `days` in the archive
+    /// as the batch, loads those the cache lacks, one a worker, through
+    /// `i2p_measure::lab::claim`, and leaves the batch at the front of
+    /// the cache in day order. Older days are evicted before the loads
+    /// start, so the cache never holds more than [`CACHE_SEGMENTS`]
+    /// decoded days. A failed load leaves its day uncached and
+    /// unreported: the query for the day loads it again, on the calling
+    /// thread, and reports the failure.
+    ///
+    /// Does nothing unless two loads can run at once. One load at a time
+    /// is what the queries do anyway, and ahead of them it only decodes
+    /// a day before the previous one is folded, which made the
+    /// one-worker pass slower.
+    fn read_ahead(&self, days: Range<u64>, workers: usize) {
+        let span = self.meta.days();
+        let batch: Vec<usize> = (days.start.max(span.start)..days.end.min(span.end))
+            .take(CACHE_SEGMENTS)
+            .map(|day| self.meta.day_index(day))
+            .collect();
+        let mut cache = lock(&self.cache);
+        let missing: Vec<usize> =
+            batch.iter().copied().filter(|di| cache.iter().all(|(d, _)| d != di)).collect();
+        if workers.min(missing.len()) < 2 {
+            return;
+        }
+        let mut others = 0;
+        cache.retain(|(d, _)| {
+            batch.contains(d) || {
+                others += 1;
+                others + batch.len() <= CACHE_SEGMENTS
+            }
+        });
+        drop(cache);
+        let loaded = i2p_measure::lab::claim(missing.len(), workers, Vec::new, |out, i| {
+            if let Ok(seg) = self.read_segment(missing[i]) {
+                out.push((missing[i], Arc::new(seg)));
+            }
+        });
+        let mut cache = lock(&self.cache);
+        cache.extend(loaded.into_iter().flatten());
+        // Stable: the batch in day order, then the older days as they were.
+        cache.sort_by_key(|(d, _)| batch.iter().position(|b| b == d).unwrap_or(batch.len()));
+        cache.truncate(CACHE_SEGMENTS);
     }
 }
 
@@ -423,39 +513,111 @@ mod tests {
         clean.write_to(&clean_path.0).expect("write clean archive");
         // `to_bytes` recomputes every checksum over the forged rows.
         std::fs::write(&forged_path.0, forged.to_bytes().expect("encode")).expect("write forged");
-        let clean = LazySnapshot::open(&clean_path.0).expect("open clean");
-        let forged = LazySnapshot::open(&forged_path.0).expect("open forged");
-        let mut highest = 0;
-        for day in SnapshotSource::days(&forged) {
-            forged.for_each_union_id(day, 4, &mut |id| highest = highest.max(id));
+        // Segment loads move the counters that the exact-delta tests
+        // beside this one read: hold the counter lock while replaying.
+        i2p_telemetry::counters::exclusive(|| {
+            let clean = LazySnapshot::open(&clean_path.0).expect("open clean");
+            let forged = LazySnapshot::open(&forged_path.0).expect("open forged");
+            let mut highest = 0;
+            for day in SnapshotSource::days(&forged) {
+                forged.for_each_union_id(day, 4, &mut |id| highest = highest.max(id));
+            }
+            assert_eq!(highest, u32::MAX - 1, "the forged id survives decoding");
+            let fig7 = |src: &LazySnapshot| format!("{:?}", churn::churn_curves_from(src, 3));
+            let fig8_12 = |src: &LazySnapshot| {
+                let table = ipchurn::ip_table_from(src, 0..6);
+                format!("{:?}", ipchurn::IpChurnReport::from_table(&table))
+            };
+            let fig6 = |src: &LazySnapshot| population::firewalled_hidden_overlap_from(src, 0..6);
+            assert_eq!(fig7(&forged), fig7(&clean), "Fig. 7");
+            assert_eq!(fig8_12(&forged), fig8_12(&clean), "Figs. 8/12");
+            assert_eq!(fig6(&forged), fig6(&clean), "Fig. 6 overlap");
+            // The figure pass keys its per-shard state by the shards that
+            // occur: the forged id adds one shard near 2^20, not a table up
+            // to it, and the split pass finishes with the unforged numbers.
+            assert_eq!(pass_digest(&forged, 2), pass_digest(&clean, 2), "the split figure pass");
+        });
+    }
+
+    /// Every finished fold of a full figure pass over `src` at `workers`
+    /// workers, printed.
+    fn pass_digest(src: &dyn SnapshotSource, workers: usize) -> String {
+        let folds = pass::figure_pass(src, pass::Wants::ALL, workers);
+        format!(
+            "{:?} {:?} {:?} {} {:?} {:?} {:?} {:?} {:?}",
+            folds.coverage,
+            folds.curve.finish(),
+            folds.census,
+            folds.overlap.finish(),
+            folds.survival.finish(),
+            ipchurn::IpChurnReport::from_table(&folds.ips),
+            folds.letters.finish(),
+            folds.bandwidth.finish(),
+            folds.floodfill.finish(),
+        )
+    }
+
+    #[test]
+    fn a_pass_decodes_each_day_once_at_any_worker_count() {
+        let (eager, scratch) = archived("pass-once");
+        let expected = pass_digest(&eager, 1);
+        for workers in [1, 2, 3] {
+            let lazy = LazySnapshot::open(&scratch.0).expect("lazy open");
+            // Exact deltas: no other test may load segments meanwhile.
+            let (delta, got) = i2p_telemetry::counters::exclusive(|| pass_digest(&lazy, workers));
+            for counter in [
+                i2p_telemetry::Counter::SegmentsLazyLoaded,
+                i2p_telemetry::Counter::SegmentsDecoded,
+            ] {
+                assert_eq!(delta.get(counter), 4, "{counter:?} at {workers} workers");
+            }
+            assert_eq!(got, expected, "the pass differs from the eager one at {workers} workers");
         }
-        assert_eq!(highest, u32::MAX - 1, "the forged id survives decoding");
-        let fig7 = |src: &LazySnapshot| format!("{:?}", churn::churn_curves_from(src, 3));
-        let fig8_12 = |src: &LazySnapshot| {
-            let table = ipchurn::ip_table_from(src, 0..6);
-            format!("{:?}", ipchurn::IpChurnReport::from_table(&table))
-        };
-        let fig6 = |src: &LazySnapshot| population::firewalled_hidden_overlap_from(src, 0..6);
-        assert_eq!(fig7(&forged), fig7(&clean), "Fig. 7");
-        assert_eq!(fig8_12(&forged), fig8_12(&clean), "Figs. 8/12");
-        assert_eq!(fig6(&forged), fig6(&clean), "Fig. 6 overlap");
-        // The figure pass keys its per-shard state by the shards that
-        // occur: the forged id adds one shard near 2^20, not a table up
-        // to it, and the split pass finishes with the unforged numbers.
-        let split = |src: &LazySnapshot| {
-            let folds = pass::figure_pass(src, pass::Wants::ALL, 2);
-            format!(
-                "{:?} {:?} {} {:?} {:?} {:?} {:?} {:?}",
-                folds.curve.finish(),
-                folds.census,
-                folds.overlap.finish(),
-                folds.survival.finish(),
-                ipchurn::IpChurnReport::from_table(&folds.ips),
-                folds.letters.finish(),
-                folds.bandwidth.finish(),
-                folds.floodfill.finish(),
-            )
-        };
-        assert_eq!(split(&forged), split(&clean), "the split figure pass");
+    }
+
+    #[test]
+    fn a_segment_damaged_after_open_still_fails_loudly() {
+        use std::io::Write as _;
+        let (_eager, scratch) = archived("damaged");
+        for workers in [1, 2] {
+            // Day 2 loads in the pass's second read-ahead batch, beside
+            // day 3, on a worker that may not be the calling thread.
+            let lazy = LazySnapshot::open(&scratch.0).expect("lazy open");
+            let loc = &lazy.segments[2];
+            let at = loc.body_offset + loc.body_len as u64 / 2;
+            let flip = |file: &mut File| {
+                let mut byte = [0u8];
+                file.seek(SeekFrom::Start(at))?;
+                file.read_exact(&mut byte)?;
+                file.seek(SeekFrom::Start(at))?;
+                file.write_all(&[byte[0] ^ 0x01])
+            };
+            let mut file = std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&scratch.0)
+                .expect("open for damage");
+            flip(&mut file).expect("flip a body byte");
+            // The loads before the damaged day move the counters, which
+            // the exact-delta tests beside this one read.
+            let (_, caught) = i2p_telemetry::counters::exclusive(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    pass::figure_pass(&lazy, pass::Wants::ALL, workers)
+                }))
+            });
+            flip(&mut file).expect("restore the byte");
+            let panic = caught.err().expect("a damaged segment must abort the pass");
+            let message = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.starts_with(
+                    "lazy snapshot: day segment 2 unreadable after a verified open: "
+                ),
+                "at {workers} workers: {message}"
+            );
+        }
     }
 }

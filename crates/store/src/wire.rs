@@ -6,7 +6,7 @@ use crate::format::{
 };
 use crate::snapshot::{mode_from_tag, mode_tag, DaySegment, Snapshot, SnapshotMeta, WireRecords};
 use crate::StoreError;
-use i2p_data::codec::{Reader, Writer};
+use i2p_data::codec::{DecodeError, Reader, Writer};
 use i2p_data::{Caps, CapsString, Hash256, PeerIp};
 use i2p_measure::fleet::Vantage;
 use i2p_measure::observed::ObservedRouterInfo;
@@ -359,11 +359,15 @@ pub(crate) fn decode_segment(body: Vec<u8>, n_vantages: usize) -> Result<DaySegm
         }
         prev_id = peer_id;
         let hash = Hash256(r.array32("row.hash")?);
-        let caps_str = r.string("row.caps")?;
-        if caps_str.len() > CapsString::CAPACITY || !caps_str.is_ascii() {
+        // Borrowed, not copied into a `String`: the letters go straight
+        // into the row's inline `CapsString`.
+        let caps_len = r.u8("row.caps")? as usize;
+        let caps = std::str::from_utf8(r.bytes(caps_len, "row.caps")?)
+            .map_err(|_| DecodeError::Invalid { what: "row.caps" })?;
+        if caps.len() > CapsString::CAPACITY || !caps.is_ascii() {
             return Err(StoreError::Corrupt { what: "row caps length" });
         }
-        if Caps::parse(&caps_str).is_err() {
+        if Caps::parse(caps).is_err() {
             return Err(StoreError::Corrupt { what: "row caps letters" });
         }
         let flags = r.u8("row.flags")?;
@@ -380,7 +384,7 @@ pub(crate) fn decode_segment(body: Vec<u8>, n_vantages: usize) -> Result<DaySegm
         observations.push(ObservedRouterInfo {
             hash,
             peer_id: peer_id as u32,
-            caps: CapsString::from(caps_str.as_str()),
+            caps: CapsString::from(caps),
             ipv4,
             ipv6,
             has_introducers: flags & FLAG_INTRODUCERS != 0,
@@ -418,5 +422,53 @@ fn decode_ip(r: &mut Reader<'_>, what: &'static str) -> Result<PeerIp, StoreErro
             Ok(PeerIp::V6(hi << 64 | lo))
         }
         _ => Err(StoreError::Corrupt { what: "ip kind" }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use i2p_measure::engine::HarvestEngine;
+    use i2p_measure::fleet::Fleet;
+    use i2p_sim::world::{World, WorldConfig};
+
+    #[test]
+    fn row_caps_fields_are_checked_in_place() {
+        // One day's segment body, and a copy of it per caps field: the
+        // first row's caps follow its id delta and 32-byte hash.
+        let world = World::generate(WorldConfig { days: 1, scale: 0.01, seed: 99 });
+        let engine = HarvestEngine::build(&world, &Fleet::alternating(2), 0..1);
+        let seg = &Snapshot::capture(&engine).days[0];
+        let body = encode_segment(seg);
+        let mut r = Reader::new(&body);
+        r.u64("day").expect("day");
+        r.varint("rows").expect("row count");
+        r.varint("delta").expect("id delta");
+        r.array32("hash").expect("hash");
+        let at = body.len() - r.remaining();
+        let tail = at + 1 + seg.observations[0].caps.len();
+        let with_caps = |field: &[u8]| {
+            decode_segment([&body[..at], field, &body[tail..]].concat(), 2)
+        };
+        let caps = seg.observations[0].caps;
+        let field = [&[caps.len() as u8][..], caps.as_bytes()].concat();
+        let back = with_caps(&field).expect("the encoded caps decode");
+        assert_eq!(back.observations, seg.observations);
+        let err = |field: &[u8]| with_caps(field).err().map(|e| e.to_string());
+        let decode = |e: DecodeError| Some(StoreError::Decode(e).to_string());
+        let corrupt = |what| Some(StoreError::Corrupt { what }.to_string());
+        assert_eq!(err(&[2, 0xC3, 0x28]), decode(DecodeError::Invalid { what: "row.caps" }));
+        assert_eq!(err(b"\x07OfRUHPX"), corrupt("row caps length"));
+        assert_eq!(err("\u{2}é".as_bytes()), corrupt("row caps length"));
+        assert_eq!(err(b"\x02fZ"), corrupt("row caps letters"));
+        // A one-row body that ends inside the caps letters.
+        let mut w = Writer::new();
+        w.u64(0);
+        w.varint(1);
+        w.varint(5);
+        w.bytes(&[0; 32]);
+        w.bytes(b"\x04OR");
+        let cut = decode_segment(w.into_bytes(), 2).err().map(|e| e.to_string());
+        assert_eq!(cut, decode(DecodeError::Truncated { what: "row.caps" }));
     }
 }

@@ -183,25 +183,30 @@ pub struct ManifestSummary {
     /// Counter `(name, value-lexeme)` pairs, source order. Lexemes
     /// are echoed byte-exactly so dumps diff cleanly.
     pub counters: Vec<(String, String)>,
-    /// Unique span names, sorted.
-    pub span_names: Vec<String>,
+    /// Each span name with the number of tree nodes that carry it,
+    /// sorted by name. Spans opened on a helper thread root trees of
+    /// their own, so this counts them wherever they sit.
+    pub spans: BTreeMap<String, usize>,
     /// Unique tally labels, sorted.
     pub tally_names: Vec<String>,
     /// Gauge `(label, value-lexeme)` pairs, source order (environment
     /// observations like the engine's resolved worker count — timing-
     /// plane data, never diffed across runs).
     pub gauges: Vec<(String, String)>,
-    /// Total span nodes in the tree.
-    pub span_count: usize,
 }
 
 impl ManifestSummary {
+    /// Total span nodes in the tree.
+    pub fn span_count(&self) -> usize {
+        self.spans.values().sum()
+    }
+
     /// Crate prefixes (`measure` from `measure.engine_fill`) covered
     /// by spans or tallies, unique and sorted.
     pub fn crates_covered(&self) -> Vec<String> {
         let mut crates: Vec<String> = self
-            .span_names
-            .iter()
+            .spans
+            .keys()
             .chain(self.tally_names.iter())
             .filter_map(|name| name.split('.').next())
             .map(str::to_string)
@@ -245,10 +250,9 @@ fn require_u64_lexeme(value: &Value, key: &str, what: &str) -> Result<String, St
     Ok(lexeme.to_string())
 }
 
-fn walk_spans(nodes: &[Value], names: &mut Vec<String>, count: &mut usize) -> Result<(), String> {
+fn walk_spans(nodes: &[Value], spans: &mut BTreeMap<String, usize>) -> Result<(), String> {
     for node in nodes {
-        *count += 1;
-        names.push(require_str(node, "name", "manifest span")?);
+        *spans.entry(require_str(node, "name", "manifest span")?).or_default() += 1;
         require_u64_lexeme(node, "tid", "manifest span")?;
         require_u64_lexeme(node, "start_us", "manifest span")?;
         require_u64_lexeme(node, "dur_us", "manifest span")?;
@@ -256,7 +260,7 @@ fn walk_spans(nodes: &[Value], names: &mut Vec<String>, count: &mut usize) -> Re
             .field("children")
             .and_then(Value::as_arr)
             .ok_or_else(|| "manifest span: missing children array".to_string())?;
-        walk_spans(children, names, count)?;
+        walk_spans(children, spans)?;
     }
     Ok(())
 }
@@ -343,21 +347,17 @@ pub fn validate_manifest(text: &str) -> Result<ManifestSummary, String> {
         .field("spans")
         .and_then(Value::as_arr)
         .ok_or_else(|| "manifest timing: missing spans array".to_string())?;
-    let mut span_names = Vec::new();
-    let mut span_count = 0usize;
-    walk_spans(spans, &mut span_names, &mut span_count)?;
-    span_names.sort();
-    span_names.dedup();
+    let mut span_nodes = BTreeMap::new();
+    walk_spans(spans, &mut span_nodes)?;
 
     Ok(ManifestSummary {
         schema,
         command,
         knobs,
         counters,
-        span_names,
+        spans: span_nodes,
         tally_names,
         gauges,
-        span_count,
     })
 }
 
@@ -432,7 +432,8 @@ mod tests {
         let summary = validate_manifest(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
         assert_eq!(summary.schema, SCHEMA);
         assert_eq!(summary.command, "figures");
-        assert_eq!(summary.span_count, 2);
+        assert_eq!(summary.span_count(), 2);
+        assert_eq!(summary.spans.get("store.capture"), Some(&1));
         assert_eq!(
             summary.gauges,
             vec![("measure.engine_workers".to_string(), "4".to_string())]

@@ -276,7 +276,7 @@ fn validate(args: &Args) -> Result<String, String> {
         summary.schema,
         summary.command,
         summary.counters.len(),
-        summary.span_count,
+        summary.span_count(),
         summary.crates_covered().join(",")
     );
     if let Some(trace) = &args.trace {

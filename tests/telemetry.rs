@@ -239,7 +239,9 @@ fn threads_flag_governs_the_figure_pass() {
     // every I2PSCOPE_* variable removed, `figures --live` and `figures
     // --from` print the same bytes and move the same counters at
     // `--threads 1` and `3`, and each manifest's `measure.figure_workers`
-    // gauge holds the flag's value.
+    // gauge holds the flag's value. A replay loads each of its 6 days
+    // once, in one `store.segment_load` span on whichever worker loads
+    // it; the live pass loads none.
     let dir = std::env::temp_dir().join(format!("i2pscope-pass-threads-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let archive = dir.join("figures.i2ps");
@@ -269,14 +271,17 @@ fn threads_flag_governs_the_figure_pass() {
             .iter()
             .find(|(name, _)| name == "measure.figure_workers")
             .map(|(_, value)| value.clone());
-        (stdout, workers, summary.counter_dump())
+        let loads = summary.spans.get("store.segment_load").copied().unwrap_or(0);
+        (stdout, workers, summary.counter_dump(), loads)
     };
     let from = archive.to_str().expect("utf-8 temp path");
-    for source in [&["--live"][..], &["--from", from]] {
-        let (out_1, workers_1, counters_1) = figures(source, 1);
-        let (out_3, workers_3, counters_3) = figures(source, 3);
+    for (source, days_loaded) in [(&["--live"][..], 0), (&["--from", from], 6)] {
+        let (out_1, workers_1, counters_1, loads_1) = figures(source, 1);
+        let (out_3, workers_3, counters_3, loads_3) = figures(source, 3);
         assert_eq!(workers_1.as_deref(), Some("1"), "{source:?}");
         assert_eq!(workers_3.as_deref(), Some("3"), "{source:?}");
+        assert_eq!(loads_1, days_loaded, "{source:?} store.segment_load spans at --threads 1");
+        assert_eq!(loads_3, days_loaded, "{source:?} store.segment_load spans at --threads 3");
         assert!(out_1 == out_3, "{source:?} prints different bytes at --threads 1 and 3");
         assert_eq!(counters_1, counters_3, "{source:?} counters vary with --threads");
     }
@@ -302,7 +307,7 @@ fn manifest_validates_and_covers_the_four_core_crates() {
         for needed in ["measure", "store", "netdb", "transport"] {
             assert!(covered.iter().any(|c| c == needed), "span tree misses {needed}: {covered:?}");
         }
-        assert!(summary.span_count >= 4, "span tree too small: {}", summary.span_count);
+        assert!(summary.span_count() >= 4, "span tree too small: {}", summary.span_count());
         // Every counter the manifest archives must echo u64 lexemes; the
         // knob echo must include the fault spec (degraded runs carry their
         // fault totals and their spec side by side).
