@@ -8,7 +8,7 @@
 //! symmetric layer ([`ElGamalPublic::seal`] / [`ElGamalKeyPair::open`]).
 
 use crate::chacha20::ChaCha20;
-use crate::dh::{mul_mod, pow_mod, GENERATOR, MODULUS};
+use crate::dh::{mul_mod, pow_g, pow_mod, MODULUS};
 use crate::rng::DetRng;
 use crate::sha256::sha256;
 
@@ -46,7 +46,7 @@ impl ElGamalKeyPair {
     /// Derives a key pair from secret material (reduced into the group).
     pub fn from_secret_material(material: u64) -> Self {
         let secret = 2 + material % (MODULUS - 3);
-        ElGamalKeyPair { secret, public: ElGamalPublic(pow_mod(GENERATOR, secret, MODULUS)) }
+        ElGamalKeyPair { secret, public: ElGamalPublic(pow_g(secret)) }
     }
 
     /// Decrypts a raw group-element message: `c2 · c1^(−x)`. By
@@ -54,7 +54,7 @@ impl ElGamalKeyPair {
     /// `(c1^x)^(p−2)` takes two; and since `x ≤ p−2`, the exponent is
     /// at least 1, so `c1 ≡ 0` still decrypts to 0.
     pub fn decrypt(&self, ct: ElGamalCiphertext) -> u64 {
-        mul_mod(ct.c2, pow_mod(ct.c1, MODULUS - 1 - self.secret, MODULUS), MODULUS)
+        mul_mod(ct.c2, pow_mod(ct.c1, MODULUS - 1 - self.secret))
     }
 
     /// Opens a [`SealedBox`], returning the plaintext, or `None` if the
@@ -91,8 +91,8 @@ impl ElGamalPublic {
         debug_assert!((1..MODULUS).contains(&m));
         let k = 2 + rng.next_u64() % (MODULUS - 3);
         ElGamalCiphertext {
-            c1: pow_mod(GENERATOR, k, MODULUS),
-            c2: mul_mod(m, pow_mod(self.0, k, MODULUS), MODULUS),
+            c1: pow_g(k),
+            c2: mul_mod(m, pow_mod(self.0, k)),
         }
     }
 
@@ -132,11 +132,10 @@ mod tests {
             c2 in any::<u64>(),
         ) {
             // The textbook formula `c2 · (c1^x)^(−1)`, the inverse taken
-            // by Fermat as `dh::inv_mod` does, without its debug check
-            // that refuses 0 (whose "inverse" it computes as 0).
+            // by Fermat as `s^(p−2)` (which maps 0 to 0).
             let kp = ElGamalKeyPair::from_secret_material(material);
-            let s = pow_mod(c1, kp.secret, MODULUS);
-            let textbook = mul_mod(c2, pow_mod(s, MODULUS - 2, MODULUS), MODULUS);
+            let s = pow_mod(c1, kp.secret);
+            let textbook = mul_mod(c2, pow_mod(s, MODULUS - 2));
             prop_assert_eq!(kp.decrypt(ElGamalCiphertext { c1, c2 }), textbook);
         }
     }

@@ -25,7 +25,6 @@ use crate::engine::HarvestEngine;
 use crate::keyspace::{day_population, eclipsed};
 use crate::report;
 use crate::sybil::{self, SybilConfig};
-use crate::usability::warm_substrate;
 use i2p_data::{FxHashMap, FxHashSet};
 use i2p_geoip::CountryId;
 use i2p_netdb::RoutingKey;
@@ -290,13 +289,12 @@ impl Adversary for ClosedLoop {
             .flat_map(|peer| censor::published_ips(peer, d, geo))
             .filter(|&ip| state.blocks(ip, geo))
             .collect();
-        let sub = warm_substrate(&lab.usability);
         let scenario = ClosedLoopScenario {
             censor_routers: lab.fleet.vantages.len(),
             window_days: knobs.window_days,
         };
         let outcome = closedloop::run_closed_loop_on(
-            &sub,
+            lab.substrate(),
             lab.world,
             &lab.usability,
             &effective,

@@ -48,7 +48,7 @@ use crate::censor::{self, VictimView};
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
 use crate::keyspace::{KeyspaceConfig, VisibilityModel, REPLICATION};
-use crate::usability::UsabilityConfig;
+use crate::usability::{warm_substrate, UsabilityConfig, WarmSubstrate};
 use i2p_data::{FxHashMap, FxHashSet, Hash256, PeerIp};
 use i2p_faults::FaultPlane;
 use i2p_geoip::{CountryId, GeoDb};
@@ -56,6 +56,7 @@ use i2p_sim::world::World;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// A capability an adversary declares. Purely descriptive — the
 /// catalog listing and audit trail surface them — except that
@@ -117,6 +118,8 @@ pub struct AdversaryLab<'w> {
     /// TestNet sizing for protocol-level members, derived from the
     /// world's scale exactly like `i2pscope sweep` derives it.
     pub usability: UsabilityConfig,
+    /// The TestNet warmed from `usability`, built on first use.
+    substrate: OnceLock<WarmSubstrate>,
 }
 
 impl<'w> AdversaryLab<'w> {
@@ -153,7 +156,15 @@ impl<'w> AdversaryLab<'w> {
             threads,
             seed: world.config.seed,
             usability,
+            substrate: OnceLock::new(),
         }
+    }
+
+    /// The warm TestNet substrate of [`Self::usability`]. It depends on
+    /// the lab alone, so it is warmed once, on first use, and every
+    /// chain variant borrows it (set `usability` before the first call).
+    pub fn substrate(&self) -> &WarmSubstrate {
+        self.substrate.get_or_init(|| warm_substrate(&self.usability))
     }
 
     /// Window length in days.

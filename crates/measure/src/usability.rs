@@ -139,6 +139,7 @@ pub struct UsabilityPoint {
 /// A bootstrapped, published, settled `TestNet` plus the experiment's
 /// cast — everything of the experiment that does not depend on the
 /// blocking rate, built once and forked per scenario.
+#[derive(Clone)]
 pub struct WarmSubstrate {
     /// The warmed network.
     pub net: TestNet,
@@ -246,8 +247,26 @@ pub fn run_scenario(
     rate: f64,
     replicate: usize,
 ) -> UsabilityPoint {
-    let net = if replicate == 0 { sub.net.clone() } else { sub.net.fork(replicate as u64) };
-    run_rate_on_net(net, sub, cfg, rate)
+    run_rate_on_net(fork_net(sub, replicate), sub, cfg, rate)
+}
+
+/// The scenario's copy of the warm network: replicate 0 is a plain
+/// clone (the substrate's own RNG stream), higher replicates re-split
+/// the RNG. Timed under the `measure.scenario_fork` tally.
+fn fork_net(sub: &WarmSubstrate, replicate: usize) -> TestNet {
+    let _tally = i2p_telemetry::tally("measure.scenario_fork");
+    if replicate == 0 {
+        sub.net.clone()
+    } else {
+        sub.net.fork(replicate as u64)
+    }
+}
+
+/// Drops a finished scenario's network under the
+/// `measure.scenario_drop` tally.
+fn drop_net(net: TestNet) {
+    let _tally = i2p_telemetry::tally("measure.scenario_drop");
+    drop(net);
 }
 
 /// The rate-dependent tail of the experiment: censor installation,
@@ -275,6 +294,7 @@ fn run_rate_on_net(
     let fetches = censored_fetches(
         &mut net, sub.server, sub.victim, &sub.dest, cfg, &mut rng, rate.to_bits(),
     );
+    drop_net(net);
     point_from_fetches(rate * 100.0, cfg, fetches, 1)
 }
 
@@ -291,7 +311,7 @@ pub fn run_with_blocklist(
     replicate: usize,
 ) -> UsabilityPoint {
     cfg.validate();
-    let mut net = if replicate == 0 { sub.net.clone() } else { sub.net.fork(replicate as u64) };
+    let mut net = fork_net(sub, replicate);
     let mut rng = net.fork_rng(0xC105_ED00 ^ cfg.seed);
     let victim_ip = net.source_ip(sub.victim);
     net.fabric.set_blocklist(bl);
@@ -306,6 +326,7 @@ pub fn run_with_blocklist(
         &mut rng,
         blocking_rate_pct.to_bits() ^ replicate as u64,
     );
+    drop_net(net);
     point_from_fetches(blocking_rate_pct, cfg, fetches, 1)
 }
 
@@ -358,6 +379,7 @@ fn censored_fetches(
         };
         fetches.push(t);
         // Think time between page loads.
+        let _think = i2p_telemetry::tally("measure.think");
         let gap = net.now() + Duration::from_secs(5);
         net.run_until(gap);
     }
@@ -403,6 +425,7 @@ fn point_from_fetches(
 
 /// Keeps the server's tunnels alive and its LeaseSet published.
 fn maintain_server(net: &mut TestNet, server: usize, rng: &mut i2p_crypto::DetRng) {
+    let _tally = i2p_telemetry::tally("measure.maintain_server");
     let now = net.now();
     net.router_mut(server).tick(now);
     for dir in [TunnelDirection::Inbound, TunnelDirection::Outbound] {
@@ -440,6 +463,7 @@ fn fetch_once(
     // (the null route gives no error signal), so parallelism is what
     // keeps the latency finite at moderate blocking rates.
     const PARALLEL_BUILDS: usize = 2;
+    let build_phase = i2p_telemetry::tally("measure.fetch_build");
     loop {
         let now = net.now();
         if now >= deadline {
@@ -490,11 +514,13 @@ fn fetch_once(
             }
         }
     }
+    drop(build_phase);
 
     // Phase 2: ensure a live LeaseSet for the destination. Failed
     // lookups retry against *further* floodfills with an exclude list,
     // as real DLM retries do (§2.1.2) — under blocking, the closest
     // floodfills may all be null-routed.
+    let lookup_phase = i2p_telemetry::tally("measure.fetch_lookup");
     let mut tried: Vec<Hash256> = Vec::new();
     loop {
         let now = net.now();
@@ -575,8 +601,10 @@ fn fetch_once(
             }
         }
     }
+    drop(lookup_phase);
 
     // Phase 3: the request/response round trip.
+    let _request_phase = i2p_telemetry::tally("measure.fetch_request");
     let now = net.now();
     let (msgs, request_id) = net.router_mut(victim).start_fetch(dest, now, rng)?;
     net.dispatch(victim, msgs);

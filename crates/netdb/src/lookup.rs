@@ -104,8 +104,9 @@ impl IterativeLookup {
 
     fn sort_candidates(&mut self) {
         let target = RoutingKey::for_day(&self.key, self.day);
+        // One digest per candidate, not one per comparison.
         self.candidates
-            .sort_by_key(|c| RoutingKey::for_day(c, self.day).distance(&target));
+            .sort_by_cached_key(|c| RoutingKey::for_day(c, self.day).distance(&target));
         self.candidates.dedup();
     }
 

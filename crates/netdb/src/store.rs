@@ -15,6 +15,7 @@
 use crate::messages::NetDbPayload;
 use crate::routing_key::RoutingKey;
 use i2p_data::{Duration, FxHashMap, Hash256, LeaseSet, RouterInfo, SimTime};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// How many floodfills a record is published/flooded to (§4.2).
@@ -54,6 +55,20 @@ pub struct NetDbStore {
     router_infos: FxHashMap<Hash256, StoredEntry>,
     lease_sets: FxHashMap<Hash256, StoredEntry>,
     floodfill: bool,
+}
+
+/// Routing keys a thread's memo holds before it starts over.
+const DAY_KEY_MEMO_CAP: usize = 4_096;
+
+thread_local! {
+    /// This thread's routing keys for one day: `(day, hash → key)`.
+    /// [`NetDbStore::closest_floodfills`] ranks the same few floodfills
+    /// against the same few records on every publish, flood and lookup,
+    /// and each key is a SHA-256 digest. The memo is emptied when the
+    /// day changes or it reaches [`DAY_KEY_MEMO_CAP`]; it only caches a
+    /// pure function, so no result depends on it.
+    static DAY_KEYS: RefCell<(u64, FxHashMap<Hash256, RoutingKey>)> =
+        RefCell::new((0, FxHashMap::default()));
 }
 
 /// Result of offering a record to the store.
@@ -184,31 +199,45 @@ impl NetDbStore {
     /// Among `floodfills`, the [`REPLICATION`] closest to `key`'s routing
     /// key at `now` — the publish/flood target set (§4.2).
     ///
-    /// Routing keys are SHA-256 digests, so they are computed exactly
-    /// once per candidate and the sort runs over the cached distances —
-    /// `sort_by_key` would re-derive the digest on every comparison.
-    /// The sort is stable on the input order, like the plain
-    /// `sort_by_key` it replaces.
+    /// Routing keys are SHA-256 digests, so each is read from this
+    /// thread's per-day memo (`DAY_KEYS`), computed at most once per
+    /// day, and the sort runs over the distances. Equal distances keep
+    /// the input order.
     pub fn closest_floodfills(
         key: &Hash256,
         floodfills: &[Hash256],
         now: SimTime,
         n: usize,
     ) -> Vec<Hash256> {
-        let target = RoutingKey::for_time(key, now);
-        let mut ranked: Vec<(i2p_data::hash::Distance, usize)> = floodfills
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (RoutingKey::for_time(f, now).distance(&target), i))
-            .collect();
-        // (distance, original index) keys make the stable sort's
-        // tie-breaking explicit: equal distances keep input order.
-        ranked.sort();
-        ranked
-            .into_iter()
-            .take(n)
-            .map(|(_, i)| floodfills[i])
-            .collect()
+        let day = now.day();
+        DAY_KEYS.with_borrow_mut(|(memo_day, keys)| {
+            if *memo_day != day {
+                keys.clear();
+                *memo_day = day;
+            }
+            let mut key_of = |h: &Hash256| {
+                if keys.len() >= DAY_KEY_MEMO_CAP {
+                    keys.clear();
+                }
+                *keys
+                    .entry(*h)
+                    .or_insert_with(|| RoutingKey::for_day(h, day))
+            };
+            let target = key_of(key);
+            let mut ranked: Vec<(i2p_data::hash::Distance, usize)> = floodfills
+                .iter()
+                .enumerate()
+                .map(|(i, f)| (key_of(f).distance(&target), i))
+                .collect();
+            // (distance, original index) keys make the tie-breaking
+            // explicit: equal distances keep input order.
+            ranked.sort_unstable();
+            ranked
+                .into_iter()
+                .take(n)
+                .map(|(_, i)| floodfills[i])
+                .collect()
+        })
     }
 }
 
@@ -330,6 +359,41 @@ mod tests {
         assert_eq!(store.router_count(), 5);
         store.clear();
         assert_eq!(store.router_count(), 0);
+    }
+
+    /// `closest_floodfills` without the memo: rank by fresh keys.
+    fn closest_reference(key: &Hash256, ffs: &[Hash256], day: u64, n: usize) -> Vec<Hash256> {
+        let target = RoutingKey::for_day(key, day);
+        let mut v = ffs.to_vec();
+        v.sort_by_cached_key(|f| RoutingKey::for_day(f, day).distance(&target));
+        v.truncate(n);
+        v
+    }
+
+    #[test]
+    fn closest_floodfills_match_fresh_keys_across_days_and_the_memo_cap() {
+        // More distinct hashes than the memo holds, revisited over
+        // several days and out of day order. Each day starts and ends
+        // with a small set, so its keys are memoized when the day
+        // changes. Every answer must equal the ranking by fresh keys.
+        let ffs: Vec<Hash256> = (0u32..DAY_KEY_MEMO_CAP as u32 + 300)
+            .map(|i| Hash256::digest(&i.to_be_bytes()))
+            .collect();
+        let few = &ffs[..30];
+        let record = Hash256::digest(b"record");
+        for day in [3u64, 4, 3, 9] {
+            let now = SimTime::from_day_ms(day, 7);
+            let check = |key: &Hash256, set: &[Hash256], n: usize| {
+                let got = NetDbStore::closest_floodfills(key, set, now, n);
+                assert_eq!(got, closest_reference(key, set, day, n), "day {day}");
+            };
+            check(&record, few, 3);
+            for (k, chunk) in ffs.chunks(1_000).enumerate() {
+                check(&Hash256::digest(&[k as u8, day as u8]), chunk, 5);
+            }
+            check(&Hash256::digest(b"whole set"), &ffs, 3);
+            check(&record, few, 3);
+        }
     }
 
     #[test]

@@ -238,13 +238,15 @@ impl Ord for QueuedEvent {
 /// The in-memory network.
 ///
 /// `Clone` gives the scenario lab its substrate forks: a clone shares
-/// only the signed netDb records (immutable, behind `Arc`) with the
-/// original and copies everything mutable — routers' stores, profiles,
-/// k-buckets and tunnel pools, the event queue, the fabric — so the two
-/// evolve independently. Because every map in the stack hashes
-/// deterministically, continuing a clone is bit-identical to continuing
-/// the original. Use [`TestNet::fork`] to also re-split the RNG so forks
-/// diverge reproducibly.
+/// the signed netDb records (immutable, behind `Arc`) with the original,
+/// shares each router's store, k-buckets and profile book until either
+/// side writes one (copy on write, see [`Router`]), and copies the rest
+/// — tunnel pools, the event queue, the fabric — so the two evolve
+/// independently. Because every map in the stack hashes
+/// deterministically and a copied table keeps its layout, continuing a
+/// clone is bit-identical to continuing the original. Use
+/// [`TestNet::fork`] to also re-split the RNG so forks diverge
+/// reproducibly.
 #[derive(Clone)]
 pub struct TestNet {
     /// The IP substrate (install a blocklist here to censor).

@@ -50,12 +50,15 @@ pub struct Eepsite {
 
 /// One emulated router.
 ///
-/// `Clone` supports the scenario lab's substrate forking. The signed
-/// records in the netDb store are shared immutably (`Arc`), and
-/// everything mutable — store maps, k-buckets, profiles, tunnel pools,
-/// pending builds — is copied, so a clone evolves independently of the
-/// original. All internal maps hash deterministically, so a clone
-/// replays exactly like the original.
+/// `Clone` supports the scenario lab's substrate forking. The three
+/// large tables — netDb store, floodfill k-buckets, profile book — sit
+/// behind `Arc` and are copied on write: a clone shares them with the
+/// original until either side first writes one (`Arc::make_mut`), which
+/// then copies that table, hash layout and all. Everything else mutable
+/// — tunnel pools, participations, pending builds — is copied at once.
+/// Either way a clone evolves independently of the original, and since
+/// all internal maps hash deterministically and a copied table keeps
+/// its layout, a clone replays exactly like the original.
 #[derive(Clone)]
 pub struct Router {
     /// Public identity.
@@ -66,12 +69,13 @@ pub struct Router {
     pub config: RouterConfig,
     /// When the router started (health checks need uptime).
     pub started: SimTime,
-    /// Local netDb.
-    pub store: NetDbStore,
-    /// Known floodfills (k-bucket table around our hash).
-    pub floodfills: KBucketTable,
-    /// Peer profiles.
-    pub profiles: ProfileBook,
+    /// Local netDb (copied on write, see [`Router`]).
+    pub store: Arc<NetDbStore>,
+    /// Known floodfills: k-bucket table around our hash (copied on
+    /// write).
+    pub floodfills: Arc<KBucketTable>,
+    /// Peer profiles (copied on write).
+    pub profiles: Arc<ProfileBook>,
     /// Inbound tunnel pool.
     pub inbound: TunnelPool,
     /// Outbound tunnel pool.
@@ -106,9 +110,11 @@ impl Router {
             secrets,
             config,
             started,
-            store: NetDbStore::new(StoreConfig { floodfill: floodfill_now }),
-            floodfills: KBucketTable::new(hash),
-            profiles: ProfileBook::new(),
+            store: Arc::new(NetDbStore::new(StoreConfig {
+                floodfill: floodfill_now,
+            })),
+            floodfills: Arc::new(KBucketTable::new(hash)),
+            profiles: Arc::new(ProfileBook::new()),
             inbound: TunnelPool::new(),
             outbound: TunnelPool::new(),
             participating: FxHashMap::default(),
@@ -191,15 +197,17 @@ impl Router {
             return;
         }
         let caps = ri.caps;
-        if self.store.offer(NetDbPayload::RouterInfo(ri), now) == StoreOutcome::BadSignature {
+        let stored = Arc::make_mut(&mut self.store).offer(NetDbPayload::RouterInfo(ri), now);
+        if stored == StoreOutcome::BadSignature {
             return;
         }
+        let floodfills = Arc::make_mut(&mut self.floodfills);
         if caps.floodfill {
-            self.floodfills.insert(hash);
+            floodfills.insert(hash);
         } else {
-            self.floodfills.remove(&hash);
+            floodfills.remove(&hash);
         }
-        self.profiles.entry(hash, caps.bandwidth, now);
+        Arc::make_mut(&mut self.profiles).entry(hash, caps.bandwidth, now);
     }
 
     /// The floodfills to publish a record to: [`REPLICATION`] closest to
@@ -215,7 +223,7 @@ impl Router {
         let ri = Arc::new(self.make_router_info(now));
         let key = ri.hash();
         // Keep our own record locally too.
-        self.store.offer(NetDbPayload::RouterInfo(ri.clone()), now);
+        Arc::make_mut(&mut self.store).offer(NetDbPayload::RouterInfo(ri.clone()), now);
         self.publish_targets(&key, now)
             .into_iter()
             .map(|ff| Outbound {
@@ -245,7 +253,7 @@ impl Router {
             .collect();
         let ls = Arc::new(LeaseSet::new_signed(self.identity, &self.secrets, leases));
         let key = ls.dest_hash();
-        self.store.offer(NetDbPayload::LeaseSet(ls.clone()), now);
+        Arc::make_mut(&mut self.store).offer(NetDbPayload::LeaseSet(ls.clone()), now);
         self.publish_targets(&key, now)
             .into_iter()
             .map(|ff| Outbound {
@@ -317,6 +325,7 @@ impl Router {
         self.pending_builds.insert(tunnel_id, pending);
         let first = hops.first().copied().unwrap_or(self.hash());
         self.record_attempt(direction);
+        i2p_telemetry::count_one(i2p_telemetry::Counter::TunnelBuilds);
         Some((
             vec![Outbound {
                 to: first,
@@ -336,8 +345,9 @@ impl Router {
     /// Gives up on a pending build (timeout); penalises the hops.
     pub fn fail_pending_build(&mut self, tunnel_id: u32, now: SimTime) {
         if let Some(p) = self.pending_builds.remove(&tunnel_id) {
+            let profiles = Arc::make_mut(&mut self.profiles);
             for h in &p.hops {
-                self.profiles
+                profiles
                     .entry(*h, i2p_data::BandwidthClass::L, now)
                     .record_failure(now);
             }
@@ -413,12 +423,12 @@ impl Router {
             let hash = ri.hash();
             if hash != self.hash() {
                 if caps.floodfill {
-                    self.floodfills.insert(hash);
+                    Arc::make_mut(&mut self.floodfills).insert(hash);
                 }
-                self.profiles.entry(hash, caps.bandwidth, now);
+                Arc::make_mut(&mut self.profiles).entry(hash, caps.bandwidth, now);
             }
         }
-        let outcome = self.store.offer(dsm.payload.clone(), now);
+        let outcome = Arc::make_mut(&mut self.store).offer(dsm.payload.clone(), now);
         // Flooding: a floodfill that accepted a *newer* record via a
         // direct (non-flooded) DSM floods it to its 3 closest floodfills
         // (§4.2).
@@ -554,9 +564,10 @@ impl Router {
         let Some(pending) = self.pending_builds.remove(&tunnel_id) else {
             return;
         };
+        let profiles = Arc::make_mut(&mut self.profiles);
         if !ok {
             for h in &pending.hops {
-                self.profiles
+                profiles
                     .entry(*h, i2p_data::BandwidthClass::L, now)
                     .record_failure(now);
             }
@@ -567,7 +578,7 @@ impl Router {
             return;
         }
         for h in &pending.hops {
-            self.profiles
+            profiles
                 .entry(*h, i2p_data::BandwidthClass::L, now)
                 .record_success(64.0, now);
         }
@@ -770,7 +781,7 @@ impl Router {
         self.inbound.expire(now);
         self.outbound.expire(now);
         self.participating.retain(|_, p| p.expires > now);
-        self.store.expire(now);
+        Arc::make_mut(&mut self.store).expire(now);
     }
 
     /// Pending builds map (exposed for harness timeouts).

@@ -7,6 +7,7 @@ use i2p_router::config::{FloodfillMode, Reachability};
 use i2p_router::{RouterConfig, TestNet};
 use i2p_transport::BlockList;
 use i2p_tunnel::pool::TunnelDirection;
+use std::sync::Arc;
 
 fn public_cfg(kbps: u32, floodfill: bool) -> RouterConfig {
     RouterConfig {
@@ -336,6 +337,52 @@ fn deterministic_across_runs() {
         assert_eq!(a.router(i).store.router_count(), b.router(i).store.router_count());
     }
     assert_eq!(a.now(), b.now());
+}
+
+/// Whether router `i` of `a` and `b` shares its store, k-buckets and
+/// profile book.
+fn tables_shared(a: &TestNet, b: &TestNet, i: usize) -> [bool; 3] {
+    let (x, y) = (a.router(i), b.router(i));
+    [
+        Arc::ptr_eq(&x.store, &y.store),
+        Arc::ptr_eq(&x.floodfills, &y.floodfills),
+        Arc::ptr_eq(&x.profiles, &y.profiles),
+    ]
+}
+
+#[test]
+fn forks_share_router_tables_until_one_is_written() {
+    let parent = build_net(17, 4, 8);
+    let mut fork = parent.fork(1);
+    for i in 0..parent.len() {
+        assert_eq!(tables_shared(&parent, &fork, i), [true; 3], "router {i}: an idle fork copied");
+    }
+    // A floodfill none of them knows yet, from another network.
+    let mut elsewhere = TestNet::new(99);
+    let stranger = elsewhere.add_router(public_cfg(512, true));
+    let ri = Arc::new(elsewhere.router(stranger).make_router_info(fork.now()));
+    let hash = ri.hash();
+    let learner = 5;
+    let counts = |net: &TestNet| {
+        let r = net.router(learner);
+        (r.store.router_count(), r.floodfills.len(), r.profiles.len())
+    };
+    let parent_counts = counts(&parent);
+    let now = fork.now();
+    fork.router_mut(learner).learn_router(ri, now);
+    for i in 0..parent.len() {
+        let expect = if i == learner { [false; 3] } else { [true; 3] };
+        assert_eq!(tables_shared(&parent, &fork, i), expect, "router {i} after one learn_router");
+    }
+    let (ours, theirs) = (fork.router(learner), parent.router(learner));
+    assert!(ours.store.router_info(&hash).is_some());
+    assert!(ours.floodfills.contains(&hash));
+    assert!(ours.profiles.get(&hash).is_some());
+    assert!(theirs.store.router_info(&hash).is_none(), "the parent's store was written");
+    assert!(!theirs.floodfills.contains(&hash), "the parent's k-buckets were written");
+    assert!(theirs.profiles.get(&hash).is_none(), "the parent's profiles were written");
+    assert_eq!(counts(&parent), parent_counts);
+    assert_eq!(counts(&fork), (parent_counts.0 + 1, parent_counts.1 + 1, parent_counts.2 + 1));
 }
 
 #[test]

@@ -70,6 +70,9 @@ counters! {
     LookupRetries => "lookup_retries",
     /// Messages pushed through the transport fabric.
     MessagesSent => "messages_sent",
+    /// Tunnel builds launched by TestNet routers (one per build request
+    /// sent, whatever its fate).
+    TunnelBuilds => "tunnel_builds",
     /// Day segments encoded into the `.i2ps` wire format.
     SegmentsEncoded => "segments_encoded",
     /// Day segments decoded back out of the `.i2ps` wire format.

@@ -187,8 +187,8 @@ pub struct ManifestSummary {
     /// sorted by name. Spans opened on a helper thread root trees of
     /// their own, so this counts them wherever they sit.
     pub spans: BTreeMap<String, usize>,
-    /// Unique tally labels, sorted.
-    pub tally_names: Vec<String>,
+    /// Each tally label with its call count, sorted by label.
+    pub tallies: BTreeMap<String, u64>,
     /// Gauge `(label, value-lexeme)` pairs, source order (environment
     /// observations like the engine's resolved worker count — timing-
     /// plane data, never diffed across runs).
@@ -207,7 +207,7 @@ impl ManifestSummary {
         let mut crates: Vec<String> = self
             .spans
             .keys()
-            .chain(self.tally_names.iter())
+            .chain(self.tallies.keys())
             .filter_map(|name| name.split('.').next())
             .map(str::to_string)
             .collect();
@@ -316,18 +316,21 @@ pub fn validate_manifest(text: &str) -> Result<ManifestSummary, String> {
         None => return Err("manifest timing: missing peak_rss_kb".to_string()),
     }
 
-    let mut tally_names = Vec::new();
-    let tallies = timing
+    let mut tallies = BTreeMap::new();
+    let tally_rows = timing
         .field("tallies")
         .and_then(Value::as_arr)
         .ok_or_else(|| "manifest timing: missing tallies array".to_string())?;
-    for row in tallies {
-        tally_names.push(require_str(row, "name", "manifest tally")?);
-        require_u64_lexeme(row, "calls", "manifest tally")?;
+    for row in tally_rows {
+        let name = require_str(row, "name", "manifest tally")?;
+        let calls = require_u64_lexeme(row, "calls", "manifest tally")?;
+        let calls: u64 = calls
+            .parse()
+            .map_err(|_| format!("manifest tally {name:?}: calls {calls} exceeds u64"))?;
         require_u64_lexeme(row, "total_us", "manifest tally")?;
+        let total: &mut u64 = tallies.entry(name).or_default();
+        *total = total.saturating_add(calls);
     }
-    tally_names.sort();
-    tally_names.dedup();
 
     // Gauges arrived with the scale work (sharded engine fill); the
     // emitter always writes the array, so its absence means a manifest
@@ -356,7 +359,7 @@ pub fn validate_manifest(text: &str) -> Result<ManifestSummary, String> {
         knobs,
         counters,
         spans: span_nodes,
-        tally_names,
+        tallies,
         gauges,
     })
 }
@@ -434,6 +437,7 @@ mod tests {
         assert_eq!(summary.command, "figures");
         assert_eq!(summary.span_count(), 2);
         assert_eq!(summary.spans.get("store.capture"), Some(&1));
+        assert_eq!(summary.tallies.get("transport.send"), Some(&42));
         assert_eq!(
             summary.gauges,
             vec![("measure.engine_workers".to_string(), "4".to_string())]

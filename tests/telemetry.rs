@@ -192,6 +192,61 @@ fn sweep_counters_are_thread_invariant_and_count_cells() {
 }
 
 #[test]
+fn sweep_tallies_count_every_scenario_phase() {
+    // A `sweep --telemetry` manifest times each scenario's phases under
+    // tallies: every cell forks the substrate once and drops it once,
+    // maintains the server before its fetches and once per fetch, and
+    // enters the tunnel-build phase once per fetch (no fault plane, so
+    // no fetch is flaked away). Call counts, like the counters, are the
+    // same at `--threads 1` and `2`.
+    let dir = std::env::temp_dir().join(format!("i2pscope-sweep-tallies-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let sweep = |threads: usize| {
+        let manifest_path = dir.join(format!("t{threads}.json"));
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_i2pscope"));
+        for (name, _) in std::env::vars().filter(|(name, _)| name.starts_with("I2PSCOPE_")) {
+            cmd.env_remove(name);
+        }
+        let out = cmd
+            .args(["sweep", "--scale", "0.02", "--replicates", "2"])
+            .args(["--threads", &threads.to_string(), "--telemetry"])
+            .arg(&manifest_path)
+            .output()
+            .expect("run i2pscope");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = std::fs::read_to_string(&manifest_path).expect("manifest written");
+        manifest::validate_manifest(&text).expect("manifest validates")
+    };
+    let one = sweep(1);
+    let two = sweep(2);
+    let _ = std::fs::remove_dir_all(&dir);
+    let counter = |name: &str| {
+        one.counters.iter().find(|(n, _)| n == name).and_then(|(_, v)| v.parse::<u64>().ok())
+    };
+    // Scale 0.02: the default 18 blocking rates × 2 replicates, 2
+    // fetches per cell. (The counters also hold the calibration
+    // probe's engine fill, so `sweep_cells` reads a little more.)
+    let (cells, fetches) = (18 * 2, 2);
+    assert!(counter("tunnel_builds").is_some_and(|n| n > 0), "no tunnel build was counted");
+    let calls = |label: &str| one.tallies.get(label).copied().unwrap_or(0);
+    assert_eq!(calls("measure.scenario_fork"), cells);
+    assert_eq!(calls("measure.scenario_drop"), cells);
+    assert_eq!(calls("measure.maintain_server"), cells * (fetches + 1));
+    assert_eq!(calls("measure.fetch_build"), cells * fetches);
+    assert_eq!(calls("measure.think"), cells * fetches);
+    assert_eq!(one.counter_dump(), two.counter_dump(), "counters vary with --threads");
+    let sweep_tallies = |summary: &manifest::ManifestSummary| {
+        summary
+            .tallies
+            .iter()
+            .filter(|(label, _)| label.starts_with("measure."))
+            .map(|(label, calls)| (label.clone(), *calls))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(sweep_tallies(&one), sweep_tallies(&two), "tally calls vary with --threads");
+}
+
+#[test]
 fn threads_flag_governs_the_fill_and_the_capture() {
     // `--threads N` must reach the engine fill exactly as
     // I2PSCOPE_THREADS=N does. With every I2PSCOPE_* variable removed,
