@@ -6,7 +6,7 @@
 //! persistent 10-router censor through the scenario lab: one
 //! harvest-engine fill serves every (strategy × horizon) cell.
 
-use i2p_measure::bridges::{render_bridge_comparison, sweep_bridges, BridgeScenario, BridgeStrategy};
+use i2p_measure::bridges::{bridge_table, sweep_bridges, BridgeScenario, BridgeStrategy};
 use i2p_measure::fleet::Fleet;
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
         );
         let mut out = String::new();
         for chunk in outcomes.chunks(BridgeStrategy::ALL.len()) {
-            out.push_str(&render_bridge_comparison(chunk));
+            out.push_str(&bridge_table(chunk).text());
             out.push('\n');
         }
         out

@@ -8,7 +8,7 @@
 //! directly, so the achieved blocking rate — and the page-load damage —
 //! is an *output* of the monitoring effort.
 
-use i2p_measure::closedloop::{closed_loop_sweep, render_closed_loop, ClosedLoopScenario};
+use i2p_measure::closedloop::{closed_loop_sweep, closed_loop_table, ClosedLoopScenario};
 use i2p_measure::fleet::Fleet;
 use i2p_measure::usability::UsabilityConfig;
 
@@ -33,7 +33,7 @@ fn main() {
     ];
     report.emit("Extension: Fig. 13 → Fig. 14 closed loop", || {
         let outcomes = closed_loop_sweep(&world, &fleet, &cfg, &scenarios, 35);
-        render_closed_loop(&outcomes)
+        closed_loop_table(&outcomes).text()
     });
     report.write();
 }

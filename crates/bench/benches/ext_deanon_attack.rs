@@ -8,7 +8,7 @@
 //! the victim's accumulated view and one harvest-engine fill are shared
 //! by every grid cell instead of being re-derived per call.
 
-use i2p_measure::attack::{render_attack_sweep, sweep_attacks, AttackScenario};
+use i2p_measure::attack::{attack_table, sweep_attacks, AttackScenario};
 use i2p_measure::fleet::Fleet;
 
 fn main() {
@@ -40,9 +40,8 @@ fn main() {
         let mut out = String::new();
         for (i, &(censor_routers, window)) in configs.iter().enumerate() {
             out.push_str(&format!("censor: {censor_routers} routers, {window}-day window\n"));
-            out.push_str(&render_attack_sweep(
-                &outcomes[i * malicious.len()..(i + 1) * malicious.len()],
-            ));
+            let cells = &outcomes[i * malicious.len()..(i + 1) * malicious.len()];
+            out.push_str(&attack_table(cells).text());
             out.push('\n');
         }
         out

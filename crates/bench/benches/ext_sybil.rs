@@ -16,7 +16,7 @@
 //! eclipses the target.
 
 use i2p_measure::fleet::Fleet;
-use i2p_measure::report::render_sybil;
+use i2p_measure::report::sybil_sweep;
 use i2p_measure::sybil::{run, SybilConfig};
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
     };
     report.emit("Extension: eclipse/Sybil sweep", || {
         let sweep = run(&world, &fleet, &cfg);
-        let mut out = render_sybil(&sweep);
+        let mut out = sybil_sweep(&sweep).text();
         out.push_str(&format!(
             "(grinding budget {} candidates per Sybil per day, derived from {} day-0 floodfills)\n",
             cfg.grind_per_sybil, floodfills

@@ -5,14 +5,14 @@
 //! non-floodfill slightly higher.
 
 use i2p_measure::population::single_router_experiment;
-use i2p_measure::report::render_fig2;
+use i2p_measure::report::fig2;
 
 fn main() {
     let mut report = i2p_bench::report("fig02_single_router");
     let world = i2p_bench::world(10);
     report.emit("Figure 2", || {
         let series = single_router_experiment(&world, 0xF1602);
-        render_fig2(&series)
+        fig2(&series).text()
     });
     report.write();
 }

@@ -5,14 +5,14 @@
 //! union of each pair stays flat around 17–18 K.
 
 use i2p_measure::population::bandwidth_sweep;
-use i2p_measure::report::render_fig3;
+use i2p_measure::report::fig3;
 
 fn main() {
     let mut report = i2p_bench::report("fig03_bandwidth_sweep");
     let world = i2p_bench::world(10);
     report.emit("Figure 3", || {
         let rows = bandwidth_sweep(&world, 2..9);
-        render_fig3(&rows)
+        fig3(&rows).text()
     });
     report.write();
 }

@@ -8,7 +8,7 @@
 use i2p_measure::engine::HarvestEngine;
 use i2p_measure::fleet::Fleet;
 use i2p_measure::population::cumulative_by_router_count_from;
-use i2p_measure::report::render_fig4;
+use i2p_measure::report::fig4;
 
 fn main() {
     let mut report = i2p_bench::report("fig04_router_count");
@@ -16,7 +16,7 @@ fn main() {
     report.emit("Figure 4", || {
         let engine = HarvestEngine::build(&world, &Fleet::alternating(40), 0..5);
         let curve = cumulative_by_router_count_from(&engine, 0..5);
-        let text = render_fig4(&curve);
+        let text = fig4(&curve).text();
         let at20 = curve[19].1 as f64;
         let at40 = curve[39].1 as f64;
         format!(

@@ -7,7 +7,7 @@
 use i2p_measure::churn::churn_curves_from;
 use i2p_measure::engine::HarvestEngine;
 use i2p_measure::fleet::Fleet;
-use i2p_measure::report::render_fig7;
+use i2p_measure::report::fig7;
 
 fn main() {
     let mut report = i2p_bench::report("fig07_churn");
@@ -17,7 +17,7 @@ fn main() {
     report.emit("Figure 7", || {
         let engine = HarvestEngine::build(&world, &fleet, 0..days);
         let curves = churn_curves_from(&engine, 80.min(days as usize - 5));
-        let mut text = render_fig7(&curves, &[7, 10, 20, 30, 40, 50, 60, 70, 80]);
+        let mut text = fig7(&curves, &[7, 10, 20, 30, 40, 50, 60, 70, 80]).text();
         text.push_str(&format!(
             "paper anchors: cont>7d 56.36% (ours {:.2}%), int>7d 73.93% (ours {:.2}%), \
              cont>30d 20.03% (ours {:.2}%), int>30d 31.15% (ours {:.2}%)\n",

@@ -24,15 +24,11 @@ use std::time::Instant;
 
 fn main() {
     let mut report = i2p_bench::report("fig14_usability");
-    let scale = i2p_bench::scale().min(1.0);
     let cfg = UsabilityConfig {
-        relays: (((64.0 * scale).round() as usize).max(24)),
-        floodfills: (((12.0 * scale).round() as usize).max(6)),
-        fetches_per_rate: (((10.0 * scale).round() as usize).max(2)),
         replicates: i2p_bench::replicates(),
         threads: i2p_bench::threads(),
         seed: i2p_bench::seed(),
-        ..Default::default()
+        ..UsabilityConfig::scaled(i2p_bench::scale())
     };
     report.emit("Figure 14", || {
         let t = Instant::now();

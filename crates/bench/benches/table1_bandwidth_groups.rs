@@ -10,7 +10,7 @@
 use i2p_measure::capacity::{bandwidth_table_from, floodfill_estimate_from};
 use i2p_measure::engine::HarvestEngine;
 use i2p_measure::fleet::Fleet;
-use i2p_measure::report::render_table1;
+use i2p_measure::report::table1;
 
 fn main() {
     let mut report = i2p_bench::report("table1_bandwidth_groups");
@@ -20,7 +20,7 @@ fn main() {
         let engine = HarvestEngine::build(&world, &fleet, 5..6);
         let t = bandwidth_table_from(&engine, 5);
         let est = floodfill_estimate_from(&engine, 5);
-        let mut text = render_table1(&t, &est);
+        let mut text = table1(&t, &est).text();
         text.push_str(&format!(
             "actual online population on day 5: {} (estimate error {:+.1}%)\n",
             world.online_count(5),

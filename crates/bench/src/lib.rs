@@ -1,7 +1,7 @@
 //! # i2p-bench — shared helpers for the figure/table benches
 //!
-//! Every bench target regenerates one table or figure from Hoang et al.
-//! (IMC 2018) and prints it in the paper's layout. The world scale and
+//! Every figure bench regenerates tables or figures from Hoang et al.
+//! (IMC 2018) and prints them in the paper's layout. The world scale and
 //! seed can be overridden without recompiling:
 //!
 //! * `I2PSCOPE_SCALE` — population scale (default **1.0** = the paper's
@@ -76,14 +76,6 @@ pub fn world(days_needed: u64) -> World {
     w
 }
 
-/// Prints a figure with a standard banner and wall-clock footer.
-pub fn emit(name: &str, body: impl FnOnce() -> String) {
-    let t = Instant::now();
-    let text = body();
-    println!("{text}");
-    println!("[i2p-bench] {name} regenerated in {:.2?}\n", t.elapsed());
-}
-
 /// Schema tag carried by every `BENCH_<name>.json` artifact.
 pub const BENCH_SCHEMA: &str = "i2p-bench/1";
 
@@ -130,8 +122,8 @@ impl BenchReport {
         self.knobs.push((key.to_string(), value.to_string()));
     }
 
-    /// Like the free [`emit`] — same banner, same footer — but also
-    /// records the section's wall time in the artifact.
+    /// Prints a section's text with a wall-clock footer, and records
+    /// its wall time in the artifact.
     pub fn emit(&mut self, label: &str, body: impl FnOnce() -> String) {
         let t = Instant::now();
         let text = body();

@@ -118,13 +118,6 @@ impl DhKeyPair {
     }
 }
 
-impl SharedSecret {
-    /// View as a ChaCha20 key.
-    pub fn as_key(&self) -> &[u8; 32] {
-        &self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

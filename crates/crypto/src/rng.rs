@@ -131,12 +131,6 @@ impl DetRng {
         ((x as u128 * bound as u128) >> 64) as u64
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Bernoulli trial with probability `p`.
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {

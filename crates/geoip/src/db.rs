@@ -46,7 +46,6 @@ struct Country {
 #[derive(Clone, Debug)]
 struct AsEntry {
     asn: u32,
-    name: String,
     country: CountryId,
     global_weight: f64,
     hosting: bool,
@@ -103,7 +102,6 @@ impl GeoDb {
             let country = code_index(a.country);
             ases.push(AsEntry {
                 asn: a.asn,
-                name: a.name.to_string(),
                 country,
                 global_weight: 0.0, // filled below
                 hosting: a.hosting,
@@ -132,7 +130,6 @@ impl GeoDb {
             let share = if has_explicit { 0.15 } else { 1.0 };
             ases.push(AsEntry {
                 asn: 64000 + ci as u32,
-                name: format!("{} Other ISPs", c.name),
                 country: ci,
                 global_weight: c.weight * share,
                 hosting: false,
@@ -170,11 +167,6 @@ impl GeoDb {
         self.ases.len()
     }
 
-    /// Country code.
-    pub fn country_code(&self, id: CountryId) -> &str {
-        &self.countries[id].code
-    }
-
     /// Country display name.
     pub fn country_name(&self, id: CountryId) -> &str {
         &self.countries[id].name
@@ -194,11 +186,6 @@ impl GeoDb {
     /// The AS number of an AS id.
     pub fn asn(&self, id: AsId) -> u32 {
         self.ases[id].asn
-    }
-
-    /// The AS operator name.
-    pub fn as_name(&self, id: AsId) -> &str {
-        &self.ases[id].name
     }
 
     /// The country an AS belongs to.

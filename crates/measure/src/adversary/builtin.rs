@@ -219,6 +219,7 @@ impl Adversary for Deanon {
             lab.threads,
         );
         let last = outcomes.last().expect("non-empty grid"); // i2plint: allow(panic-audit) -- grid() always contains at least one scenario
+        let table = attack::attack_table(&outcomes);
         AdversaryOutcome {
             name: self.name().into(),
             config: self.config(lab),
@@ -226,8 +227,8 @@ impl Adversary for Deanon {
                 ("blocking%".into(), last.setup.blocking_rate_pct),
                 ("max_fully%".into(), last.fully_compromised_pct),
             ],
-            figure: attack::render_attack_sweep(&outcomes),
-            csv: attack::csv_attack_sweep(&outcomes),
+            figure: table.text(),
+            csv: table.csv(),
         }
     }
 }
@@ -314,6 +315,7 @@ impl Adversary for ClosedLoop {
             lab.eval_day,
         );
         let last = outcomes.last().expect("non-empty grid"); // i2plint: allow(panic-audit) -- grid() always contains at least one scenario
+        let table = closedloop::closed_loop_table(&outcomes);
         AdversaryOutcome {
             name: self.name().into(),
             config: self.config(lab),
@@ -321,8 +323,8 @@ impl Adversary for ClosedLoop {
                 ("blacklist".into(), last.blacklist_ips as f64),
                 ("achieved%".into(), last.point.blocking_rate_pct),
             ],
-            figure: closedloop::render_closed_loop(&outcomes),
-            csv: closedloop::csv_closed_loop(&outcomes),
+            figure: table.text(),
+            csv: table.csv(),
         }
     }
 }
@@ -417,6 +419,7 @@ impl Adversary for SybilEclipse {
         let cfg = Self::config(lab);
         let sweep = sybil::run(lab.world, lab.fleet, &cfg);
         let last = sweep.points.last().expect("non-empty grid"); // i2plint: allow(panic-audit) -- SybilConfig validation rejects an empty counts grid
+        let table = report::sybil_sweep(&sweep);
         AdversaryOutcome {
             name: self.name().into(),
             config: self.config(lab),
@@ -425,8 +428,8 @@ impl Adversary for SybilEclipse {
                 ("max_eclipsed_d".into(), last.eclipsed_days as f64),
                 ("baseline_coverage%".into(), 100.0 * sweep.baseline_coverage),
             ],
-            figure: report::render_sybil(&sweep),
-            csv: report::csv_sybil(&sweep),
+            figure: table.text(),
+            csv: table.csv(),
         }
     }
 
@@ -522,6 +525,7 @@ impl Adversary for Bridges {
             lab.threads,
         );
         let combo = outcomes.last().expect("non-empty grid"); // i2plint: allow(panic-audit) -- the escalation grid always contains at least one variant
+        let table = bridges::bridge_table(&outcomes);
         AdversaryOutcome {
             name: self.name().into(),
             config: self.config(lab),
@@ -530,8 +534,8 @@ impl Adversary for Bridges {
                 ("combo_day0%".into(), combo.usable_day0_pct),
                 ("combo_after%".into(), combo.usable_after_pct),
             ],
-            figure: bridges::render_bridge_comparison(&outcomes),
-            csv: bridges::csv_bridge_comparison(&outcomes),
+            figure: table.text(),
+            csv: table.csv(),
         }
     }
 }

@@ -11,10 +11,11 @@
 //! thread count.
 
 use super::{
-    format_metric, Adversary, AdversaryLab, AdversaryOutcome, Capability, ChainKnobs, DayView,
+    metric_decimals, Adversary, AdversaryLab, AdversaryOutcome, Capability, ChainKnobs, DayView,
     SharedState,
 };
 use crate::engine::HarvestEngine;
+use crate::report::{Cell, Column, Table};
 use i2p_faults::FaultPlane;
 use std::fmt::Write as _;
 
@@ -248,12 +249,13 @@ impl Adversary for Composed {
             |members, knobs, _| run_chain(lab, members, knobs),
         );
         let metrics = rows.last().cloned().unwrap_or_default();
+        let table = escalation_table(self, &rows);
         AdversaryOutcome {
             name: self.name.clone(),
             config: self.config(lab),
             metrics,
-            figure: render_escalation(self, &rows),
-            csv: csv_escalation(&rows),
+            figure: table.text(),
+            csv: table.csv(),
         }
     }
 
@@ -274,9 +276,10 @@ impl Adversary for Composed {
     }
 }
 
-/// Renders the escalation table: one row per variant, columns taken
-/// from the first row's labels.
-fn render_escalation(chain: &Composed, rows: &[Vec<(String, f64)>]) -> String {
+/// The escalation table: one row per variant, one column per label of
+/// the first row. Text prints each metric at its label's
+/// [`metric_decimals`]; CSV keeps the raw values in full.
+fn escalation_table(chain: &Composed, rows: &[Vec<(String, f64)>]) -> Table {
     let chain_names: Vec<&str> = chain.members.iter().map(|m| m.name()).collect();
     let title = format!(
         "Composed adversary {:?} — {} ({})",
@@ -284,40 +287,19 @@ fn render_escalation(chain: &Composed, rows: &[Vec<(String, f64)>]) -> String {
         chain.description,
         chain_names.join(" → ")
     );
-    let mut out = format!("{title}\n{}\n", "-".repeat(title.chars().count()));
     let labels: Vec<&str> = rows.first().map_or(Vec::new(), |r| {
         r.iter().map(|(label, _)| label.as_str()).collect()
     });
-    let widths: Vec<usize> = labels.iter().map(|l| l.chars().count().max(9)).collect();
     let mut header = String::from("level");
-    for (label, &w) in labels.iter().zip(&widths) {
+    let mut columns = vec![Column::new("level", "", 5)];
+    for label in labels {
+        let w = label.chars().count().max(9);
         let _ = write!(header, "   {label:>w$}");
+        columns.push(Column::new(label, "   ", w).decimals(metric_decimals(label), None));
     }
-    out.push_str(&header);
-    out.push('\n');
+    let mut t = Table::new(&title, &header, columns).underline_chars();
     for (i, row) in rows.iter().enumerate() {
-        let _ = write!(out, "{i:>5}");
-        for ((label, value), &w) in row.iter().zip(&widths) {
-            let _ = write!(out, "   {:>w$}", format_metric(label, *value));
-        }
-        out.push('\n');
+        t.row([Cell::from(i)].into_iter().chain(row.iter().map(|&(_, v)| Cell::from(v))).collect());
     }
-    out
-}
-
-/// CSV twin of [`render_escalation`] (raw values, full precision).
-fn csv_escalation(rows: &[Vec<(String, f64)>]) -> String {
-    let mut out = String::from("level");
-    for (label, _) in rows.first().map_or(&[][..], Vec::as_slice) {
-        let _ = write!(out, ",{label}");
-    }
-    out.push('\n');
-    for (i, row) in rows.iter().enumerate() {
-        let _ = write!(out, "{i}");
-        for (_, value) in row {
-            let _ = write!(out, ",{value}");
-        }
-        out.push('\n');
-    }
-    out
+    t
 }

@@ -13,8 +13,8 @@
 //!
 //! * **Standalone runs** — every registered adversary has a
 //!   [`Adversary::run`] that executes its sweep through [`lab::sweep`]
-//!   and returns a structured [`AdversaryOutcome`] (figure + CSV twin +
-//!   headline metrics + a deterministic audit line). The five paper
+//!   and returns a structured [`AdversaryOutcome`] (figure as text and
+//!   as CSV + headline metrics + a deterministic audit line). The five paper
 //!   attacks run their module's one sweep entrypoint here, so the trait
 //!   adds no second implementation of any of them.
 //! * **Chain hooks** — a day-granular `observe`/`act` protocol
@@ -137,16 +137,12 @@ impl<'w> AdversaryLab<'w> {
             world.config.days
         );
         assert!(!fleet.vantages.is_empty(), "AdversaryLab: empty monitoring fleet");
-        let scale = world.config.scale.min(1.0);
         let usability = UsabilityConfig {
-            relays: ((64.0 * scale).round() as usize).max(24),
-            floodfills: ((12.0 * scale).round() as usize).max(6),
-            fetches_per_rate: ((10.0 * scale).round() as usize).max(2),
             blocking_rates: vec![0.0],
             replicates: 1,
             threads,
             seed: world.config.seed,
-            ..Default::default()
+            ..UsabilityConfig::scaled(world.config.scale)
         };
         AdversaryLab {
             world,
@@ -371,9 +367,9 @@ pub struct AdversaryOutcome {
     /// Headline metrics (ordered label → value pairs; labels ending in
     /// `%` render with one decimal, the rest as integers).
     pub metrics: Vec<(String, f64)>,
-    /// The rendered text figure.
+    /// The figure in the paper's layout.
     pub figure: String,
-    /// The figure's CSV twin.
+    /// The same figure as CSV.
     pub csv: String,
 }
 
@@ -399,15 +395,21 @@ impl AdversaryOutcome {
     }
 }
 
-/// Formats a metric value by its label's convention: percentage labels
-/// (ending `%`) get one decimal, everything else renders as an integer
-/// count.
-pub(crate) fn format_metric(label: &str, value: f64) -> String {
+/// The decimals a metric prints with, by its label's convention:
+/// percentage labels (ending `%`) get one, everything else renders as
+/// an integer count.
+pub(crate) fn metric_decimals(label: &str) -> usize {
     if label.ends_with('%') {
-        format!("{value:.1}")
+        1
     } else {
-        format!("{value:.0}")
+        0
     }
+}
+
+/// Formats a metric value at its [`metric_decimals`].
+pub(crate) fn format_metric(label: &str, value: f64) -> String {
+    let decimals = metric_decimals(label);
+    format!("{value:.decimals$}")
 }
 
 /// A registered adversary: declared capabilities, a standalone sweep,

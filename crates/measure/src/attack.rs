@@ -18,6 +18,7 @@ use crate::censor::{
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
 use crate::lab;
+use crate::report::{Column, Table};
 use i2p_crypto::DetRng;
 use i2p_data::FxHashSet;
 use i2p_sim::world::World;
@@ -170,43 +171,31 @@ pub(crate) fn run_attack(
     }
 }
 
-/// Renders an attack sweep over malicious-router counts.
-pub fn render_attack_sweep(outcomes: &[AttackOutcome]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from(
-        "From blocking to deanonymization (§7.2): victim tunnel compromise\n\
-         ------------------------------------------------------------------\n\
-         malicious   blocking   fully compromised   ≥1 malicious hop\n",
+/// An attack sweep over malicious-router counts; CSV adds the tunnels
+/// built and keeps the shares in full.
+pub fn attack_table(outcomes: &[AttackOutcome]) -> Table {
+    let share = |csv, width| Column::new(csv, "   ", width).decimals(1, None).suffix("%");
+    let mut t = Table::new(
+        "From blocking to deanonymization (§7.2): victim tunnel compromise",
+        "malicious   blocking   fully compromised   ≥1 malicious hop",
+        vec![
+            Column::new("malicious", "", 9),
+            share("blocking_pct", 7),
+            share("fully_pct", 16),
+            share("partial_pct", 15),
+            Column::csv_only("tunnels"),
+        ],
     );
     for o in outcomes {
-        let _ = writeln!(
-            out,
-            "{:>9}   {:>7.1}%   {:>16.1}%   {:>15.1}%",
-            o.setup.malicious,
-            o.setup.blocking_rate_pct,
-            o.fully_compromised_pct,
-            o.partially_compromised_pct
-        );
+        t.row(vec![
+            o.setup.malicious.into(),
+            o.setup.blocking_rate_pct.into(),
+            o.fully_compromised_pct.into(),
+            o.partially_compromised_pct.into(),
+            o.tunnels.into(),
+        ]);
     }
-    out
-}
-
-/// CSV twin of [`render_attack_sweep`].
-pub fn csv_attack_sweep(outcomes: &[AttackOutcome]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("malicious,blocking_pct,fully_pct,partial_pct,tunnels\n");
-    for o in outcomes {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{}",
-            o.setup.malicious,
-            o.setup.blocking_rate_pct,
-            o.fully_compromised_pct,
-            o.partially_compromised_pct,
-            o.tunnels
-        );
-    }
-    out
+    t
 }
 
 #[cfg(test)]
@@ -317,7 +306,7 @@ mod tests {
     fn renderer_has_rows() {
         let (w, fleet) = setup();
         let sweep = sweep_attacks(&w, &fleet, 35, &[cell(20, 5, 2), cell(20, 5, 10)], 500, 4, 1);
-        let text = render_attack_sweep(&sweep);
+        let text = attack_table(&sweep).text();
         assert!(text.contains("deanonymization"));
         assert!(text.lines().count() >= 5);
     }

@@ -21,6 +21,7 @@ use crate::censor::censor_blacklist_from_engine;
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
 use crate::lab;
+use crate::report::{Column, Table};
 use i2p_crypto::DetRng;
 use i2p_data::{FxHashSet, PeerIp};
 use i2p_geoip::GeoDb;
@@ -201,44 +202,30 @@ fn evaluate_strategy_with(
     }
 }
 
-/// Renders the comparison table.
-pub fn render_bridge_comparison(outcomes: &[BridgeOutcome]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from(
-        "Bridge-distribution strategies under a persistent censor (§7.1)\n\
-         ----------------------------------------------------------------\n\
-         strategy               bridges   usable day 0   usable at horizon\n",
+/// The comparison table; CSV keeps the shares in full.
+pub fn bridge_table(outcomes: &[BridgeOutcome]) -> Table {
+    let share = |csv, width| Column::new(csv, "   ", width).decimals(1, None).suffix("%");
+    let mut t = Table::new(
+        "Bridge-distribution strategies under a persistent censor (§7.1)",
+        "strategy               bridges   usable day 0   usable at horizon",
+        vec![
+            Column::new("strategy", "", 22).left(),
+            Column::new("bridges", " ", 7),
+            share("usable_day0_pct", 10),
+            share("usable_after_pct", 14),
+            Column::new("horizon_days", "  (+", 0).suffix(" d)"),
+        ],
     );
     for o in outcomes {
-        let _ = writeln!(
-            out,
-            "{:<22} {:>7}   {:>10.1}%   {:>14.1}%  (+{} d)",
-            o.strategy.label(),
-            o.distributed,
-            o.usable_day0_pct,
-            o.usable_after_pct,
-            o.horizon
-        );
+        t.row(vec![
+            o.strategy.label().into(),
+            o.distributed.into(),
+            o.usable_day0_pct.into(),
+            o.usable_after_pct.into(),
+            o.horizon.into(),
+        ]);
     }
-    out
-}
-
-/// CSV twin of [`render_bridge_comparison`].
-pub fn csv_bridge_comparison(outcomes: &[BridgeOutcome]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("strategy,bridges,usable_day0_pct,usable_after_pct,horizon_days\n");
-    for o in outcomes {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{}",
-            o.strategy.label(),
-            o.distributed,
-            o.usable_day0_pct,
-            o.usable_after_pct,
-            o.horizon
-        );
-    }
-    out
+    t
 }
 
 #[cfg(test)]
@@ -352,7 +339,7 @@ mod tests {
     fn renderer_contains_all_rows() {
         let (w, fleet) = setup();
         let outcomes = sweep_bridges(&w, &fleet, &all_at(5), 35, 30, 5, 5, 1);
-        let text = render_bridge_comparison(&outcomes);
+        let text = bridge_table(&outcomes).text();
         for s in BridgeStrategy::ALL {
             assert!(text.contains(s.label()));
         }

@@ -22,11 +22,11 @@ use crate::censor::{censor_blacklist_from_engine, published_ips, window_start};
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
 use crate::lab;
+use crate::report::{Column, Table};
 use crate::usability::{run_with_blocklist, warm_substrate, UsabilityConfig, UsabilityPoint, WarmSubstrate};
 use i2p_data::{FxHashSet, PeerIp};
 use i2p_sim::world::World;
 use i2p_transport::BlockList;
-use std::fmt::Write as _;
 
 /// One censor configuration to close the loop over.
 #[derive(Clone, Copy, Debug)]
@@ -110,50 +110,36 @@ pub fn run_closed_loop_on(
     }
 }
 
-/// Renders the closed-loop table.
-pub fn render_closed_loop(outcomes: &[ClosedLoopOutcome]) -> String {
-    let mut out = String::from(
-        "Closed loop: harvested blacklist (Fig. 13) driving the protocol censor (Fig. 14)\n\
-         --------------------------------------------------------------------------------\n\
-         routers   window   blacklist   blocked relays   achieved rate   timeouts   load time\n",
+/// The closed-loop table; CSV keeps the rates and the load time in
+/// full.
+pub fn closed_loop_table(outcomes: &[ClosedLoopOutcome]) -> Table {
+    let mut t = Table::new(
+        "Closed loop: harvested blacklist (Fig. 13) driving the protocol censor (Fig. 14)",
+        "routers   window   blacklist   blocked relays   achieved rate   timeouts   load time",
+        vec![
+            Column::new("routers", "", 7),
+            Column::new("window_days", "   ", 4).suffix(" d"),
+            Column::new("blacklist_ips", "   ", 9),
+            Column::new("blocked_relays", "   ", 8),
+            Column::new("relays", "/", 5).left(),
+            Column::new("achieved_pct", "   ", 12).decimals(1, None).suffix("%"),
+            Column::new("timeout_pct", "   ", 7).decimals(0, None).suffix("%"),
+            Column::new("load_s", "   ", 7).decimals(1, None).suffix(" s"),
+        ],
     );
     for o in outcomes {
-        let _ = writeln!(
-            out,
-            "{:>7}   {:>4} d   {:>9}   {:>8}/{:<5}   {:>12.1}%   {:>7.0}%   {:>7.1} s",
-            o.scenario.censor_routers,
-            o.scenario.window_days,
-            o.blacklist_ips,
-            o.blocked_relays,
-            o.relays,
-            o.point.blocking_rate_pct,
-            o.point.timeout_pct,
-            o.point.avg_load_time_s
-        );
+        t.row(vec![
+            o.scenario.censor_routers.into(),
+            o.scenario.window_days.into(),
+            o.blacklist_ips.into(),
+            o.blocked_relays.into(),
+            o.relays.into(),
+            o.point.blocking_rate_pct.into(),
+            o.point.timeout_pct.into(),
+            o.point.avg_load_time_s.into(),
+        ]);
     }
-    out
-}
-
-/// CSV twin of [`render_closed_loop`].
-pub fn csv_closed_loop(outcomes: &[ClosedLoopOutcome]) -> String {
-    let mut out = String::from(
-        "routers,window_days,blacklist_ips,blocked_relays,relays,achieved_pct,timeout_pct,load_s\n",
-    );
-    for o in outcomes {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{}",
-            o.scenario.censor_routers,
-            o.scenario.window_days,
-            o.blacklist_ips,
-            o.blocked_relays,
-            o.relays,
-            o.point.blocking_rate_pct,
-            o.point.timeout_pct,
-            o.point.avg_load_time_s
-        );
-    }
-    out
+    t
 }
 
 #[cfg(test)]
@@ -196,7 +182,7 @@ mod tests {
         );
         assert!(strong.blacklist_ips > weak.blacklist_ips);
         assert!(strong.point.blocking_rate_pct <= 100.0);
-        let text = render_closed_loop(&outcomes);
+        let text = closed_loop_table(&outcomes).text();
         assert!(text.contains("achieved rate"));
         assert!(text.lines().count() >= 5);
     }

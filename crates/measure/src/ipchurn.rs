@@ -401,20 +401,20 @@ mod tests {
         }
         let ours = IpChurnReport::from_table(&table);
         let theirs = reference::churn_report(&map);
-        assert_eq!(report::render_fig8(&ours), report::render_fig8(&theirs));
-        assert_eq!(report::csv_fig8(&ours), report::csv_fig8(&theirs));
-        assert_eq!(report::render_fig12(&ours), report::render_fig12(&theirs));
-        assert_eq!(report::csv_fig12(&ours), report::csv_fig12(&theirs));
+        assert_eq!(report::fig8(&ours).text(), report::fig8(&theirs).text());
+        assert_eq!(report::fig8(&ours).csv(), report::fig8(&theirs).csv());
+        assert_eq!(report::fig12(&ours).text(), report::fig12(&theirs).text());
+        assert_eq!(report::fig12(&ours).csv(), report::fig12(&theirs).csv());
         let ours = GeoReport::from_table(&table, geo);
         let theirs = reference::geo_report(&map, geo);
         let all = theirs.rows.len();
-        assert_eq!(report::render_fig10(&ours, all), report::render_fig10(&theirs, all));
-        assert_eq!(report::csv_fig10(&ours, all), report::csv_fig10(&theirs, all));
+        assert_eq!(report::fig10(&ours, all).text(), report::fig10(&theirs, all).text());
+        assert_eq!(report::fig10(&ours, all).csv(), report::fig10(&theirs, all).csv());
         let ours = AsReport::from_table(&table);
         let theirs = reference::as_report(&map);
         let all = theirs.rows.len();
-        assert_eq!(report::render_fig11(&ours, all), report::render_fig11(&theirs, all));
-        assert_eq!(report::csv_fig11(&ours, all), report::csv_fig11(&theirs, all));
+        assert_eq!(report::fig11(&ours, all).text(), report::fig11(&theirs, all).text());
+        assert_eq!(report::fig11(&ours, all).csv(), report::fig11(&theirs, all).csv());
     }
 
     #[test]
@@ -486,14 +486,14 @@ mod tests {
         let theirs = GeoReport::from_table(&reversed, geo);
         assert!(ties(&ours.rows), "no two countries tie");
         let all = ours.rows.len();
-        assert_eq!(report::render_fig10(&ours, all), report::render_fig10(&theirs, all));
-        assert_eq!(report::csv_fig10(&ours, all), report::csv_fig10(&theirs, all));
+        assert_eq!(report::fig10(&ours, all).text(), report::fig10(&theirs, all).text());
+        assert_eq!(report::fig10(&ours, all).csv(), report::fig10(&theirs, all).csv());
         let ours = AsReport::from_table(&table);
         let theirs = AsReport::from_table(&reversed);
         assert!(ties(&ours.rows), "no two ASes tie");
         let all = ours.rows.len();
-        assert_eq!(report::render_fig11(&ours, all), report::render_fig11(&theirs, all));
-        assert_eq!(report::csv_fig11(&ours, all), report::csv_fig11(&theirs, all));
+        assert_eq!(report::fig11(&ours, all).text(), report::fig11(&theirs, all).text());
+        assert_eq!(report::fig11(&ours, all).csv(), report::fig11(&theirs, all).csv());
     }
 
     fn report() -> IpChurnReport {

@@ -53,8 +53,8 @@
 //! * [`pass`] — the figure suite's one walk over a source's days, each
 //!   day's records split by id shard across workers, the shard states
 //!   merged into the folds' accumulators.
-//! * [`report`] — text renderers that print each figure/table in the
-//!   paper's layout, plus machine-readable CSV twins.
+//! * [`report`] — one typed table per figure/table, printed in the
+//!   paper's layout or as machine-readable CSV from the same rows.
 //! * [`adversary`] — the unified adversary catalog: a common trait +
 //!   string-keyed registry over the five attack paths above, day-level
 //!   `observe`/`act` composition ([`adversary::Composed`]), and the

@@ -29,6 +29,12 @@ use i2p_transport::{BlockList, CensorMode};
 use i2p_tunnel::pool::TunnelDirection;
 use std::sync::Arc;
 
+/// HTTP timeout after which a fetch counts as a 504 (§6.2.3).
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Tunnel-build / lookup attempt timeout.
+const ATTEMPT_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Experiment configuration.
 #[derive(Clone, Debug)]
 pub struct UsabilityConfig {
@@ -52,10 +58,6 @@ pub struct UsabilityConfig {
     /// How the censor disposes of blocked traffic (silent null route
     /// vs. fail-fast active reset).
     pub censor_mode: CensorMode,
-    /// HTTP timeout after which a fetch counts as a 504 (§6.2.3).
-    pub request_timeout: Duration,
-    /// Tunnel-build / lookup attempt timeout.
-    pub attempt_timeout: Duration,
     /// Master seed.
     pub seed: u64,
     /// Fault plane: message loss/delay/duplication on the fabric, plus
@@ -76,8 +78,6 @@ impl Default for UsabilityConfig {
             replicates: 1,
             threads: 0,
             censor_mode: CensorMode::NullRoute,
-            request_timeout: Duration::from_secs(60),
-            attempt_timeout: Duration::from_secs(10),
             seed: 0xF1614,
             faults: FaultPlane::zero(),
         }
@@ -85,6 +85,21 @@ impl Default for UsabilityConfig {
 }
 
 impl UsabilityConfig {
+    /// The default experiment sized for a world at population `scale`:
+    /// relays, floodfills and fetches per rate shrink with a scale below
+    /// 1, to at least 24, 6 and 2, and never grow above the defaults.
+    pub fn scaled(scale: f64) -> UsabilityConfig {
+        let full = UsabilityConfig::default();
+        let scale = scale.min(1.0);
+        let at = |n: usize, floor: usize| ((n as f64 * scale).round() as usize).max(floor);
+        UsabilityConfig {
+            relays: at(full.relays, 24),
+            floodfills: at(full.floodfills, 6),
+            fetches_per_rate: at(full.fetches_per_rate, 2),
+            ..full
+        }
+    }
+
     /// Validates the configuration, panicking with a pointed message on
     /// nonsense that would otherwise surface as silent `NaN`s (zero
     /// fetches) or a stuck experiment (no floodfills to publish to,
@@ -181,7 +196,7 @@ pub fn evaluate_on(sub: &WarmSubstrate, cfg: &UsabilityConfig) -> Vec<UsabilityP
             let rate_pct = reps[0].blocking_rate_pct; // i2plint: allow(index-literal) -- chunks() never yields an empty chunk
             let pooled: Vec<Option<f64>> =
                 reps.iter().flat_map(|p| p.fetches.iter().copied()).collect();
-            point_from_fetches(rate_pct, cfg, pooled, cfg.replicates)
+            point_from_fetches(rate_pct, pooled, cfg.replicates)
         })
         .collect()
 }
@@ -295,7 +310,7 @@ fn run_rate_on_net(
         &mut net, sub.server, sub.victim, &sub.dest, cfg, &mut rng, rate.to_bits(),
     );
     drop_net(net);
-    point_from_fetches(rate * 100.0, cfg, fetches, 1)
+    point_from_fetches(rate * 100.0, fetches, 1)
 }
 
 /// Runs the fetch phase on a fork of the substrate under an arbitrary
@@ -327,7 +342,7 @@ pub fn run_with_blocklist(
         blocking_rate_pct.to_bits() ^ replicate as u64,
     );
     drop_net(net);
-    point_from_fetches(blocking_rate_pct, cfg, fetches, 1)
+    point_from_fetches(blocking_rate_pct, fetches, 1)
 }
 
 /// Retries per flaked fetch before it is recorded as failed.
@@ -375,7 +390,7 @@ fn censored_fetches(
                 attempt += 1;
                 continue;
             }
-            break fetch_once(net, victim, dest, cfg, rng);
+            break fetch_once(net, victim, dest, rng);
         };
         fetches.push(t);
         // Think time between page loads.
@@ -391,7 +406,6 @@ fn censored_fetches(
 /// fetches; timeout share: normal-approximation binomial).
 fn point_from_fetches(
     rate_pct: f64,
-    cfg: &UsabilityConfig,
     fetches: Vec<Option<f64>>,
     replicates: usize,
 ) -> UsabilityPoint {
@@ -399,7 +413,7 @@ fn point_from_fetches(
     let n = fetches.len();
     let timeout_share = (n - completed.len()) as f64 / n as f64;
     let avg = if completed.is_empty() {
-        cfg.request_timeout.as_secs_f64()
+        REQUEST_TIMEOUT.as_secs_f64()
     } else {
         completed.iter().sum::<f64>() / completed.len() as f64
     };
@@ -452,11 +466,10 @@ fn fetch_once(
     net: &mut TestNet,
     victim: usize,
     dest: &Hash256,
-    cfg: &UsabilityConfig,
     rng: &mut i2p_crypto::DetRng,
 ) -> Option<f64> {
     let t0 = net.now();
-    let deadline = t0 + cfg.request_timeout;
+    let deadline = t0 + REQUEST_TIMEOUT;
 
     // Phase 1: ensure live tunnels. I2P launches several build attempts
     // in parallel; each blocked hop silently eats the attempt timeout
@@ -490,7 +503,7 @@ fn fetch_once(
         // has already failed — a refusal reply or an active-reset RST
         // resolves a build long before the attempt timeout; only
         // *silent* failures (null routing) burn the whole attempt.
-        let attempt_deadline = (started + cfg.attempt_timeout).min(deadline);
+        let attempt_deadline = (started + ATTEMPT_TIMEOUT).min(deadline);
         loop {
             let now = net.now();
             if now >= attempt_deadline {
@@ -550,7 +563,7 @@ fn fetch_once(
             // Exhausted every known floodfill: start over (records may
             // have landed elsewhere meanwhile).
             tried.clear();
-            net.run_until((now + cfg.attempt_timeout).min(deadline));
+            net.run_until((now + ATTEMPT_TIMEOUT).min(deadline));
             continue;
         }
         // Route the DLM through the outbound tunnel's gateway and ask
@@ -583,7 +596,7 @@ fn fetch_once(
             }
         }
         // Short-slice wait with early exit once the LeaseSet arrives.
-        let attempt_deadline = (now + cfg.attempt_timeout).min(deadline);
+        let attempt_deadline = (now + ATTEMPT_TIMEOUT).min(deadline);
         loop {
             let now = net.now();
             if now >= attempt_deadline {

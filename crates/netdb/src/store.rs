@@ -93,12 +93,6 @@ impl NetDbStore {
         }
     }
 
-    /// Switches floodfill mode (manual opt-in/out from the router
-    /// console, §5.3.1).
-    pub fn set_floodfill(&mut self, on: bool) {
-        self.floodfill = on;
-    }
-
     /// Whether this store uses floodfill expiry rules.
     pub fn is_floodfill(&self) -> bool {
         self.floodfill
@@ -168,11 +162,6 @@ impl NetDbStore {
             NetDbPayload::RouterInfo(ri) => Some((k, ri)),
             _ => None,
         })
-    }
-
-    /// All router hashes currently stored.
-    pub fn router_hashes(&self) -> Vec<Hash256> {
-        self.router_infos.keys().copied().collect()
     }
 
     /// Expires old entries. Floodfills expire RouterInfos after 1 h,

@@ -307,11 +307,6 @@ impl TestNet {
         &mut self.routers[idx]
     }
 
-    /// Index of a router by hash.
-    pub fn index_of(&self, hash: &Hash256) -> Option<usize> {
-        self.index.get(hash).copied()
-    }
-
     /// A fresh RNG stream for experiment drivers.
     pub fn fork_rng(&self, label: u64) -> DetRng {
         self.rng.fork(label)
@@ -552,10 +547,5 @@ impl TestNet {
     pub fn run_for(&mut self, d: Duration) -> usize {
         let deadline = self.now + d;
         self.run_until(deadline)
-    }
-
-    /// Whether the delivery queue is empty.
-    pub fn queue_is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 }

@@ -41,11 +41,6 @@ impl ReseedServer {
         self.known = known;
     }
 
-    /// Number of records the server can serve.
-    pub fn known_count(&self) -> usize {
-        self.known.len()
-    }
-
     /// Answers a reseed request from `source`. Deterministic per source
     /// IP: repeated requests from the same address yield the same subset,
     /// defeating cheap crawling (§4). Returns `None` when blocked.

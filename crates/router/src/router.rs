@@ -315,14 +315,8 @@ impl Router {
             // We are the endpoint of our own inbound tunnel.
             keyed.push((self.hash(), self.identity.enc_key));
         }
-        let (req, keys) = TunnelBuildRequest::create(tunnel_id, &keyed, rng);
-        let pending = PendingBuild {
-            direction,
-            hops: hops.clone(),
-            keys,
-            started: now,
-        };
-        self.pending_builds.insert(tunnel_id, pending);
+        let (req, _) = TunnelBuildRequest::create(tunnel_id, &keyed, rng);
+        self.pending_builds.insert(tunnel_id, PendingBuild { direction, hops: hops.clone() });
         let first = hops.first().copied().unwrap_or(self.hash());
         self.record_attempt(direction);
         i2p_telemetry::count_one(i2p_telemetry::Counter::TunnelBuilds);
@@ -784,11 +778,6 @@ impl Router {
         Arc::make_mut(&mut self.store).expire(now);
     }
 
-    /// Pending builds map (exposed for harness timeouts).
-    pub fn pending_build_ids(&self) -> Vec<u32> {
-        self.pending_builds.keys().copied().collect()
-    }
-
     /// Exports a manual-reseed view of our netDb (§6.1).
     pub fn export_reseed(&self, now: SimTime) -> crate::reseed::ReseedFile {
         let routers = self.store.router_infos().map(|ri| RouterInfo::clone(ri)).collect();
@@ -801,8 +790,4 @@ impl Router {
 struct PendingBuild {
     direction: TunnelDirection,
     hops: Vec<Hash256>,
-    #[allow(dead_code)]
-    keys: Vec<[u8; 32]>,
-    #[allow(dead_code)]
-    started: SimTime,
 }

@@ -130,11 +130,6 @@ impl DayIndex {
         DayIndex { days, offsets, ids, ever, n_shards, cuts, shard_max_end, shard_min_join }
     }
 
-    /// Days the index covers.
-    pub fn covered_days(&self) -> u64 {
-        self.days
-    }
-
     /// The ids online on `day`, or `None` beyond the indexed window.
     pub fn online_ids(&self, day: u64) -> Option<&[u32]> {
         if day >= self.days {

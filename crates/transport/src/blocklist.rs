@@ -47,13 +47,6 @@ impl BlockList {
             .or_insert(day);
     }
 
-    /// Bulk-records observations.
-    pub fn observe_all<I: IntoIterator<Item = PeerIp>>(&mut self, ips: I, day: u64) {
-        for ip in ips {
-            self.observe(ip, day);
-        }
-    }
-
     /// Whitelists `ip` (never blocked).
     pub fn whitelist(&mut self, ip: PeerIp) {
         self.whitelist.insert(ip);

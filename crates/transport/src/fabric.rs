@@ -160,11 +160,6 @@ impl Fabric {
         self.victim = Some(victim);
     }
 
-    /// Removes the blocklist.
-    pub fn clear_blocklist(&mut self) {
-        self.blocklist = None;
-    }
-
     /// Installs a fault plane. Messages traversing the fabric are then
     /// subject to deterministic probabilistic loss/delay/duplication,
     /// keyed on the fabric's monotone send counter.
@@ -185,11 +180,6 @@ impl Fabric {
     /// The active censor mode.
     pub fn censor_mode(&self) -> CensorMode {
         self.censor_mode
-    }
-
-    /// Mutable access to the installed blocklist.
-    pub fn blocklist_mut(&mut self) -> Option<&mut BlockList> {
-        self.blocklist.as_mut()
     }
 
     /// Registers `router` as listening on `ep`. Returns the previous

@@ -28,13 +28,6 @@ pub struct LayeredMessage {
     pub hops_done: usize,
 }
 
-/// Applies one hop's layer keystream to `body` — the free-standing form
-/// used by relay hops that hold only their own key (they never see the
-/// full [`TunnelKeys`] set).
-pub fn apply_layer(key: &[u8; 32], msg_id: u64, body: &mut [u8]) {
-    ChaCha20::xor(key, &layer_nonce(msg_id), body);
-}
-
 fn layer_nonce(msg_id: u64) -> [u8; 12] {
     let mut n = [0u8; 12];
     n[..8].copy_from_slice(&msg_id.to_le_bytes());

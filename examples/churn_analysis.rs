@@ -19,15 +19,15 @@ fn main() {
     let engine = HarvestEngine::build(&world, &Fleet::paper_main(), 0..days);
 
     let curves = churn_curves_from(&engine, 40);
-    println!("{}", report::render_fig7(&curves, &[1, 3, 7, 14, 21, 30, 40]));
+    println!("{}", report::fig7(&curves, &[1, 3, 7, 14, 21, 30, 40]).text());
     println!(
         "paper anchors: >7 d — 56.36% continuous / 73.93% intermittent; \
          >30 d — 20.03% / 31.15%\n"
     );
 
     let rep = IpChurnReport::from_table(&ip_table_from(&engine, 0..days));
-    println!("{}", report::render_fig8(&rep));
-    println!("{}", report::render_fig12(&rep));
+    println!("{}", report::fig8(&rep).text());
+    println!("{}", report::fig12(&rep).text());
     println!(
         "paper: 45% single-IP; 0.65% of peers exceed 100 addresses; \
          extremes span 39 ASes / 25 countries (VPN- or Tor-routed routers, §5.3.2)."

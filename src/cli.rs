@@ -20,7 +20,8 @@ use i2p_measure::fleet::Fleet;
 use i2p_measure::keyspace::{KeyspaceConfig, VisibilityModel};
 use i2p_measure::source::SnapshotSource;
 use i2p_measure::usability::{evaluate, UsabilityConfig};
-use i2p_measure::{geo, ipchurn, pass, report, sybil};
+use i2p_measure::report::{self, Table};
+use i2p_measure::{geo, ipchurn, pass, sybil};
 use i2p_sim::world::{World, WorldConfig};
 use i2p_store::{LazySnapshot, Snapshot, StoreError};
 use std::fmt::Write as _;
@@ -158,13 +159,33 @@ impl Knobs {
     }
 }
 
-/// Output format of the figure renderers.
+/// Output format of the figure tables.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Format {
-    /// The paper-layout text renderers.
+    /// The paper's layout.
     Text,
-    /// Machine-readable CSV twins.
+    /// Machine-readable CSV.
     Csv,
+}
+
+impl Format {
+    /// One table in this format: the paper layout, or the CSV under a
+    /// `# <name>` comment line.
+    fn table(self, name: &str, table: &Table) -> String {
+        match self {
+            Format::Text => table.text(),
+            Format::Csv => format!("# {name}\n{}", table.csv()),
+        }
+    }
+
+    /// What opens a status line printed after a table: nothing in text,
+    /// and `# ` in CSV, where the line is a comment.
+    fn comment(self) -> &'static str {
+        match self {
+            Format::Text => "",
+            Format::Csv => "# ",
+        }
+    }
 }
 
 impl std::str::FromStr for Format {
@@ -255,11 +276,6 @@ impl FigId {
     }
 }
 
-/// Prefixes a CSV block with its figure title as a `#` comment.
-fn titled_csv(title: &str, csv: String) -> String {
-    format!("# {title}\n{csv}")
-}
-
 /// Renders the selected figures from any source — a live engine or a
 /// loaded snapshot — deterministically: identical sources give
 /// byte-identical output (the CI smoke and `tests/store_replay.rs`
@@ -308,7 +324,8 @@ pub fn render_figures_on(
         // (pinned by tests/telemetry.rs).
         let _span = i2p_telemetry::span(fig.span_name());
         i2p_telemetry::count_one(i2p_telemetry::Counter::FigureRenders);
-        out.push_str(&pass.render(*fig, format));
+        let (name, table) = pass.table(*fig);
+        out.push_str(&format.table(name, &table));
         out.push('\n');
     }
     out
@@ -339,82 +356,35 @@ impl<'s> FigurePass<'s> {
         FigurePass { geo: src.geo(), folds: pass::figure_pass(src, wants, workers) }
     }
 
-    /// Finishes and renders one figure's block.
-    fn render(&self, fig: FigId, format: Format) -> String {
+    /// Finishes one figure's table, under its name.
+    fn table(&self, fig: FigId) -> (&'static str, Table) {
+        let folds = &self.folds;
         match fig {
-            FigId::Fig4 => {
-                let curve = self.folds.curve.finish();
-                match format {
-                    Format::Text => report::render_fig4(&curve),
-                    Format::Csv => titled_csv("Figure 4", report::csv_fig4(&curve)),
-                }
-            }
-            FigId::Fig5 => match format {
-                Format::Text => report::render_fig5(&self.folds.census),
-                Format::Csv => titled_csv("Figure 5", report::csv_fig5(&self.folds.census)),
-            },
-            FigId::Fig6 => {
-                let overlap = self.folds.overlap.finish();
-                match format {
-                    Format::Text => report::render_fig6(&self.folds.census, overlap),
-                    Format::Csv => {
-                        titled_csv("Figure 6", report::csv_fig6(&self.folds.census, overlap))
-                    }
-                }
-            }
+            FigId::Fig4 => ("Figure 4", report::fig4(&folds.curve.finish())),
+            FigId::Fig5 => ("Figure 5", report::fig5(&folds.census)),
+            FigId::Fig6 => ("Figure 6", report::fig6(&folds.census, folds.overlap.finish())),
             FigId::Fig7 => {
-                let curves = self.folds.survival.finish();
                 let churn_days: Vec<usize> = [1, 2, 3, 5, 7, 10, 14, 21, 30]
                     .into_iter()
-                    .filter(|&d| d <= self.folds.horizon)
+                    .filter(|&d| d <= folds.horizon)
                     .collect();
-                match format {
-                    Format::Text => report::render_fig7(&curves, &churn_days),
-                    Format::Csv => titled_csv("Figure 7", report::csv_fig7(&curves, &churn_days)),
-                }
+                ("Figure 7", report::fig7(&folds.survival.finish(), &churn_days))
             }
             FigId::Fig8 => {
-                let rep = ipchurn::IpChurnReport::from_table(&self.folds.ips);
-                match format {
-                    Format::Text => report::render_fig8(&rep),
-                    Format::Csv => titled_csv("Figure 8", report::csv_fig8(&rep)),
-                }
+                ("Figure 8", report::fig8(&ipchurn::IpChurnReport::from_table(&folds.ips)))
             }
-            FigId::Fig9 => {
-                let hist = self.folds.letters.finish();
-                match format {
-                    Format::Text => report::render_fig9(&hist),
-                    Format::Csv => titled_csv("Figure 9", report::csv_fig9(&hist)),
-                }
-            }
+            FigId::Fig9 => ("Figure 9", report::fig9(&folds.letters.finish())),
             FigId::Fig10 => {
-                let rep = geo::GeoReport::from_table(&self.folds.ips, self.geo);
-                match format {
-                    Format::Text => report::render_fig10(&rep, 20),
-                    Format::Csv => titled_csv("Figure 10", report::csv_fig10(&rep, 20)),
-                }
+                ("Figure 10", report::fig10(&geo::GeoReport::from_table(&folds.ips, self.geo), 20))
             }
             FigId::Fig11 => {
-                let rep = geo::AsReport::from_table(&self.folds.ips);
-                match format {
-                    Format::Text => report::render_fig11(&rep, 20),
-                    Format::Csv => titled_csv("Figure 11", report::csv_fig11(&rep, 20)),
-                }
+                ("Figure 11", report::fig11(&geo::AsReport::from_table(&folds.ips), 20))
             }
             FigId::Fig12 => {
-                let rep = ipchurn::IpChurnReport::from_table(&self.folds.ips);
-                match format {
-                    Format::Text => report::render_fig12(&rep),
-                    Format::Csv => titled_csv("Figure 12", report::csv_fig12(&rep)),
-                }
+                ("Figure 12", report::fig12(&ipchurn::IpChurnReport::from_table(&folds.ips)))
             }
             FigId::Table1 => {
-                let table = self.folds.bandwidth.finish();
-                let est = self.folds.floodfill.finish();
-                match format {
-                    Format::Text => report::render_table1(&table, &est),
-                    Format::Csv => titled_csv("Table 1", report::csv_table1(&table, &est)),
-                }
+                ("Table 1", report::table1(&folds.bandwidth.finish(), &folds.floodfill.finish()))
             }
         }
     }
@@ -538,11 +508,7 @@ pub fn figures_live_audited(knobs: &Knobs, format: Format, figs: &[FigId]) -> St
     let world = knobs.world();
     let engine = knobs.engine(&world, 0..knobs.days);
     let mut out = render_figures(&engine, format, figs);
-    let prefix = match format {
-        Format::Text => "",
-        Format::Csv => "# ",
-    };
-    let _ = writeln!(out, "{prefix}{}", audit_line(knobs, &engine));
+    let _ = writeln!(out, "{}{}", format.comment(), audit_line(knobs, &engine));
     out
 }
 
@@ -567,25 +533,17 @@ pub fn figures_from(
 }
 
 /// `i2pscope sweep`: the Fig. 14 usability sweep on the protocol-level
-/// TestNet through the scenario lab, scaled by the knobs exactly like
-/// the `fig14_usability` bench.
+/// TestNet through the scenario lab, sized by [`UsabilityConfig::scaled`]
+/// like the `fig14_usability` bench.
 pub fn sweep(knobs: &Knobs, format: Format) -> String {
-    let scale = knobs.scale.min(1.0);
     let cfg = UsabilityConfig {
-        relays: ((64.0 * scale).round() as usize).max(24),
-        floodfills: ((12.0 * scale).round() as usize).max(6),
-        fetches_per_rate: ((10.0 * scale).round() as usize).max(2),
         replicates: knobs.replicates,
         threads: knobs.threads,
         seed: knobs.seed,
         faults: knobs.plane(),
-        ..Default::default()
+        ..UsabilityConfig::scaled(knobs.scale)
     };
-    let points = evaluate(&cfg);
-    match format {
-        Format::Text => report::render_fig14(&points),
-        Format::Csv => titled_csv("Figure 14", report::csv_fig14(&points)),
-    }
+    format.table("Figure 14", &report::fig14(&evaluate(&cfg)))
 }
 
 /// `i2pscope sybil`: the eclipse/Sybil sweep on the keyspace-routed
@@ -610,24 +568,16 @@ pub fn sybil(
         cfg.counts = counts;
     }
     let sweep = sybil::run(&world, &fleet, &cfg);
-    let mut out = match format {
-        Format::Text => report::render_sybil(&sweep),
-        Format::Csv => titled_csv("Sybil sweep", report::csv_sybil(&sweep)),
-    };
+    let mut out = format.table("Sybil sweep", &report::sybil_sweep(&sweep));
     if let Some(path) = capture {
         let max = *cfg.counts.iter().max().expect("validated non-empty grid"); // i2plint: allow(panic-audit) -- SybilConfig validation rejects an empty counts grid
         let engine = sybil::attacked_engine(&world, &fleet, &cfg, sweep.target_id, max);
         let snapshot = Snapshot::capture(&engine);
         snapshot.write_to(path)?;
-        // In CSV mode the status line is a `#` comment, like every
-        // other scalar footer the csv_* emitters produce.
-        let prefix = match format {
-            Format::Text => "",
-            Format::Csv => "# ",
-        };
         let _ = writeln!(
             out,
-            "{prefix}captured attacked harvest ({max} Sybils/day, target {}) to {}",
+            "{}captured attacked harvest ({max} Sybils/day, target {}) to {}",
+            format.comment(),
             sweep.target_id,
             path.display()
         );
@@ -678,14 +628,11 @@ pub fn adversary(
     let outcome = adv.run(&lab);
     let mut out = match format {
         Format::Text => outcome.figure.clone(),
-        Format::Csv => titled_csv(&format!("Adversary {}", outcome.name), outcome.csv.clone()),
+        Format::Csv => format!("# Adversary {}\n{}", outcome.name, outcome.csv),
     };
     // The audit line rides along in both formats (as a comment in CSV),
     // like the other scalar footers.
-    let prefix = match format {
-        Format::Text => "",
-        Format::Csv => "# ",
-    };
+    let prefix = format.comment();
     let _ = writeln!(out, "{prefix}{}", outcome.audit_line());
     if let Some(path) = capture {
         let engine = adv.capture(&lab);
@@ -746,10 +693,13 @@ impl TelemetryConfig {
         if !self.requested() {
             return Ok(Vec::new());
         }
+        // The manifest's counters are the command's own work, so they
+        // are read before the probe runs; its spans still join the tree.
+        let counters = i2p_telemetry::counters::snapshot();
         crate::probe::calibrate();
         let mut notes = Vec::new();
         if let Some(path) = &self.manifest {
-            std::fs::write(path, telemetry_manifest(command, knobs))
+            std::fs::write(path, telemetry_manifest(command, knobs, &counters))
                 .map_err(|e| format!("writing telemetry manifest {}: {e}", path.display()))?;
             notes.push(format!("telemetry: run manifest written to {}", path.display()));
         }
@@ -777,18 +727,22 @@ pub fn knob_pairs(knobs: &Knobs) -> Vec<(String, String)> {
     ]
 }
 
-/// The versioned run manifest for the current process state: counter
-/// totals (including every fault-plane lane, so a `harvest --resume`
-/// recovery or a degraded render carries its injected-fault tallies),
-/// the span tree, hot-path tallies, and peak RSS.
-pub fn telemetry_manifest(command: &str, knobs: &Knobs) -> String {
+/// The versioned run manifest: the `counters` totals (including every
+/// fault-plane lane, so a `harvest --resume` recovery or a degraded
+/// render carries its injected-fault tallies), then, for the current
+/// process state, the span tree, hot-path tallies, and peak RSS.
+pub fn telemetry_manifest(
+    command: &str,
+    knobs: &Knobs,
+    counters: &i2p_telemetry::counters::Snapshot,
+) -> String {
     let run = i2p_telemetry::manifest::RunInfo {
         command: command.to_string(),
         knobs: knob_pairs(knobs),
     };
     i2p_telemetry::manifest::manifest_json(
         &run,
-        &i2p_telemetry::counters::snapshot(),
+        counters,
         &i2p_telemetry::timing::report(),
         i2p_telemetry::rss::peak_rss_kb(),
     )

@@ -15,9 +15,10 @@
 //! pure draws) and **observation-only**: its results are discarded,
 //! it writes nothing, and it runs after the command's own output is
 //! complete, so enabling telemetry cannot change any byte a command
-//! prints or archives. Its counter contributions are as thread-count
-//! invariant as the instrumented code itself, so manifest diffs
-//! across thread counts stay clean.
+//! prints or archives. It adds spans, not counts: the manifest reads
+//! its counters before the probe runs
+//! ([`TelemetryConfig::finish`](crate::cli::TelemetryConfig::finish)),
+//! so they hold only the command's own work.
 
 use i2p_data::{Duration, Hash256, PeerIp, SimTime};
 use i2p_measure::engine::HarvestEngine;

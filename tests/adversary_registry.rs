@@ -70,8 +70,8 @@ fn deanon_trait_path_matches_legacy_oracle() {
         lab.seed,
         1,
     );
-    assert_eq!(run.figure, attack::render_attack_sweep(&outcomes));
-    assert_eq!(run.csv, attack::csv_attack_sweep(&outcomes));
+    assert_eq!(run.figure, attack::attack_table(&outcomes).text());
+    assert_eq!(run.csv, attack::attack_table(&outcomes).csv());
 }
 
 #[test]
@@ -86,8 +86,8 @@ fn closedloop_trait_path_matches_legacy_oracle() {
         &ClosedLoop::grid(&lab),
         lab.eval_day,
     );
-    assert_eq!(run.figure, closedloop::render_closed_loop(&outcomes));
-    assert_eq!(run.csv, closedloop::csv_closed_loop(&outcomes));
+    assert_eq!(run.figure, closedloop::closed_loop_table(&outcomes).text());
+    assert_eq!(run.csv, closedloop::closed_loop_table(&outcomes).csv());
 }
 
 #[test]
@@ -96,8 +96,8 @@ fn sybil_trait_path_matches_legacy_oracle() {
     let lab = lab_over(&world, &fleet, 1);
     let run = SybilEclipse.run(&lab);
     let sweep = sybil::run(&world, &fleet, &SybilEclipse::config(&lab));
-    assert_eq!(run.figure, report::render_sybil(&sweep));
-    assert_eq!(run.csv, report::csv_sybil(&sweep));
+    assert_eq!(run.figure, report::sybil_sweep(&sweep).text());
+    assert_eq!(run.csv, report::sybil_sweep(&sweep).csv());
 }
 
 #[test]
@@ -115,8 +115,8 @@ fn bridges_trait_path_matches_legacy_oracle() {
         lab.seed,
         1,
     );
-    assert_eq!(run.figure, bridges::render_bridge_comparison(&outcomes));
-    assert_eq!(run.csv, bridges::csv_bridge_comparison(&outcomes));
+    assert_eq!(run.figure, bridges::bridge_table(&outcomes).text());
+    assert_eq!(run.csv, bridges::bridge_table(&outcomes).csv());
 }
 
 // ---- composition determinism ------------------------------------------

@@ -54,25 +54,17 @@ fn reference_suite(src: &dyn SnapshotSource) -> [(Format, String); 2] {
     let letters = capacity::capacity_histogram_from(src, span.clone());
     let bandwidth = capacity::bandwidth_table_from(src, mid_day);
     let estimate = capacity::floodfill_estimate_from(src, mid_day);
-    let blocks: Vec<(&str, String, String)> = vec![
-        ("Figure 4", report::render_fig4(&curve), report::csv_fig4(&curve)),
-        ("Figure 5", report::render_fig5(&census), report::csv_fig5(&census)),
-        ("Figure 6", report::render_fig6(&census, overlap), report::csv_fig6(&census, overlap)),
-        (
-            "Figure 7",
-            report::render_fig7(&curves, &churn_days),
-            report::csv_fig7(&curves, &churn_days),
-        ),
-        ("Figure 8", report::render_fig8(&ip_report), report::csv_fig8(&ip_report)),
-        ("Figure 9", report::render_fig9(&letters), report::csv_fig9(&letters)),
-        ("Figure 10", report::render_fig10(&countries, 20), report::csv_fig10(&countries, 20)),
-        ("Figure 11", report::render_fig11(&ases, 20), report::csv_fig11(&ases, 20)),
-        ("Figure 12", report::render_fig12(&ip_report), report::csv_fig12(&ip_report)),
-        (
-            "Table 1",
-            report::render_table1(&bandwidth, &estimate),
-            report::csv_table1(&bandwidth, &estimate),
-        ),
+    let blocks = [
+        ("Figure 4", report::fig4(&curve)),
+        ("Figure 5", report::fig5(&census)),
+        ("Figure 6", report::fig6(&census, overlap)),
+        ("Figure 7", report::fig7(&curves, &churn_days)),
+        ("Figure 8", report::fig8(&ip_report)),
+        ("Figure 9", report::fig9(&letters)),
+        ("Figure 10", report::fig10(&countries, 20)),
+        ("Figure 11", report::fig11(&ases, 20)),
+        ("Figure 12", report::fig12(&ip_report)),
+        ("Table 1", report::table1(&bandwidth, &estimate)),
     ];
     let coverage = src.coverage();
     let (mut text, mut csv) = (String::new(), String::new());
@@ -80,10 +72,10 @@ fn reference_suite(src: &dyn SnapshotSource) -> [(Format, String); 2] {
         text = format!("{}\n\n", coverage.annotation());
         csv = format!("# {}\n", coverage.annotation());
     }
-    for (title, text_block, csv_block) in blocks {
-        text.push_str(&text_block);
+    for (title, table) in blocks {
+        text.push_str(&table.text());
         text.push('\n');
-        write!(csv, "# {title}\n{csv_block}\n").expect("write to a String");
+        write!(csv, "# {title}\n{}\n", table.csv()).expect("write to a String");
     }
     [(Format::Text, text), (Format::Csv, csv)]
 }

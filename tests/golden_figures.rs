@@ -1,7 +1,7 @@
 //! Golden-figure regression net.
 //!
-//! Every figure renderer in `i2p_measure::report` — text layout and
-//! CSV twin — is pinned at a fixed seed/scale against checked-in golden
+//! Every figure table in `i2p_measure::report` — text layout and
+//! CSV — is pinned at a fixed seed/scale against checked-in golden
 //! files under `tests/golden/`, so a refactor of the engine, the
 //! analyses, or the renderers cannot silently drift the numbers: any
 //! byte change fails here with the first diverging line.
@@ -143,16 +143,16 @@ fn golden_extended_renderers() {
 
     let mut text = String::new();
     let mut csv = String::new();
-    let _ = write!(text, "{}", report::render_fig2(&fig2));
-    let _ = write!(text, "{}", report::render_fig3(&fig3));
+    let _ = write!(text, "{}", report::fig2(&fig2).text());
+    let _ = write!(text, "{}", report::fig3(&fig3).text());
     let _ = write!(text, "{}", report::render_fig13(&fig13));
     let _ = write!(text, "{}", report::render_fig14(&fig14));
-    let _ = write!(text, "{}", report::render_sybil(&sybil));
-    let _ = write!(csv, "{}", report::csv_fig2(&fig2));
-    let _ = write!(csv, "{}", report::csv_fig3(&fig3));
+    let _ = write!(text, "{}", report::sybil_sweep(&sybil).text());
+    let _ = write!(csv, "{}", report::fig2(&fig2).csv());
+    let _ = write!(csv, "{}", report::fig3(&fig3).csv());
     let _ = write!(csv, "{}", report::csv_fig13(&fig13));
-    let _ = write!(csv, "{}", report::csv_fig14(&fig14));
-    let _ = write!(csv, "{}", report::csv_sybil(&sybil));
+    let _ = write!(csv, "{}", report::fig14(&fig14).csv());
+    let _ = write!(csv, "{}", report::sybil_sweep(&sybil).csv());
     check_golden("extended.txt", &text);
     check_golden("extended.csv", &csv);
 }
@@ -165,7 +165,7 @@ fn golden_fig14_forked_replicates() {
     // reaches.
     let fig14 = evaluate(&UsabilityConfig { replicates: 3, threads: 2, ..fig14_config() });
     check_golden("fig14_replicates.txt", &report::render_fig14(&fig14));
-    check_golden("fig14_replicates.csv", &report::csv_fig14(&fig14));
+    check_golden("fig14_replicates.csv", &report::fig14(&fig14).csv());
 }
 
 #[test]

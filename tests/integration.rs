@@ -29,7 +29,7 @@ fn full_pipeline_produces_all_figures() {
     // Every figure renders non-trivially from one world.
     let sweep = bandwidth_sweep(&w, 2..5);
     assert_eq!(sweep.len(), 7);
-    assert!(!report::render_fig3(&sweep).is_empty());
+    assert!(!report::fig3(&sweep).text().is_empty());
 
     let alternating = HarvestEngine::build(&w, &Fleet::alternating(20), 2..4);
     let curve = cumulative_by_router_count_from(&alternating, 2..4);
@@ -37,7 +37,7 @@ fn full_pipeline_produces_all_figures() {
 
     let census: Vec<_> = (0..10).map(|d| (d, daily_census_from(&engine, d))).collect();
     assert!(census.iter().all(|(_, c)| c.peers > 0));
-    assert!(!report::render_fig5(&census).is_empty());
+    assert!(!report::fig5(&census).text().is_empty());
 
     let churn = churn_curves_from(&engine, 30);
     assert!(churn.cohort > 0);

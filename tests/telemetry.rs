@@ -224,9 +224,9 @@ fn sweep_tallies_count_every_scenario_phase() {
         one.counters.iter().find(|(n, _)| n == name).and_then(|(_, v)| v.parse::<u64>().ok())
     };
     // Scale 0.02: the default 18 blocking rates × 2 replicates, 2
-    // fetches per cell. (The counters also hold the calibration
-    // probe's engine fill, so `sweep_cells` reads a little more.)
+    // fetches per cell.
     let (cells, fetches) = (18 * 2, 2);
+    assert_eq!(counter("sweep_cells"), Some(cells), "the manifest counts probe cells");
     assert!(counter("tunnel_builds").is_some_and(|n| n > 0), "no tunnel build was counted");
     let calls = |label: &str| one.tallies.get(label).copied().unwrap_or(0);
     assert_eq!(calls("measure.scenario_fork"), cells);
@@ -350,11 +350,12 @@ fn manifest_validates_and_covers_the_four_core_crates() {
     counters::exclusive(|| {
         timing::enable();
         let k = knobs(0);
-        // A figures run plus the calibration probe — exactly what the
-        // binary does for `i2pscope figures --telemetry`.
+        // A figures run, its counters, then the calibration probe —
+        // exactly what the binary does for `i2pscope figures --telemetry`.
         let _ = cli::figures_live(&k, Format::Text, &[FigId::Fig4]);
+        let figures_counters = counters::snapshot();
         probe::calibrate();
-        let text = cli::telemetry_manifest("figures", &k);
+        let text = cli::telemetry_manifest("figures", &k, &figures_counters);
         let summary = manifest::validate_manifest(&text).expect("manifest validates");
         assert_eq!(summary.schema, "i2p-telemetry/1");
         assert_eq!(summary.command, "figures");
@@ -377,7 +378,7 @@ fn manifest_validates_and_covers_the_four_core_crates() {
 fn counter_dump_diffs_cleanly() {
     timing::enable();
     let k = knobs(0);
-    let text = cli::telemetry_manifest("census", &k);
+    let text = cli::telemetry_manifest("census", &k, &counters::snapshot());
     let summary = manifest::validate_manifest(&text).expect("manifest validates");
     let dump = summary.counter_dump();
     assert_eq!(dump.lines().count(), summary.counters.len());
