@@ -198,7 +198,7 @@ impl Adversary for Deanon {
             .filter(|&ip| state.blocks(ip, &lab.world.geo))
             .collect();
         let outcome = attack::run_attack(
-            &victim,
+            victim,
             &effective,
             Self::CHAIN_MALICIOUS,
             Self::TUNNELS,
@@ -683,7 +683,7 @@ impl Adversary for GeoCensor {
         // The per-IP comparison: what a conventional blacklist compiled
         // from the same window would have blocked.
         let victim = lab.victim();
-        let per_ip = censor::blocking_rate(&victim, &state.window_union(lab.eval_day, knobs.window_days));
+        let per_ip = censor::blocking_rate(victim, &state.window_union(lab.eval_day, knobs.window_days));
         row.push(("countries".into(), state.blocked_countries.len() as f64));
         row.push(("perip%".into(), per_ip));
     }

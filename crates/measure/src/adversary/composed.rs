@@ -164,8 +164,7 @@ pub fn run_chain(
     for m in members {
         m.conclude_chain(lab, knobs, &state, &mut row);
     }
-    let victim = lab.victim();
-    row.push(("blocking%".to_string(), state.blocking_rate_against(&victim, &lab.world.geo)));
+    row.push(("blocking%".to_string(), state.blocking_rate_against(lab.victim(), &lab.world.geo)));
     row
 }
 

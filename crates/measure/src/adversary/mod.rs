@@ -120,6 +120,8 @@ pub struct AdversaryLab<'w> {
     pub usability: UsabilityConfig,
     /// The TestNet warmed from `usability`, built on first use.
     substrate: OnceLock<WarmSubstrate>,
+    /// The victim's view on `eval_day`, built on first use.
+    victim: OnceLock<VictimView>,
 }
 
 impl<'w> AdversaryLab<'w> {
@@ -153,6 +155,7 @@ impl<'w> AdversaryLab<'w> {
             seed: world.config.seed,
             usability,
             substrate: OnceLock::new(),
+            victim: OnceLock::new(),
         }
     }
 
@@ -169,9 +172,13 @@ impl<'w> AdversaryLab<'w> {
     }
 
     /// The victim every blocking metric is evaluated against — the same
-    /// long-term client Fig. 13 uses ([`censor::victim_view`]).
-    pub fn victim(&self) -> VictimView {
-        censor::victim_view(self.world, self.eval_day)
+    /// long-term client Fig. 13 uses ([`censor::victim_view`]). It
+    /// depends on `world` and `eval_day` alone, so it is built once, on
+    /// first use, and every chain variant and member reads that one
+    /// view: `attack::run_attack` keys its candidates by the iteration
+    /// order of `known_ips`, which a re-collected set need not keep.
+    pub fn victim(&self) -> &VictimView {
+        self.victim.get_or_init(|| censor::victim_view(self.world, self.eval_day))
     }
 
     /// The config echo every outcome leads with. Deliberately excludes

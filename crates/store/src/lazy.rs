@@ -1,46 +1,42 @@
 //! Lazy, file-backed snapshot replay.
 //!
-//! [`Snapshot::read_from`](crate::Snapshot::read_from) materializes the
-//! whole archive — every observation row, RouterInfo wire record and
-//! sighting lane of every day — before the first figure is computed. At
+//! An eager load ([`Snapshot::from_bytes`](crate::Snapshot::from_bytes))
+//! decodes every observation row, RouterInfo wire record and sighting
+//! lane of every day before the first figure is computed. At
 //! million-router scale that is the dominant peak allocation of the
 //! replay pipeline, and almost all of it is dead weight: a figure query
 //! touches one day at a time.
 //!
-//! [`LazySnapshot`] keeps the file open instead. At `open` it decodes
-//! the checksummed prelude (magic, version, header) eagerly, walks the
-//! segment stream recording only each day's byte extent (validating tag
-//! structure and day sequence as it goes), and verifies the whole-file
-//! trailer checksum through the streaming [`format::Hasher`] in
-//! O(chunk) memory. Day segments are then read, checksummed and
-//! decoded on demand behind [`SnapshotSource`], with a tiny
-//! deterministic most-recently-used cache — so peak memory is
-//! O(largest day), not O(archive), and replayed figures remain
-//! byte-identical to the eager loader's (pinned by
-//! `tests/scale_parity.rs`).
+//! [`LazySnapshot`] keeps the file open instead. Its `open` is the walk
+//! every load shares (`wire::walk`) with a step that only keeps each
+//! day's extent: it checks the prelude, the tag structure, each body's
+//! day stamp and the whole-file trailer checksum, streamed in O(chunk)
+//! memory, and decodes no body. Day segments are then read, checksummed
+//! and decoded on demand, by the eager loads' own step, behind
+//! [`SnapshotSource`], with a tiny deterministic most-recently-used
+//! cache, so peak memory is O(largest day), not O(archive), and
+//! replayed figures remain byte-identical to the eager loader's (pinned
+//! by `tests/scale_parity.rs`).
 //!
 //! Loads run where the caller asks. A query that misses the cache loads
 //! its day on the calling thread. The figure pass announces each batch
 //! of two days first ([`SnapshotSource::read_ahead`]), and when it has
 //! two workers or more, the batch's missing days are then loaded on the
 //! pass's claim-loop workers, one day a worker, the calling thread
-//! among them. Either way a load does the same positional read,
-//! segment checksum and decode, inside one `store.segment_load` span on
-//! the thread that runs it, and every load is ledgered by the
-//! `segments_lazy_loaded` counter. A read-ahead load that fails is
-//! dropped; the query for its day then misses and reports the failure
-//! as any on-demand load does. The reader is `Sync`: loads read the
-//! file at explicit offsets, the cache sits behind a lock, and decoded
-//! segments are shared behind `Arc`.
+//! among them; [`LazySnapshot::verify_router_infos`] loads every day on
+//! the workers it is given. Each load is one `store.segment_load` span
+//! on the thread that runs it and one `segments_lazy_loaded` event. A
+//! read-ahead load that fails is dropped; the query for its day then
+//! misses and reports the failure as any on-demand load does. The
+//! reader is `Sync`: loads read the file at explicit offsets, the cache
+//! sits behind a lock, and decoded segments are shared behind `Arc`.
 
-use crate::format::{checksum, Hasher, CHECKSUM_LEN, MAGIC, SEGMENT_TAG, TRAILER_TAG};
 use crate::snapshot::{verify_segment_router_infos, DaySegment};
+use crate::wire::{self, SegmentLoc, Source};
 use crate::{SnapshotMeta, StoreError};
-use i2p_data::codec::Reader;
 use i2p_geoip::GeoDb;
 use i2p_measure::source::{DayUnion, SnapshotSource};
 use std::fs::File;
-use std::io::{Read as _, Seek as _, SeekFrom};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -58,27 +54,15 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// query and read-ahead sequence, whatever thread runs each load.
 const CACHE_SEGMENTS: usize = 2;
 
-/// Chunk size of the streaming trailer verification at open.
-const VERIFY_CHUNK: usize = 1 << 16;
-
-/// Fixed prelude prefix: magic, version, header length field.
-const PRELUDE_FIXED: usize = MAGIC.len() + 2 + 4;
-
-/// Byte extent of one day segment's body within the file (its checksum
-/// follows immediately after).
-struct SegmentLoc {
-    body_offset: u64,
-    body_len: usize,
-}
-
 /// A snapshot replayed straight off its file, one day segment at a
 /// time. See the module docs for the loading contract.
 pub struct LazySnapshot {
     meta: SnapshotMeta,
     geo: GeoDb,
-    /// The open archive. Loads read it at explicit offsets
-    /// ([`read_exact_at`]), never through its cursor.
+    /// The open archive, read at explicit offsets ([`Source::File`]).
     file: File,
+    /// The archive's length at open.
+    len: u64,
     segments: Vec<SegmentLoc>,
     /// MRU-front decoded-segment cache: `(day index, segment)`. Never
     /// locked while a segment loads.
@@ -91,118 +75,23 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Fills `buf` from `file` at `offset` with a positional read, which
-/// moves no shared cursor, so workers load different days at once.
-#[cfg(unix)]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
-}
-
-/// [`read_exact_at`] where the standard library has no positional read:
-/// one lock keeps each seek with its read.
-#[cfg(not(unix))]
-fn read_exact_at(mut file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-    static CURSOR: Mutex<()> = Mutex::new(());
-    let _cursor = lock(&CURSOR);
-    file.seek(SeekFrom::Start(offset))?;
-    file.read_exact(buf)
-}
-
 impl LazySnapshot {
-    /// Opens an archive lazily: eager prelude decode, a structural walk
-    /// of the segment stream (tags, lengths, day sequence), and a
-    /// streaming whole-file trailer check — but no segment bodies are
-    /// decoded, so open-time memory is O(header + chunk).
+    /// Opens an archive lazily: it reads the prelude, each segment's
+    /// tag, length and day stamp, and the streamed trailer checksum,
+    /// and decodes no segment body, so open-time memory is
+    /// O(header + chunk).
     pub fn open(path: impl AsRef<Path>) -> Result<LazySnapshot, StoreError> {
         let _span = i2p_telemetry::span("store.lazy_open");
-        let mut file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-
-        // Prelude, strictly: read the fixed prefix for the header
-        // length, bound it by the file size (a hostile length field
-        // must not force an allocation the file cannot back), then let
-        // the wire decoder validate the whole prelude.
-        let mut pre = vec![0u8; PRELUDE_FIXED];
-        file.read_exact(&mut pre)?;
-        let header_len = {
-            let mut r = Reader::new(&pre);
-            r.bytes(MAGIC.len(), "snapshot.magic")?;
-            r.u16("snapshot.version")?;
-            r.u32("snapshot.header-len")? as usize
-        };
-        if (PRELUDE_FIXED + header_len + CHECKSUM_LEN) as u64 > file_len {
-            return Err(StoreError::Corrupt { what: "header length" });
-        }
-        pre.resize(PRELUDE_FIXED + header_len + CHECKSUM_LEN, 0);
-        file.read_exact(&mut pre[PRELUDE_FIXED..])?;
-        let meta = crate::wire::decode_prelude(&mut Reader::new(&pre))?;
-
-        // Structural walk: record each segment's extent and check the
-        // day sequence (each body leads with its absolute day), seeking
-        // over the bodies instead of reading them.
-        let mut segments = Vec::new();
-        let mut pos = pre.len() as u64;
-        loop {
-            let mut tag = 0u8;
-            file.read_exact(std::slice::from_mut(&mut tag))?;
-            pos += 1;
-            match tag {
-                SEGMENT_TAG => {
-                    let mut len4 = [0u8; 4];
-                    file.read_exact(&mut len4)?;
-                    pos += 4;
-                    let body_len =
-                        Reader::new(&len4).u32("snapshot.segment-len")? as usize;
-                    if pos + (body_len + CHECKSUM_LEN) as u64 > file_len || body_len < 8 {
-                        return Err(StoreError::Corrupt { what: "segment length" });
-                    }
-                    let mut day8 = [0u8; 8];
-                    file.read_exact(&mut day8)?;
-                    let day = Reader::new(&day8).u64("segment.day")?;
-                    if day != meta.day_start + segments.len() as u64 {
-                        return Err(StoreError::Corrupt { what: "day sequence" });
-                    }
-                    segments.push(SegmentLoc { body_offset: pos, body_len });
-                    pos += (body_len + CHECKSUM_LEN) as u64;
-                    file.seek(SeekFrom::Start(pos))?;
-                }
-                TRAILER_TAG => {
-                    let covered = pos - 1;
-                    let mut sum = [0u8; CHECKSUM_LEN];
-                    file.read_exact(&mut sum)?;
-                    pos += CHECKSUM_LEN as u64;
-                    if pos != file_len {
-                        return Err(StoreError::Corrupt { what: "trailing bytes" });
-                    }
-                    // Whole-file integrity in O(chunk) memory: the
-                    // streaming hasher needs the covered length up
-                    // front, which file metadata already gave us.
-                    file.seek(SeekFrom::Start(0))?;
-                    let mut hasher = Hasher::new(covered as usize);
-                    let mut buf = vec![0u8; VERIFY_CHUNK];
-                    let mut remaining = covered as usize;
-                    while remaining > 0 {
-                        let take = VERIFY_CHUNK.min(remaining);
-                        file.read_exact(&mut buf[..take])?;
-                        hasher.update(&buf[..take]);
-                        remaining -= take;
-                    }
-                    if hasher.finish() != sum {
-                        return Err(StoreError::Corrupt { what: "file checksum" });
-                    }
-                    break;
-                }
-                _ => return Err(StoreError::Corrupt { what: "unknown tag" }),
-            }
-        }
-        if segments.len() != meta.n_days as usize {
-            return Err(StoreError::Corrupt { what: "day count" });
-        }
-        i2p_telemetry::count(i2p_telemetry::Counter::StoreBytesRead, file_len);
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let (meta, segments) =
+            wire::walk(Source::File(&file, len), |_, _, loc| Ok(loc))?.intact()?;
+        i2p_telemetry::count(i2p_telemetry::Counter::StoreBytesRead, len);
         Ok(LazySnapshot {
             meta,
             geo: GeoDb::new(),
             file,
+            len,
             segments,
             cache: Mutex::new(Vec::with_capacity(CACHE_SEGMENTS)),
         })
@@ -218,15 +107,8 @@ impl LazySnapshot {
     /// span and, if it succeeds, one `segments_lazy_loaded` event.
     fn read_segment(&self, di: usize) -> Result<DaySegment, StoreError> {
         let _span = i2p_telemetry::span("store.segment_load");
-        let loc = &self.segments[di];
-        let mut buf = vec![0u8; loc.body_len + CHECKSUM_LEN];
-        read_exact_at(&self.file, &mut buf, loc.body_offset)?;
-        let (body, sum) = buf.split_at(loc.body_len);
-        if checksum(body) != sum {
-            return Err(StoreError::Corrupt { what: "segment checksum" });
-        }
-        buf.truncate(loc.body_len);
-        let seg = crate::wire::decode_segment(buf, self.meta.vantages.len())?;
+        let src = Source::File(&self.file, self.len);
+        let seg = wire::load_segment(src, &self.meta, self.segments[di])?;
         i2p_telemetry::count_one(i2p_telemetry::Counter::SegmentsLazyLoaded);
         i2p_telemetry::count_one(i2p_telemetry::Counter::SegmentsDecoded);
         Ok(seg)
@@ -264,17 +146,22 @@ impl LazySnapshot {
         })
     }
 
-    /// Streaming [`crate::Snapshot::verify_router_infos`]: decodes and
-    /// signature-verifies every archived RouterInfo one day segment at
-    /// a time, so verification of a huge archive never holds more than
-    /// the cache's worth of segments.
-    pub fn verify_router_infos(&self) -> Result<usize, StoreError> {
+    /// Streaming [`crate::Snapshot::verify_router_infos`]: loads and
+    /// verifies one day at a time on each of up to `workers` workers
+    /// (`i2p_measure::lab::claim`), bypassing the cache. The error is
+    /// the lowest failing day's, so it is the same at any worker count.
+    pub fn verify_router_infos(&self, workers: usize) -> Result<usize, StoreError> {
         let _span = i2p_telemetry::span("store.verify");
-        let mut verified = 0usize;
-        for di in 0..self.segments.len() {
-            let seg = self.load_segment(di)?;
-            verified += verify_segment_router_infos(&seg)?;
-        }
+        let mut days: Vec<(usize, Result<usize, StoreError>)> =
+            i2p_measure::lab::claim(self.segments.len(), workers, Vec::new, |out, di| {
+                let seg = self.read_segment(di);
+                out.push((di, seg.and_then(|seg| verify_segment_router_infos(&seg))));
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        days.sort_unstable_by_key(|(di, _)| *di);
+        let verified = days.into_iter().map(|(_, day)| day).sum::<Result<usize, _>>()?;
         i2p_telemetry::count(i2p_telemetry::Counter::RecordsVerified, verified as u64);
         Ok(verified)
     }
@@ -426,7 +313,7 @@ mod tests {
                 assert_eq!(a, b, "day {day} observations");
             }
             assert_eq!(
-                lazy.verify_router_infos().expect("streaming verify"),
+                lazy.verify_router_infos(2).expect("streaming verify"),
                 eager.verify_router_infos().expect("eager verify")
             );
         });
@@ -475,7 +362,7 @@ mod tests {
             std::fs::write(&bad_path.0, &bad).expect("plant corrupt");
             assert!(LazySnapshot::open(&bad_path.0).is_err(), "flip at {pos} undetected");
         }
-        for cut in [0, PRELUDE_FIXED, bytes.len() / 2, bytes.len() - 1] {
+        for cut in [0, crate::format::MAGIC.len() + 6, bytes.len() / 2, bytes.len() - 1] {
             std::fs::write(&bad_path.0, &bytes[..cut]).expect("plant truncated");
             assert!(LazySnapshot::open(&bad_path.0).is_err(), "cut {cut} undetected");
         }
@@ -577,14 +464,14 @@ mod tests {
 
     #[test]
     fn a_segment_damaged_after_open_still_fails_loudly() {
-        use std::io::Write as _;
+        use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
         let (_eager, scratch) = archived("damaged");
         for workers in [1, 2] {
             // Day 2 loads in the pass's second read-ahead batch, beside
             // day 3, on a worker that may not be the calling thread.
             let lazy = LazySnapshot::open(&scratch.0).expect("lazy open");
             let loc = &lazy.segments[2];
-            let at = loc.body_offset + loc.body_len as u64 / 2;
+            let at = loc.offset + loc.len as u64 / 2;
             let flip = |file: &mut File| {
                 let mut byte = [0u8];
                 file.seek(SeekFrom::Start(at))?;

@@ -12,7 +12,7 @@
 //!
 //! Format highlights (full layout in `DESIGN.md` §7):
 //!
-//! * built entirely on the `i2p_data::codec` Writer/Reader primitives;
+//! * built on the `i2p_data::codec` Writer/Reader primitives;
 //! * per-day segments, each independently covered by a fast 64-bit
 //!   integrity checksum, plus a whole-file trailer checksum — any
 //!   single-byte corruption fails the load;
@@ -22,7 +22,10 @@
 //!   [`i2p_measure::ObservedRouterInfo`] fields **and** a full signed
 //!   [`i2p_data::RouterInfo`] wire record (`RouterInfo::encode`), the
 //!   paper-shaped netDb artifact — [`Snapshot::verify_router_infos`]
-//!   re-decodes and signature-verifies every record.
+//!   re-decodes and signature-verifies every record;
+//! * one reader under the strict ([`Snapshot::from_bytes`]), recovering
+//!   ([`Snapshot::from_bytes_recover`]) and lazy ([`LazySnapshot::open`])
+//!   loads, so the three agree on every archive.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,7 @@
 //! The in-memory snapshot model: capture from a live engine, replay
 //! through [`SnapshotSource`].
 
+use crate::wire::{self, Source};
 use crate::{RecoveryReport, StoreError};
 use i2p_crypto::{DetRng, HmacKey};
 use i2p_faults::FaultPlane;
@@ -216,7 +217,7 @@ impl Snapshot {
     /// truncating a length.
     pub fn to_bytes(&self) -> Result<Vec<u8>, StoreError> {
         let _span = i2p_telemetry::span("store.encode");
-        let bytes = crate::wire::encode(self)?;
+        let bytes = wire::encode(self)?;
         i2p_telemetry::count(i2p_telemetry::Counter::SegmentsEncoded, self.days.len() as u64);
         i2p_telemetry::count(i2p_telemetry::Counter::StoreBytesWritten, bytes.len() as u64);
         Ok(bytes)
@@ -226,10 +227,10 @@ impl Snapshot {
     /// checksum, the trailer checksum, and table consistency).
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, StoreError> {
         let _span = i2p_telemetry::span("store.decode");
-        let snapshot = crate::wire::decode(bytes)?;
-        i2p_telemetry::count(i2p_telemetry::Counter::SegmentsDecoded, snapshot.days.len() as u64);
+        let (meta, days) = wire::walk(Source::Bytes(bytes), wire::load_segment)?.intact()?;
+        i2p_telemetry::count(i2p_telemetry::Counter::SegmentsDecoded, days.len() as u64);
         i2p_telemetry::count(i2p_telemetry::Counter::StoreBytesRead, bytes.len() as u64);
-        Ok(snapshot)
+        Ok(Snapshot::from_parts(meta, days))
     }
 
     /// Writes the snapshot to `path` atomically: the destination either
@@ -308,11 +309,12 @@ impl Snapshot {
     /// version, header) is unrecoverable.
     pub fn from_bytes_recover(bytes: &[u8]) -> Result<(Snapshot, RecoveryReport), StoreError> {
         let _span = i2p_telemetry::span("store.recover");
-        let (snapshot, report) = crate::wire::decode_recover(bytes)?;
-        i2p_telemetry::count(i2p_telemetry::Counter::SegmentsDecoded, snapshot.days.len() as u64);
+        let (meta, days, report) =
+            wire::walk(Source::Bytes(bytes), wire::load_segment)?.recovered(bytes.len() as u64);
+        i2p_telemetry::count(i2p_telemetry::Counter::SegmentsDecoded, days.len() as u64);
         i2p_telemetry::count(i2p_telemetry::Counter::StoreBytesRead, bytes.len() as u64);
         i2p_telemetry::count_one(i2p_telemetry::Counter::SnapshotsRecovered);
-        Ok((snapshot, report))
+        Ok((Snapshot::from_parts(meta, days), report))
     }
 
     /// [`Snapshot::from_bytes_recover`] from a file.

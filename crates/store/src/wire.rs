@@ -1,7 +1,14 @@
 //! Snapshot wire encode/decode (layout in `format.rs` / DESIGN.md §7).
+//!
+//! One writer, [`encode`], and one reader, [`walk`], which every load
+//! shares: the strict and recovering loads step into each day segment
+//! with [`load_segment`] (checksum and decode), the lazy open keeps the
+//! segment's extent and loads it with [`load_segment`] later. The walk
+//! records the first damaged element rather than returning it, and each
+//! load makes its own verdict from that record.
 
 use crate::format::{
-    checksum, CHECKSUM_LEN, FLAG_INTRODUCERS, FLAG_IPV4, FLAG_IPV6, FLAG_MASK, MAGIC,
+    checksum, Hasher, CHECKSUM_LEN, FLAG_INTRODUCERS, FLAG_IPV4, FLAG_IPV6, FLAG_MASK, MAGIC,
     SEGMENT_TAG, TRAILER_TAG, VERSION,
 };
 use crate::snapshot::{mode_from_tag, mode_tag, DaySegment, Snapshot, SnapshotMeta, WireRecords};
@@ -10,6 +17,7 @@ use i2p_data::codec::{DecodeError, Reader, Writer};
 use i2p_data::{Caps, CapsString, Hash256, PeerIp};
 use i2p_measure::fleet::Vantage;
 use i2p_measure::observed::ObservedRouterInfo;
+use std::fs::File;
 
 /// Checked `usize → u32` length narrowing: the wire format's length
 /// fields must never wrap silently — a truncated length would still
@@ -165,144 +173,237 @@ impl std::fmt::Display for RecoveryReport {
     }
 }
 
-/// One top-level file element.
-enum Element {
-    Segment(DaySegment),
-    Trailer,
+/// Bytes read per step of the streamed whole-file checksum.
+const HASH_CHUNK: usize = 1 << 16;
+
+/// An archive's bytes: in memory, or an open file and its length at
+/// open. A file is read at explicit offsets, never through its cursor,
+/// so a lazy reader's workers load different days at once.
+#[derive(Clone, Copy)]
+pub(crate) enum Source<'a> {
+    Bytes(&'a [u8]),
+    File(&'a File, u64),
 }
 
-/// Reads one tagged element — a checksummed day segment or the trailer
-/// (which also closes the file: whole-file checksum, no trailing bytes).
-fn read_element(
-    r: &mut Reader<'_>,
-    bytes: &[u8],
-    n_vantages: usize,
-) -> Result<Element, StoreError> {
-    match r.u8("snapshot.tag")? {
-        SEGMENT_TAG => {
-            let body_len = r.u32("snapshot.segment-len")? as usize;
-            let body = r.bytes(body_len, "snapshot.segment")?;
-            if r.bytes(CHECKSUM_LEN, "snapshot.segment-checksum")? != checksum(body).as_slice() {
-                return Err(StoreError::Corrupt { what: "segment checksum" });
-            }
-            Ok(Element::Segment(decode_segment(body.to_vec(), n_vantages)?))
+impl Source<'_> {
+    fn len(self) -> u64 {
+        match self {
+            Source::Bytes(bytes) => bytes.len() as u64,
+            Source::File(_, len) => len,
         }
-        TRAILER_TAG => {
-            // Position bookkeeping: the checksum covers everything
-            // before the trailer tag.
-            let covered = bytes.len() - r.remaining() - 1;
-            if r.bytes(CHECKSUM_LEN, "snapshot.trailer-checksum")?
-                != checksum(&bytes[..covered]).as_slice()
-            {
-                return Err(StoreError::Corrupt { what: "file checksum" });
-            }
-            if !r.is_empty() {
-                return Err(StoreError::Corrupt { what: "trailing bytes" });
-            }
-            Ok(Element::Trailer)
+    }
+
+    /// A truncation of `what` unless `len` bytes from `offset` lie in
+    /// the archive, so a damaged length field never sizes a buffer.
+    fn check(self, offset: u64, len: usize, what: &'static str) -> Result<(), StoreError> {
+        if offset.saturating_add(len as u64) > self.len() {
+            return Err(DecodeError::Truncated { what }.into());
         }
-        _ => Err(StoreError::Corrupt { what: "unknown tag" }),
+        Ok(())
+    }
+
+    fn fill(self, offset: u64, buf: &mut [u8], what: &'static str) -> Result<(), StoreError> {
+        self.check(offset, buf.len(), what)?;
+        match self {
+            Source::Bytes(bytes) => buf.copy_from_slice(&bytes[offset as usize..][..buf.len()]),
+            Source::File(file, _) => read_exact_at(file, buf, offset)?,
+        }
+        Ok(())
+    }
+
+    fn array<const N: usize>(self, offset: u64, what: &'static str) -> Result<[u8; N], StoreError> {
+        let mut buf = [0u8; N];
+        self.fill(offset, &mut buf, what)?;
+        Ok(buf)
+    }
+
+    fn read(self, offset: u64, len: usize, what: &'static str) -> Result<Vec<u8>, StoreError> {
+        self.check(offset, len, what)?;
+        let mut buf = vec![0u8; len];
+        self.fill(offset, &mut buf, what)?;
+        Ok(buf)
+    }
+
+    /// The [`checksum`] of the first `len` bytes, streamed through a
+    /// [`Hasher`] a chunk at a time, so a file is hashed in O(chunk)
+    /// memory.
+    fn checksum_prefix(self, len: u64) -> Result<[u8; CHECKSUM_LEN], StoreError> {
+        let mut hasher = Hasher::new(len as usize);
+        let mut chunk = vec![0u8; HASH_CHUNK.min(len as usize)];
+        let mut at = 0;
+        while at < len {
+            let take = HASH_CHUNK.min((len - at) as usize);
+            self.fill(at, &mut chunk[..take], "snapshot")?;
+            hasher.update(&chunk[..take]);
+            at += take as u64;
+        }
+        Ok(hasher.finish())
     }
 }
 
-/// Reads the mandatory prelude: magic, version, checksummed header.
-/// Damage here is unrecoverable — without the header there is no world
-/// or fleet identity to recover a prefix against.
-pub(crate) fn decode_prelude<'a>(r: &mut Reader<'a>) -> Result<SnapshotMeta, StoreError> {
-    if r.bytes(MAGIC.len(), "snapshot.magic")? != MAGIC.as_slice() {
+/// Fills `buf` from `file` at `offset` with a positional read, which
+/// moves no shared cursor.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+/// [`read_exact_at`] where the standard library has no positional read:
+/// one lock keeps each seek with its read.
+#[cfg(not(unix))]
+fn read_exact_at(mut file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    use std::io::{Read as _, Seek as _};
+    static CURSOR: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _cursor = CURSOR.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    file.seek(std::io::SeekFrom::Start(offset))?;
+    file.read_exact(buf)
+}
+
+/// Where a day segment's body lies in the archive; its checksum
+/// follows it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SegmentLoc {
+    pub offset: u64,
+    pub len: usize,
+}
+
+/// What a [`walk`] read: the header, the step's result for each day
+/// before the first damaged element, and that element's offset and
+/// error (`None` for an intact archive).
+pub(crate) struct Walk<T> {
+    meta: SnapshotMeta,
+    days: Vec<T>,
+    damage: Option<(u64, StoreError)>,
+}
+
+impl<T> Walk<T> {
+    /// The strict verdict: every day of an intact archive, or the
+    /// damage as the error.
+    pub(crate) fn intact(self) -> Result<(SnapshotMeta, Vec<T>), StoreError> {
+        match self.damage {
+            None => Ok((self.meta, self.days)),
+            Some((_, e)) => Err(e),
+        }
+    }
+
+    /// The recovering verdict on an archive of `len` bytes: the days
+    /// before the damage, under a header that counts only them, and the
+    /// bytes quarantined from the damaged element on.
+    pub(crate) fn recovered(mut self, len: u64) -> (SnapshotMeta, Vec<T>, RecoveryReport) {
+        let report = RecoveryReport {
+            expected_days: self.meta.n_days,
+            recovered_days: self.days.len() as u32,
+            quarantined_bytes: self.damage.as_ref().map_or(0, |(at, _)| (len - at) as usize),
+            damage: self.damage.map(|(_, e)| match e {
+                StoreError::Corrupt { what } => what,
+                StoreError::Decode(_) => "truncated element",
+                _ => "damaged element",
+            }),
+        };
+        self.meta.n_days = report.recovered_days;
+        (self.meta, self.days, report)
+    }
+}
+
+/// The archive's one reader. The prelude (magic, version, checksummed
+/// header) must be intact: without the header there is no world or
+/// fleet to recover days against. Then each element's tag and length
+/// are read at explicit offsets. A day segment that fits in the archive
+/// goes through `step`, then its leading day stamp must continue the
+/// header's day sequence within its day count. The trailer's whole-file
+/// checksum is streamed, and the trailer must end the archive after
+/// every promised day. The first damaged element ends the walk.
+pub(crate) fn walk<T>(
+    src: Source<'_>,
+    mut step: impl FnMut(Source<'_>, &SnapshotMeta, SegmentLoc) -> Result<T, StoreError>,
+) -> Result<Walk<T>, StoreError> {
+    if src.array::<{ MAGIC.len() }>(0, "snapshot.magic")? != MAGIC {
         return Err(StoreError::Corrupt { what: "magic" });
     }
-    let version = r.u16("snapshot.version")?;
+    let at = MAGIC.len() as u64;
+    let version = u16::from_be_bytes(src.array(at, "snapshot.version")?);
     if version != VERSION {
         return Err(StoreError::UnsupportedVersion { found: version });
     }
-    let header_len = r.u32("snapshot.header-len")? as usize;
-    let header = r.bytes(header_len, "snapshot.header")?;
-    if r.bytes(CHECKSUM_LEN, "snapshot.header-checksum")? != checksum(header).as_slice() {
+    let header_len = u32::from_be_bytes(src.array(at + 2, "snapshot.header-len")?) as usize;
+    let header = src.read(at + 6, header_len, "snapshot.header")?;
+    let mut pos = at + 6 + header_len as u64;
+    if src.array(pos, "snapshot.header-checksum")? != checksum(&header) {
         return Err(StoreError::Corrupt { what: "header checksum" });
     }
-    decode_header(header)
-}
-
-pub(crate) fn decode(bytes: &[u8]) -> Result<Snapshot, StoreError> {
-    let mut r = Reader::new(bytes);
-    let meta = decode_prelude(&mut r)?;
-
-    if meta.n_days as usize > r.remaining() {
-        // Every day segment costs well over one byte (tag + length +
-        // checksum); bound the capacity hint by what the file can hold
-        // so a hostile header cannot force a huge allocation.
-        return Err(StoreError::Corrupt { what: "day count" });
-    }
-    let mut days = Vec::with_capacity(meta.n_days as usize);
-    while let Element::Segment(seg) = read_element(&mut r, bytes, meta.vantages.len())? {
-        days.push(seg);
-    }
-    if days.len() != meta.n_days as usize {
-        return Err(StoreError::Corrupt { what: "day count" });
-    }
-    let start = meta.day_start;
-    for (i, seg) in days.iter().enumerate() {
-        if seg.day != start + i as u64 {
-            return Err(StoreError::Corrupt { what: "day sequence" });
+    pos += CHECKSUM_LEN as u64;
+    let meta = decode_header(&header)?;
+    let mut days = Vec::new();
+    let damage = loop {
+        match element(src, pos, &meta, &mut days, &mut step) {
+            Ok(Some(next)) => pos = next,
+            Ok(None) if days.len() == meta.n_days as usize => break None,
+            // Every byte checked out, but days are missing: nothing to
+            // quarantine.
+            Ok(None) => break Some((src.len(), StoreError::Corrupt { what: "day count" })),
+            Err(e) => break Some((pos, e)),
         }
-    }
-    Ok(Snapshot::from_parts(meta, days))
-}
-
-/// The recovering decoder: strict about the prelude, then keeps every
-/// valid, contiguous day segment up to the first damaged element and
-/// quarantines the rest of the file. An undamaged file loads exactly as
-/// [`decode`] would, with an intact report.
-pub(crate) fn decode_recover(bytes: &[u8]) -> Result<(Snapshot, RecoveryReport), StoreError> {
-    let mut r = Reader::new(bytes);
-    let mut meta = decode_prelude(&mut r)?;
-    let expected = meta.n_days;
-
-    let mut days: Vec<DaySegment> = Vec::new();
-    let mut damage: Option<&'static str> = None;
-    let mut quarantined = 0usize;
-    loop {
-        let consumed = bytes.len() - r.remaining();
-        match read_element(&mut r, bytes, meta.vantages.len()) {
-            Ok(Element::Trailer) => {
-                if days.len() != expected as usize {
-                    damage = Some("day count");
-                }
-                break;
-            }
-            Ok(Element::Segment(seg)) => {
-                let in_sequence = seg.day == meta.day_start + days.len() as u64;
-                if days.len() == expected as usize || !in_sequence {
-                    damage = Some(if in_sequence { "day count" } else { "day sequence" });
-                    quarantined = bytes.len() - consumed;
-                    break;
-                }
-                days.push(seg);
-            }
-            Err(e) => {
-                damage = Some(damage_label(&e));
-                quarantined = bytes.len() - consumed;
-                break;
-            }
-        }
-    }
-    let report = RecoveryReport {
-        expected_days: expected,
-        recovered_days: days.len() as u32,
-        quarantined_bytes: quarantined,
-        damage,
     };
-    meta.n_days = days.len() as u32;
-    Ok((Snapshot::from_parts(meta, days), report))
+    Ok(Walk { meta, days, damage })
 }
 
-fn damage_label(e: &StoreError) -> &'static str {
-    match e {
-        StoreError::Corrupt { what } => what,
-        StoreError::Decode(_) => "truncated element",
-        _ => "damaged element",
+/// [`walk`]'s element at `pos`: a day segment joins `days` and gives the
+/// next element's offset; the trailer gives `None`.
+fn element<T>(
+    src: Source<'_>,
+    pos: u64,
+    meta: &SnapshotMeta,
+    days: &mut Vec<T>,
+    step: &mut impl FnMut(Source<'_>, &SnapshotMeta, SegmentLoc) -> Result<T, StoreError>,
+) -> Result<Option<u64>, StoreError> {
+    let corrupt = |what| Err(StoreError::Corrupt { what });
+    match src.array(pos, "snapshot.tag")? {
+        [SEGMENT_TAG] => {
+            let len = u32::from_be_bytes(src.array(pos + 1, "snapshot.segment-len")?) as usize;
+            let loc = SegmentLoc { offset: pos + 5, len };
+            src.check(loc.offset, len + CHECKSUM_LEN, "snapshot.segment")?;
+            // The step runs first, so a body the eager loads cannot
+            // decode fails with the decoder's own error.
+            let value = step(src, meta, loc)?;
+            if len < 8 {
+                return corrupt("segment length");
+            }
+            let day = u64::from_be_bytes(src.array(loc.offset, "segment.day")?);
+            if day.checked_sub(meta.day_start) != Some(days.len() as u64) {
+                return corrupt("day sequence");
+            }
+            if days.len() == meta.n_days as usize {
+                return corrupt("day count");
+            }
+            days.push(value);
+            Ok(Some(loc.offset + (len + CHECKSUM_LEN) as u64))
+        }
+        [TRAILER_TAG] => {
+            let sum: [u8; CHECKSUM_LEN] = src.array(pos + 1, "snapshot.trailer-checksum")?;
+            if src.checksum_prefix(pos)? != sum {
+                return corrupt("file checksum");
+            }
+            if pos + 1 + CHECKSUM_LEN as u64 != src.len() {
+                return corrupt("trailing bytes");
+            }
+            Ok(None)
+        }
+        _ => corrupt("unknown tag"),
     }
+}
+
+/// The eager loads' walk step and a lazy reader's day load: reads the
+/// segment body at `loc`, checks its checksum and decodes it.
+pub(crate) fn load_segment(
+    src: Source<'_>,
+    meta: &SnapshotMeta,
+    loc: SegmentLoc,
+) -> Result<DaySegment, StoreError> {
+    let body = src.read(loc.offset, loc.len, "snapshot.segment")?;
+    if src.array(loc.offset + loc.len as u64, "snapshot.segment-checksum")? != checksum(&body) {
+        return Err(StoreError::Corrupt { what: "segment checksum" });
+    }
+    decode_segment(body, meta.vantages.len())
 }
 
 fn decode_header(bytes: &[u8]) -> Result<SnapshotMeta, StoreError> {
@@ -337,7 +438,7 @@ fn decode_header(bytes: &[u8]) -> Result<SnapshotMeta, StoreError> {
 
 /// Decodes one checksummed segment body. The segment keeps `body`: its
 /// RouterInfo records are located in it, not copied out.
-pub(crate) fn decode_segment(body: Vec<u8>, n_vantages: usize) -> Result<DaySegment, StoreError> {
+fn decode_segment(body: Vec<u8>, n_vantages: usize) -> Result<DaySegment, StoreError> {
     let mut r = Reader::new(&body);
     let day = r.u64("segment.day")?;
     let n_rows = r.varint("segment.row-count")? as usize;

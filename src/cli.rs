@@ -527,7 +527,7 @@ pub fn figures_from(
     // identical to the eager loader by tests/scale_parity.rs.
     let snapshot = LazySnapshot::open(path)?;
     if verify {
-        snapshot.verify_router_infos()?;
+        snapshot.verify_router_infos(engine::fill_threads())?;
     }
     Ok(render_figures(&snapshot, format, figs))
 }

@@ -7,13 +7,21 @@ use i2pscope::data::caps::{BandwidthClass, Caps};
 use i2pscope::data::ident::RouterIdentity;
 use i2pscope::data::leaseset::{Lease, LeaseSet};
 use i2pscope::data::{Hash256, PeerIp, RouterInfo, SimTime};
+use i2pscope::measure::engine::HarvestEngine;
+use i2pscope::measure::fleet::Fleet;
+use i2pscope::measure::source::SnapshotSource;
 use i2pscope::netdb::kbucket::KBucketTable;
 use i2pscope::netdb::routing_key::RoutingKey;
 use i2pscope::router::net::{EepRequest, EepResponse};
+use i2pscope::sim::world::{World, WorldConfig};
+use i2pscope::store::format::{CHECKSUM_LEN, MAGIC};
+use i2pscope::store::{LazySnapshot, Snapshot};
 use i2pscope::transport::blocklist::BlockList;
 use i2pscope::tunnel::garlic::{Clove, DeliveryInstructions, GarlicMessage};
 use i2pscope::tunnel::layered::TunnelKeys;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 fn arb_ip() -> impl Strategy<Value = PeerIp> {
     prop_oneof![any::<u32>().prop_map(PeerIp::V4), any::<u128>().prop_map(PeerIp::V6)]
@@ -52,6 +60,110 @@ fn arb_address() -> impl Strategy<Value = RouterAddress> {
             introducers,
             cost,
         })
+}
+
+/// The archive the decoder suite damages, built like the lazy reader's
+/// tests build theirs (scale 0.01, 4 days, 4 vantages), with each day
+/// segment's extent (tag to checksum) and, per day, the coverage curve
+/// and 4-vantage union ids a reader of it must answer.
+struct Pristine {
+    bytes: Vec<u8>,
+    segments: Vec<(usize, usize)>,
+    answers: Vec<(Vec<usize>, Vec<u32>)>,
+}
+
+fn pristine() -> &'static Pristine {
+    static PRISTINE: OnceLock<Pristine> = OnceLock::new();
+    PRISTINE.get_or_init(|| {
+        let world = World::generate(WorldConfig { days: 4, scale: 0.01, seed: 99 });
+        let snap = Snapshot::capture(&HarvestEngine::build(&world, &Fleet::alternating(4), 0..4));
+        let bytes = snap.to_bytes().expect("encode");
+        let be32 = |at: usize| u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let mut pos = MAGIC.len() + 6 + be32(MAGIC.len() + 2) + CHECKSUM_LEN;
+        let mut segments = Vec::new();
+        for _ in 0..4 {
+            let end = pos + 5 + be32(pos + 1) + CHECKSUM_LEN;
+            segments.push((pos, end));
+            pos = end;
+        }
+        let answers = (0..4).map(|day| day_answers(&snap, day)).collect();
+        Pristine { bytes, segments, answers }
+    })
+}
+
+/// What `src` answers for `day`: its coverage curve and the ids the
+/// whole fleet saw.
+fn day_answers(src: &dyn SnapshotSource, day: u64) -> (Vec<usize>, Vec<u32>) {
+    let mut ids = Vec::new();
+    src.for_each_union_id(day, 4, &mut |id| ids.push(id));
+    (src.coverage_curve(day), ids)
+}
+
+/// One damage to an archive. Offsets and segment numbers are drawn
+/// wide and reduced modulo the archive; no mutation recomputes a
+/// checksum.
+#[derive(Clone, Debug)]
+enum Mutation {
+    /// Keep only the first `n` bytes.
+    Truncate(u64),
+    /// Flip one bit of one byte.
+    Flip(u64, u8),
+    /// Raise the header's length field (`0`) or a segment's by `by`.
+    Inflate(u64, u32),
+    /// Repeat a segment right after itself.
+    Duplicate(u64),
+    /// Exchange two different segments.
+    Swap(u64, u64),
+}
+
+impl Mutation {
+    fn apply(&self, p: &Pristine) -> Vec<u8> {
+        let (bytes, segs, n) = (&p.bytes, &p.segments, p.segments.len() as u64);
+        let seg = |i: u64| segs[(i % n) as usize];
+        match *self {
+            Mutation::Truncate(len) => bytes[..(len % bytes.len() as u64) as usize].to_vec(),
+            Mutation::Flip(at, bit) => {
+                let mut out = bytes.clone();
+                out[(at % bytes.len() as u64) as usize] ^= 1 << bit;
+                out
+            }
+            Mutation::Inflate(field, by) => {
+                let at = match field % (n + 1) {
+                    0 => MAGIC.len() + 2,
+                    i => seg(i - 1).0 + 1,
+                };
+                let mut out = bytes.clone();
+                let len = u32::from_be_bytes(out[at..at + 4].try_into().unwrap());
+                out[at..at + 4].copy_from_slice(&len.saturating_add(by).to_be_bytes());
+                out
+            }
+            Mutation::Duplicate(i) => {
+                let (start, end) = seg(i);
+                [&bytes[..end], &bytes[start..end], &bytes[end..]].concat()
+            }
+            Mutation::Swap(i, j) => {
+                let (a, b) = (i % n, if j % n == i % n { (i + 1) % n } else { j % n });
+                let ((a0, a1), (b0, b1)) = (seg(a.min(b)), seg(a.max(b)));
+                [&bytes[..a0], &bytes[b0..b1], &bytes[a1..b0], &bytes[a0..a1], &bytes[b1..]].concat()
+            }
+        }
+    }
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        any::<u64>().prop_map(Mutation::Truncate),
+        (any::<u64>(), 0u8..8).prop_map(|(at, bit)| Mutation::Flip(at, bit)),
+        (any::<u64>(), 1u32..=u32::MAX).prop_map(|(field, by)| Mutation::Inflate(field, by)),
+        any::<u64>().prop_map(Mutation::Duplicate),
+        (any::<u64>(), any::<u64>()).prop_map(|(i, j)| Mutation::Swap(i, j)),
+    ]
+}
+
+/// Runs one reader, turning a panic into a failed case.
+fn no_panic<T>(reader: &str, m: &Mutation, run: impl FnOnce() -> T) -> Result<T, TestCaseError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+        .map_err(|_| TestCaseError::fail(format!("{reader} panicked on {m:?}")))
 }
 
 proptest! {
@@ -264,5 +376,41 @@ proptest! {
         let a = srv.answer(PeerIp::V4(src));
         let b = srv.answer(PeerIp::V4(src));
         prop_assert_eq!(a, b);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // ---- .i2ps readers ---------------------------------------------------
+
+    #[test]
+    fn the_three_archive_readers_agree_on_damage(m in arb_mutation()) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let p = pristine();
+        let bytes = m.apply(p);
+        let path = std::env::temp_dir().join(format!(
+            "i2ps-prop-{}-{}.i2ps",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, &bytes).expect("write the damaged archive");
+        let lazy = no_panic("LazySnapshot::open", &m, || LazySnapshot::open(&path).is_ok());
+        let _ = std::fs::remove_file(&path);
+        let strict = no_panic("Snapshot::from_bytes", &m, || Snapshot::from_bytes(&bytes).is_ok())?;
+        let recovered = no_panic("Snapshot::from_bytes_recover", &m, || Snapshot::from_bytes_recover(&bytes))?;
+        prop_assert_eq!(strict, lazy?, "strict and lazy verdicts differ on {:?}", m);
+        let Ok((part, report)) = recovered else {
+            // Only prelude damage refuses a recovery, and it refuses a
+            // strict load too.
+            prop_assert!(!strict, "recovery refused an archive the strict reader took: {:?}", m);
+            return Ok(());
+        };
+        prop_assert_eq!(report.is_intact(), strict, "{:?}: {}", m, report);
+        prop_assert_eq!(part.meta().n_days, report.recovered_days);
+        for day in 0..report.recovered_days as u64 {
+            let got = no_panic("a recovered day", &m, || day_answers(&part, day))?;
+            prop_assert!(got == p.answers[day as usize], "{:?}: day {} answers differently", m, day);
+        }
     }
 }
