@@ -14,7 +14,7 @@ use crate::sha256::sha256;
 /// The group modulus: the Mersenne prime `2^61 − 1`.
 pub const MODULUS: u64 = (1u64 << 61) - 1;
 /// The group generator (a primitive root modulo [`MODULUS`]).
-pub const GENERATOR: u64 = 37;
+const GENERATOR: u64 = 37;
 
 /// `MODULUS` widened: the mask of one 61-bit limb of a product.
 const LIMB: u128 = MODULUS as u128;

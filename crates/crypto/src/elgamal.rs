@@ -53,7 +53,7 @@ impl ElGamalKeyPair {
     /// Fermat, `c1^(−x) = c1^(p−1−x)`, one exponentiation where
     /// `(c1^x)^(p−2)` takes two; and since `x ≤ p−2`, the exponent is
     /// at least 1, so `c1 ≡ 0` still decrypts to 0.
-    pub fn decrypt(&self, ct: ElGamalCiphertext) -> u64 {
+    fn decrypt(&self, ct: ElGamalCiphertext) -> u64 {
         mul_mod(ct.c2, pow_mod(ct.c1, MODULUS - 1 - self.secret))
     }
 
@@ -87,7 +87,7 @@ fn session_key(scalar: u64) -> [u8; 32] {
 
 impl ElGamalPublic {
     /// Encrypts a raw group element `m ∈ [1, p−1]`.
-    pub fn encrypt(&self, m: u64, rng: &mut DetRng) -> ElGamalCiphertext {
+    fn encrypt(&self, m: u64, rng: &mut DetRng) -> ElGamalCiphertext {
         debug_assert!((1..MODULUS).contains(&m));
         let k = 2 + rng.next_u64() % (MODULUS - 3);
         ElGamalCiphertext {

@@ -137,22 +137,6 @@ impl DetRng {
         self.next_f64() < p
     }
 
-    /// Exponentially distributed value with the given `mean`.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = self.next_f64().max(1e-15);
-        -mean * u.ln()
-    }
-
-    /// Weibull-distributed value with shape `k` and scale `lambda`.
-    ///
-    /// The churn model (Hoang et al. §5.2.1) uses Weibull peer-longevity
-    /// distributions; see `i2p-sim/src/params.rs` for the fitted
-    /// parameters.
-    pub fn weibull(&mut self, shape: f64, scale: f64) -> f64 {
-        let u = self.next_f64().max(1e-15);
-        scale * (-u.ln()).powf(1.0 / shape)
-    }
-
     /// Log-normal with parameters of the underlying normal.
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         (mu + sigma * self.standard_normal()).exp()
@@ -160,7 +144,7 @@ impl DetRng {
 
     /// Standard normal via Box–Muller (one value; the pair's twin is
     /// discarded for simplicity).
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         let u1 = self.next_f64().max(1e-15);
         let u2 = self.next_f64();
         (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
@@ -210,24 +194,6 @@ impl DetRng {
                 return d * v * scale;
             }
         }
-    }
-
-    /// Zipf-like rank sampler over `n` items with exponent `s`:
-    /// `P(rank=k) ∝ 1/(k+1)^s`. Used by the geography model for the long
-    /// tail of countries/ASes.
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        debug_assert!(n > 0);
-        // Inverse-CDF on a precomputable-but-small harmonic sum; n is at
-        // most a few hundred in our models, so a linear scan is fine.
-        let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
-        let mut u = self.next_f64() * norm;
-        for k in 1..=n {
-            u -= 1.0 / (k as f64).powf(s);
-            if u <= 0.0 {
-                return k - 1;
-            }
-        }
-        n - 1
     }
 
     /// Fisher–Yates shuffle.
@@ -338,27 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_close() {
-        let mut r = DetRng::new(11);
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| r.exponential(3.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn weibull_median_close() {
-        // Median of Weibull(k, λ) is λ·ln(2)^(1/k).
-        let mut r = DetRng::new(13);
-        let (k, lam) = (0.7086, 15.34);
-        let mut v: Vec<f64> = (0..10_001).map(|_| r.weibull(k, lam)).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let med = v[5000];
-        let expected = lam * (2.0f64.ln()).powf(1.0 / k);
-        assert!((med - expected).abs() / expected < 0.05, "median {med} vs {expected}");
-    }
-
-    #[test]
     fn poisson_mean_close() {
         let mut r = DetRng::new(17);
         for mean in [0.5, 4.0, 50.0] {
@@ -393,16 +338,6 @@ mod tests {
             assert_eq!(set.len(), s.len());
             assert!(s.iter().all(|&i| i < n));
         }
-    }
-
-    #[test]
-    fn zipf_prefers_low_ranks() {
-        let mut r = DetRng::new(23);
-        let mut counts = [0u32; 5];
-        for _ in 0..10_000 {
-            counts[r.zipf(5, 1.0)] += 1;
-        }
-        assert!(counts[0] > counts[1] && counts[1] > counts[2]);
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl Caps {
 
     /// The capability letters this peer *publishes*, applying the
     /// `P/X → O` compatibility rule.
-    pub fn published_letters(&self) -> Vec<char> {
+    fn published_letters(&self) -> Vec<char> {
         let mut out = Vec::with_capacity(4);
         if matches!(self.bandwidth, BandwidthClass::P | BandwidthClass::X) {
             out.push(BandwidthClass::O.letter());

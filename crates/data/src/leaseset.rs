@@ -9,7 +9,7 @@
 use crate::codec::{DecodeError, Reader, Writer};
 use crate::hash::Hash256;
 use crate::ident::{verify, IdentitySecrets, RouterIdentity};
-use crate::time::{Duration, SimTime};
+use crate::time::SimTime;
 
 /// One lease: an inbound-tunnel gateway that can reach the destination.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -33,9 +33,6 @@ pub struct LeaseSet {
     /// HMAC signature over the body.
     pub signature: [u8; 32],
 }
-
-/// Tunnel lifetime: "new tunnels are formed every ten minutes" (§2.1.1).
-pub const LEASE_LIFETIME: Duration = Duration::from_mins(10);
 
 impl LeaseSet {
     /// Builds and signs a LeaseSet.

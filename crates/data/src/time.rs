@@ -34,11 +34,6 @@ impl Duration {
         Duration(h * 3_600_000)
     }
 
-    /// From whole days.
-    pub const fn from_days(d: u64) -> Self {
-        Duration(d * 86_400_000)
-    }
-
     /// Milliseconds in this span.
     pub const fn as_millis(self) -> u64 {
         self.0
@@ -86,11 +81,6 @@ impl SimTime {
         self.0 / 86_400_000
     }
 
-    /// The hour-of-day (0..24).
-    pub const fn hour_of_day(self) -> u64 {
-        (self.0 % 86_400_000) / 3_600_000
-    }
-
     /// Milliseconds since the epoch.
     pub const fn as_millis(self) -> u64 {
         self.0
@@ -122,7 +112,7 @@ impl SimTime {
     }
 
     /// Instant `d` later.
-    pub const fn plus(self, d: Duration) -> SimTime {
+    const fn plus(self, d: Duration) -> SimTime {
         SimTime(self.0 + d.0)
     }
 
@@ -148,10 +138,8 @@ mod tests {
         let t = SimTime::from_day_ms(3, 5_000);
         assert_eq!(t.day(), 3);
         assert_eq!(t.day_start(), SimTime::from_day_ms(3, 0));
-        assert_eq!(t.hour_of_day(), 0);
         let u = t + Duration::from_hours(25);
         assert_eq!(u.day(), 4);
-        assert_eq!(u.hour_of_day(), 1);
     }
 
     #[test]
@@ -181,7 +169,6 @@ mod tests {
 
     #[test]
     fn duration_constructors() {
-        assert_eq!(Duration::from_days(1), Duration::from_hours(24));
         assert_eq!(Duration::from_hours(1), Duration::from_mins(60));
         assert_eq!(Duration::from_mins(1), Duration::from_secs(60));
         assert_eq!((Duration::from_secs(3) * 2).as_secs_f64(), 6.0);

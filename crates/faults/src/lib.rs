@@ -35,7 +35,7 @@ use std::fmt;
 
 /// The supported spec keys, in canonical order, with the one-line
 /// description the parse errors and `--help` surface.
-pub const KEYS: [(&str, &str); 8] = [
+const KEYS: [(&str, &str); 8] = [
     ("loss", "fabric: probability a message is silently dropped in flight"),
     ("delay", "fabric: probability a message takes an extra-latency detour"),
     ("dup", "fabric: probability a message is delivered twice"),
@@ -47,7 +47,7 @@ pub const KEYS: [(&str, &str); 8] = [
 ];
 
 /// Highest store crash-point index (see `DESIGN.md` §10's crash map).
-pub const MAX_IO_CRASH_POINT: u32 = 5;
+const MAX_IO_CRASH_POINT: u32 = 5;
 
 fn supported_keys() -> String {
     KEYS.iter().map(|(k, _)| *k).collect::<Vec<_>>().join(", ")

@@ -9,9 +9,7 @@
 //!
 //! Press-freedom scores are the RSF 2018 index values (rounded); AS
 //! numbers are real allocations with plausible-but-synthetic weights
-//! (see DESIGN.md §1 on the MaxMind substitution). `hosting` marks
-//! VPN/cloud ASes — the §5.3.2 explanation for peers that hop across
-//! many ASes.
+//! (see DESIGN.md §1 on the MaxMind substitution).
 
 /// One country record.
 pub struct CountryRec {
@@ -29,14 +27,10 @@ pub struct CountryRec {
 pub struct AsRec {
     /// AS number.
     pub asn: u32,
-    /// Operator name.
-    pub name: &'static str,
     /// Country code (must appear in [`COUNTRIES`]).
     pub country: &'static str,
     /// Weight *within* its country.
     pub weight: f64,
-    /// VPN / cloud-hosting AS (roamer exit).
-    pub hosting: bool,
 }
 
 /// Hidden-mode threshold: peers in countries scoring above this default
@@ -138,100 +132,100 @@ pub const TAIL_TOTAL_WEIGHT: f64 = 2900.0;
 /// Explicitly-modelled autonomous systems.
 pub const ASES: &[AsRec] = &[
     // United States — AS7922 leads Fig. 11 with >8 K peers.
-    AsRec { asn: 7922, name: "Comcast Cable", country: "US", weight: 30.0, hosting: false },
-    AsRec { asn: 7018, name: "AT&T", country: "US", weight: 14.0, hosting: false },
-    AsRec { asn: 701, name: "Verizon", country: "US", weight: 12.0, hosting: false },
-    AsRec { asn: 20115, name: "Charter", country: "US", weight: 11.0, hosting: false },
-    AsRec { asn: 22773, name: "Cox", country: "US", weight: 8.0, hosting: false },
-    AsRec { asn: 209, name: "CenturyLink", country: "US", weight: 7.0, hosting: false },
-    AsRec { asn: 14061, name: "DigitalOcean", country: "US", weight: 5.0, hosting: true },
-    AsRec { asn: 16509, name: "Amazon AWS", country: "US", weight: 4.0, hosting: true },
-    AsRec { asn: 11427, name: "Spectrum TWC", country: "US", weight: 9.0, hosting: false },
+    AsRec { asn: 7922, country: "US", weight: 30.0 },
+    AsRec { asn: 7018, country: "US", weight: 14.0 },
+    AsRec { asn: 701, country: "US", weight: 12.0 },
+    AsRec { asn: 20115, country: "US", weight: 11.0 },
+    AsRec { asn: 22773, country: "US", weight: 8.0 },
+    AsRec { asn: 209, country: "US", weight: 7.0 },
+    AsRec { asn: 14061, country: "US", weight: 5.0 },
+    AsRec { asn: 16509, country: "US", weight: 4.0 },
+    AsRec { asn: 11427, country: "US", weight: 9.0 },
     // Russia.
-    AsRec { asn: 12389, name: "Rostelecom", country: "RU", weight: 28.0, hosting: false },
-    AsRec { asn: 8402, name: "Corbina/Beeline", country: "RU", weight: 16.0, hosting: false },
-    AsRec { asn: 31208, name: "MTS", country: "RU", weight: 14.0, hosting: false },
-    AsRec { asn: 25513, name: "MGTS", country: "RU", weight: 10.0, hosting: false },
-    AsRec { asn: 42610, name: "Rostelecom NW", country: "RU", weight: 9.0, hosting: false },
+    AsRec { asn: 12389, country: "RU", weight: 28.0 },
+    AsRec { asn: 8402, country: "RU", weight: 16.0 },
+    AsRec { asn: 31208, country: "RU", weight: 14.0 },
+    AsRec { asn: 25513, country: "RU", weight: 10.0 },
+    AsRec { asn: 42610, country: "RU", weight: 9.0 },
     // England / UK.
-    AsRec { asn: 2856, name: "BT", country: "GB", weight: 26.0, hosting: false },
-    AsRec { asn: 5089, name: "Virgin Media", country: "GB", weight: 22.0, hosting: false },
-    AsRec { asn: 13285, name: "TalkTalk", country: "GB", weight: 14.0, hosting: false },
-    AsRec { asn: 5607, name: "Sky Broadband", country: "GB", weight: 16.0, hosting: false },
+    AsRec { asn: 2856, country: "GB", weight: 26.0 },
+    AsRec { asn: 5089, country: "GB", weight: 22.0 },
+    AsRec { asn: 13285, country: "GB", weight: 14.0 },
+    AsRec { asn: 5607, country: "GB", weight: 16.0 },
     // France.
-    AsRec { asn: 12322, name: "Free SAS", country: "FR", weight: 28.0, hosting: false },
-    AsRec { asn: 3215, name: "Orange", country: "FR", weight: 24.0, hosting: false },
-    AsRec { asn: 16276, name: "OVH", country: "FR", weight: 8.0, hosting: true },
-    AsRec { asn: 15557, name: "SFR", country: "FR", weight: 14.0, hosting: false },
+    AsRec { asn: 12322, country: "FR", weight: 28.0 },
+    AsRec { asn: 3215, country: "FR", weight: 24.0 },
+    AsRec { asn: 16276, country: "FR", weight: 8.0 },
+    AsRec { asn: 15557, country: "FR", weight: 14.0 },
     // Canada.
-    AsRec { asn: 577, name: "Bell Canada", country: "CA", weight: 22.0, hosting: false },
-    AsRec { asn: 812, name: "Rogers", country: "CA", weight: 18.0, hosting: false },
-    AsRec { asn: 6327, name: "Shaw", country: "CA", weight: 14.0, hosting: false },
-    AsRec { asn: 852, name: "TELUS", country: "CA", weight: 12.0, hosting: false },
+    AsRec { asn: 577, country: "CA", weight: 22.0 },
+    AsRec { asn: 812, country: "CA", weight: 18.0 },
+    AsRec { asn: 6327, country: "CA", weight: 14.0 },
+    AsRec { asn: 852, country: "CA", weight: 12.0 },
     // Australia.
-    AsRec { asn: 1221, name: "Telstra", country: "AU", weight: 24.0, hosting: false },
-    AsRec { asn: 4804, name: "Optus", country: "AU", weight: 14.0, hosting: false },
-    AsRec { asn: 7545, name: "TPG", country: "AU", weight: 12.0, hosting: false },
+    AsRec { asn: 1221, country: "AU", weight: 24.0 },
+    AsRec { asn: 4804, country: "AU", weight: 14.0 },
+    AsRec { asn: 7545, country: "AU", weight: 12.0 },
     // Germany.
-    AsRec { asn: 3320, name: "Deutsche Telekom", country: "DE", weight: 26.0, hosting: false },
-    AsRec { asn: 6830, name: "Vodafone Kabel", country: "DE", weight: 16.0, hosting: false },
-    AsRec { asn: 24940, name: "Hetzner", country: "DE", weight: 7.0, hosting: true },
-    AsRec { asn: 8881, name: "1&1 Versatel", country: "DE", weight: 10.0, hosting: false },
+    AsRec { asn: 3320, country: "DE", weight: 26.0 },
+    AsRec { asn: 6830, country: "DE", weight: 16.0 },
+    AsRec { asn: 24940, country: "DE", weight: 7.0 },
+    AsRec { asn: 8881, country: "DE", weight: 10.0 },
     // Netherlands.
-    AsRec { asn: 1136, name: "KPN", country: "NL", weight: 20.0, hosting: false },
-    AsRec { asn: 33915, name: "Vodafone NL", country: "NL", weight: 14.0, hosting: false },
-    AsRec { asn: 60781, name: "LeaseWeb", country: "NL", weight: 6.0, hosting: true },
+    AsRec { asn: 1136, country: "NL", weight: 20.0 },
+    AsRec { asn: 33915, country: "NL", weight: 14.0 },
+    AsRec { asn: 60781, country: "NL", weight: 6.0 },
     // Brazil.
-    AsRec { asn: 28573, name: "Claro BR", country: "BR", weight: 18.0, hosting: false },
-    AsRec { asn: 27699, name: "Vivo", country: "BR", weight: 16.0, hosting: false },
+    AsRec { asn: 28573, country: "BR", weight: 18.0 },
+    AsRec { asn: 27699, country: "BR", weight: 16.0 },
     // Italy.
-    AsRec { asn: 3269, name: "Telecom Italia", country: "IT", weight: 20.0, hosting: false },
-    AsRec { asn: 30722, name: "Vodafone IT", country: "IT", weight: 12.0, hosting: false },
+    AsRec { asn: 3269, country: "IT", weight: 20.0 },
+    AsRec { asn: 30722, country: "IT", weight: 12.0 },
     // Spain.
-    AsRec { asn: 3352, name: "Telefonica", country: "ES", weight: 20.0, hosting: false },
-    AsRec { asn: 12479, name: "Orange ES", country: "ES", weight: 12.0, hosting: false },
+    AsRec { asn: 3352, country: "ES", weight: 20.0 },
+    AsRec { asn: 12479, country: "ES", weight: 12.0 },
     // India.
-    AsRec { asn: 9829, name: "BSNL", country: "IN", weight: 16.0, hosting: false },
-    AsRec { asn: 45609, name: "Airtel", country: "IN", weight: 14.0, hosting: false },
+    AsRec { asn: 9829, country: "IN", weight: 16.0 },
+    AsRec { asn: 45609, country: "IN", weight: 14.0 },
     // China.
-    AsRec { asn: 4134, name: "Chinanet", country: "CN", weight: 22.0, hosting: false },
-    AsRec { asn: 4837, name: "China Unicom", country: "CN", weight: 16.0, hosting: false },
-    AsRec { asn: 9808, name: "China Mobile", country: "CN", weight: 8.0, hosting: false },
+    AsRec { asn: 4134, country: "CN", weight: 22.0 },
+    AsRec { asn: 4837, country: "CN", weight: 16.0 },
+    AsRec { asn: 9808, country: "CN", weight: 8.0 },
     // Japan.
-    AsRec { asn: 4713, name: "NTT OCN", country: "JP", weight: 18.0, hosting: false },
-    AsRec { asn: 17676, name: "SoftBank", country: "JP", weight: 12.0, hosting: false },
+    AsRec { asn: 4713, country: "JP", weight: 18.0 },
+    AsRec { asn: 17676, country: "JP", weight: 12.0 },
     // Ukraine.
-    AsRec { asn: 13188, name: "Triolan", country: "UA", weight: 12.0, hosting: false },
-    AsRec { asn: 15895, name: "Kyivstar", country: "UA", weight: 14.0, hosting: false },
+    AsRec { asn: 13188, country: "UA", weight: 12.0 },
+    AsRec { asn: 15895, country: "UA", weight: 14.0 },
     // Sweden.
-    AsRec { asn: 3301, name: "Telia", country: "SE", weight: 18.0, hosting: false },
-    AsRec { asn: 39651, name: "Comhem", country: "SE", weight: 12.0, hosting: false },
+    AsRec { asn: 3301, country: "SE", weight: 18.0 },
+    AsRec { asn: 39651, country: "SE", weight: 12.0 },
     // Belgium / Switzerland / Poland / South Africa.
-    AsRec { asn: 5432, name: "Proximus", country: "BE", weight: 16.0, hosting: false },
-    AsRec { asn: 6848, name: "Telenet", country: "BE", weight: 12.0, hosting: false },
-    AsRec { asn: 3303, name: "Swisscom", country: "CH", weight: 16.0, hosting: false },
-    AsRec { asn: 6730, name: "Sunrise", country: "CH", weight: 10.0, hosting: false },
-    AsRec { asn: 5617, name: "Orange PL", country: "PL", weight: 14.0, hosting: false },
-    AsRec { asn: 12912, name: "T-Mobile PL", country: "PL", weight: 10.0, hosting: false },
-    AsRec { asn: 3741, name: "IS ZA", country: "ZA", weight: 10.0, hosting: false },
-    AsRec { asn: 37457, name: "Telkom ZA", country: "ZA", weight: 8.0, hosting: false },
-    // VPN-heavy hosting ASes elsewhere (roamer exits; §5.3.2).
-    AsRec { asn: 9009, name: "M247 (VPN)", country: "RO", weight: 10.0, hosting: true },
-    AsRec { asn: 20473, name: "Choopa/Vultr", country: "US", weight: 3.0, hosting: true },
-    AsRec { asn: 51167, name: "Contabo", country: "DE", weight: 3.0, hosting: true },
-    AsRec { asn: 197540, name: "Netcup", country: "DE", weight: 2.0, hosting: true },
-    AsRec { asn: 49981, name: "WorldStream", country: "NL", weight: 3.0, hosting: true },
+    AsRec { asn: 5432, country: "BE", weight: 16.0 },
+    AsRec { asn: 6848, country: "BE", weight: 12.0 },
+    AsRec { asn: 3303, country: "CH", weight: 16.0 },
+    AsRec { asn: 6730, country: "CH", weight: 10.0 },
+    AsRec { asn: 5617, country: "PL", weight: 14.0 },
+    AsRec { asn: 12912, country: "PL", weight: 10.0 },
+    AsRec { asn: 3741, country: "ZA", weight: 10.0 },
+    AsRec { asn: 37457, country: "ZA", weight: 8.0 },
+    // VPN-heavy hosting ASes elsewhere (§5.3.2).
+    AsRec { asn: 9009, country: "RO", weight: 10.0 },
+    AsRec { asn: 20473, country: "US", weight: 3.0 },
+    AsRec { asn: 51167, country: "DE", weight: 3.0 },
+    AsRec { asn: 197540, country: "DE", weight: 2.0 },
+    AsRec { asn: 49981, country: "NL", weight: 3.0 },
     // Censored-set ISPs.
-    AsRec { asn: 45143, name: "SingTel", country: "SG", weight: 14.0, hosting: false },
-    AsRec { asn: 9506, name: "StarHub", country: "SG", weight: 10.0, hosting: false },
-    AsRec { asn: 9121, name: "Turk Telekom", country: "TR", weight: 16.0, hosting: false },
-    AsRec { asn: 34984, name: "Superonline", country: "TR", weight: 10.0, hosting: false },
-    AsRec { asn: 45899, name: "VNPT", country: "VN", weight: 12.0, hosting: false },
-    AsRec { asn: 12880, name: "ITC Iran", country: "IR", weight: 10.0, hosting: false },
-    AsRec { asn: 25019, name: "SaudiNet", country: "SA", weight: 10.0, hosting: false },
-    AsRec { asn: 8452, name: "TE Data", country: "EG", weight: 10.0, hosting: false },
-    AsRec { asn: 6697, name: "Beltelecom", country: "BY", weight: 10.0, hosting: false },
-    AsRec { asn: 9198, name: "Kazakhtelecom", country: "KZ", weight: 10.0, hosting: false },
+    AsRec { asn: 45143, country: "SG", weight: 14.0 },
+    AsRec { asn: 9506, country: "SG", weight: 10.0 },
+    AsRec { asn: 9121, country: "TR", weight: 16.0 },
+    AsRec { asn: 34984, country: "TR", weight: 10.0 },
+    AsRec { asn: 45899, country: "VN", weight: 12.0 },
+    AsRec { asn: 12880, country: "IR", weight: 10.0 },
+    AsRec { asn: 25019, country: "SA", weight: 10.0 },
+    AsRec { asn: 8452, country: "EG", weight: 10.0 },
+    AsRec { asn: 6697, country: "BY", weight: 10.0 },
+    AsRec { asn: 9198, country: "KZ", weight: 10.0 },
 ];
 
 #[cfg(test)]

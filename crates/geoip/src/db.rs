@@ -48,7 +48,6 @@ struct AsEntry {
     asn: u32,
     country: CountryId,
     global_weight: f64,
-    hosting: bool,
 }
 
 /// The offline database.
@@ -58,8 +57,6 @@ pub struct GeoDb {
     ases: Vec<AsEntry>,
     /// Cumulative global AS weights for sampling.
     cum_weights: Vec<f64>,
-    /// Indices of hosting ASes.
-    hosting: Vec<AsId>,
 }
 
 impl Default for GeoDb {
@@ -104,7 +101,6 @@ impl GeoDb {
                 asn: a.asn,
                 country,
                 global_weight: 0.0, // filled below
-                hosting: a.hosting,
             });
         }
         // Within-country AS weight shares.
@@ -132,7 +128,6 @@ impl GeoDb {
                 asn: 64000 + ci as u32,
                 country: ci,
                 global_weight: c.weight * share,
-                hosting: false,
             });
         }
         assert!(
@@ -148,13 +143,7 @@ impl GeoDb {
                 cum
             })
             .collect();
-        let hosting = ases
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.hosting)
-            .map(|(i, _)| i)
-            .collect();
-        GeoDb { countries, ases, cum_weights, hosting }
+        GeoDb { countries, ases, cum_weights }
     }
 
     /// Number of countries (225, matching the paper's 20 + 205).
@@ -193,11 +182,6 @@ impl GeoDb {
         self.ases[id].country
     }
 
-    /// Whether an AS is a hosting/VPN AS.
-    pub fn is_hosting(&self, id: AsId) -> bool {
-        self.ases[id].hosting
-    }
-
     /// Finds a country id by code.
     pub fn country_by_code(&self, code: &str) -> Option<CountryId> {
         self.countries.iter().position(|c| c.code == code)
@@ -218,11 +202,6 @@ impl GeoDb {
         }
     }
 
-    /// Samples a hosting/VPN AS uniformly (roamer exits).
-    pub fn sample_hosting_as(&self, rng: &mut DetRng) -> AsId {
-        self.hosting[rng.below(self.hosting.len() as u64) as usize]
-    }
-
     /// Samples a fresh IPv4 address inside `asn_id`'s allocation.
     pub fn sample_ipv4(&self, asn_id: AsId, rng: &mut DetRng) -> PeerIp {
         let block = rng.below(BLOCKS_PER_AS as u64) as u32;
@@ -236,13 +215,6 @@ impl GeoDb {
         let iface = rng.next_u64();
         let prefix = 0x2001_0db8u128 << 96 | (asn_id as u128) << 64;
         PeerIp::V6(prefix | iface as u128)
-    }
-
-    /// Samples an unresolvable IPv4 (top of the space, no AS owns it) —
-    /// the MaxMind-miss population (§5.3.2's ≈2 K unresolved addresses).
-    pub fn sample_unresolvable_ipv4(&self, rng: &mut DetRng) -> PeerIp {
-        let prefix16 = 60_000 + rng.below(5_000) as u32;
-        PeerIp::V4(prefix16 << 16 | rng.below(65_536) as u32)
     }
 
     // ---- lookup --------------------------------------------------------
@@ -301,10 +273,9 @@ mod tests {
     #[test]
     fn unresolvable_ips_miss() {
         let db = GeoDb::new();
-        let mut rng = DetRng::new(2);
-        for _ in 0..100 {
-            let ip = db.sample_unresolvable_ipv4(&mut rng);
-            assert_eq!(db.lookup(ip), None);
+        // The top of the /16 space (60 000 and up) belongs to no AS.
+        for prefix16 in [60_000u32, 62_345, 64_999] {
+            assert_eq!(db.lookup(PeerIp::V4(prefix16 << 16 | 7)), None);
         }
     }
 
@@ -351,15 +322,6 @@ mod tests {
         assert!(db.is_censored(cn));
         assert!(!db.is_censored(us));
         assert!(!db.is_censored(ru), "RU scores exactly 50, not above");
-    }
-
-    #[test]
-    fn hosting_sampler_returns_hosting() {
-        let db = GeoDb::new();
-        let mut rng = DetRng::new(5);
-        for _ in 0..100 {
-            assert!(db.is_hosting(db.sample_hosting_as(&mut rng)));
-        }
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! paper used (Hoang et al. §3, §5.3.2): 225 countries (the paper's
 //! top-20 + 205 others), real RSF 2018 press-freedom scores for the
 //! explicitly-modelled countries, ~350 autonomous systems with plausible
-//! weights (AS7922/Comcast leading, per Fig. 11), hosting/VPN ASes for
-//! the multi-AS "roamer" phenomenon (§5.3.2), and a deliberately
+//! weights (AS7922/Comcast leading, per Fig. 11), and a deliberately
 //! unallocated slice of address space to model MaxMind lookup misses.
 //!
 //! See `DESIGN.md` §1 for why this substitution preserves the paper's

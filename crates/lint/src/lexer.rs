@@ -45,7 +45,7 @@ impl Masked {
 /// The marker that introduces a suppression directive inside a comment.
 const DIRECTIVE_MARKER: &str = "i2plint:";
 
-fn is_ident(b: u8) -> bool {
+pub(crate) fn is_ident(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 

@@ -13,8 +13,10 @@
 //! lexer (comment/string/raw-string/char-literal aware, so bans never
 //! fire inside literals or docs — see [`lexer`]), a declarative rule
 //! table ([`rules`]), and a scanner ([`scan`]) that applies the table
-//! per workspace-relative path. No `syn`, no dependencies: the gate
-//! must stay trustworthy even when the crates it polices are broken.
+//! per workspace-relative path, then runs the one workspace rule,
+//! `pub-reach`, over every scanned file. No `syn`, no dependencies: the
+//! gate must stay trustworthy even when the crates it polices are
+//! broken.
 //!
 //! Violations are suppressible only via an inline directive whose
 //! reason is mandatory and surfaced in the report's ledger:
@@ -31,6 +33,7 @@
 #![forbid(unsafe_code)]
 
 pub mod lexer;
+mod reach;
 pub mod report;
 pub mod rules;
 pub mod scan;

@@ -10,7 +10,8 @@ usage: i2p-lint [--deny] [--format text|json] [--root DIR] [PATHS…]
 Statically checks the workspace against the determinism & purity
 invariant catalog (DESIGN.md §11): clock bans, nondeterministic-hash
 bans, RNG containment, IO containment, thread-identity bans, the
-panic audit, and the unsafe audit.
+panic audit, the unsafe audit, and public items no other file names
+(pub-reach).
 
 options:
   --deny               exit nonzero when any finding survives (CI gate)

@@ -21,6 +21,9 @@ pub enum Detector {
     IndexLiteral,
     /// Crate roots (`lib.rs`) must carry `#![forbid(unsafe_code)]`.
     UnsafeAudit,
+    /// A workspace pass over every scanned file (`reach`), run after
+    /// the per-file scan. It takes no allow.
+    PubReach,
 }
 
 /// One row of the invariant catalog.
@@ -146,9 +149,20 @@ pub const RULES: &[Rule] = &[
         approved: &[],
         detector: Detector::UnsafeAudit,
     },
+    Rule {
+        name: "pub-reach",
+        rationale: "no other file names this public item, and `pub` hides it from rustc's \
+                    dead_code; delete it, or narrow it to pub(crate) or private so rustc \
+                    guards it",
+        tokens: &[],
+        approved: &[],
+        detector: Detector::PubReach,
+    },
 ];
 
-/// Looks a rule up by name (directive validation).
-pub fn by_name(name: &str) -> Option<&'static Rule> {
-    RULES.iter().find(|r| r.name == name)
+/// The rules an `i2plint: allow` may name: every rule but the
+/// workspace pass, since an unreached public item is deleted or
+/// narrowed, never excused.
+pub fn suppressible() -> impl Iterator<Item = &'static Rule> {
+    RULES.iter().filter(|r| r.detector != Detector::PubReach)
 }

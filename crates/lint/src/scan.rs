@@ -1,9 +1,10 @@
 //! Applies the rule table to files: classification, token matching,
 //! directive resolution, and the workspace walk.
 
-use crate::lexer::{self, LineIndex, Masked};
+use crate::lexer::{self, is_ident, LineIndex, Masked};
+use crate::reach::{self, Scanned};
 use crate::report::{Allow, Finding, Report};
-use crate::rules::{by_name, Detector, Rule, DIRECTIVE_RULE, FORBID_UNSAFE, RULES};
+use crate::rules::{suppressible, Detector, Rule, DIRECTIVE_RULE, FORBID_UNSAFE, RULES};
 use std::path::{Path, PathBuf};
 
 /// What a path is, for scoping purposes.
@@ -20,7 +21,7 @@ pub enum Kind {
 }
 
 /// Classifies a workspace-relative, `/`-separated path.
-pub fn classify(rel: &str, include_fixtures: bool) -> Kind {
+fn classify(rel: &str, include_fixtures: bool) -> Kind {
     if !rel.ends_with(".rs") {
         return Kind::Skip;
     }
@@ -47,10 +48,6 @@ pub fn classify(rel: &str, include_fixtures: bool) -> Kind {
     } else {
         Kind::Code
     }
-}
-
-fn is_ident(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 /// Boundary-aware occurrences of `token` in masked text: when the
@@ -121,16 +118,16 @@ struct Hit {
     what: String,
 }
 
-/// Scans one file's source into `report`.
-pub fn scan_file(rel: &str, src: &str, kind: Kind, report: &mut Report) {
+/// Applies the per-file rules to one file's source (and its masked
+/// shadow) into `report`.
+fn scan_file(rel: &str, src: &str, masked: &Masked, kind: Kind, report: &mut Report) {
     report.files_scanned += 1;
     if kind != Kind::Code {
         return;
     }
-    let masked = lexer::mask(src);
     let idx = LineIndex::new(src);
 
-    let mut directives = resolve_directives(rel, &masked, &idx, report);
+    let mut directives = resolve_directives(rel, masked, &idx, report);
 
     let mut hits: Vec<Hit> = Vec::new();
     for rule in RULES {
@@ -160,6 +157,8 @@ pub fn scan_file(rel: &str, src: &str, kind: Kind, report: &mut Report) {
                     });
                 }
             }
+            // Needs every file: `run` applies it after this scan.
+            Detector::PubReach => {}
         }
     }
 
@@ -245,9 +244,13 @@ fn resolve_directives(
             bad("malformed i2plint directive".to_string());
             continue;
         };
-        if by_name(&rule).is_none() {
-            let known: Vec<&str> = RULES.iter().map(|r| r.name).collect();
-            bad(format!("unknown rule `{rule}` in allow() — known rules: {}", known.join(", ")));
+        if !suppressible().any(|r| r.name == rule) {
+            bad(if RULES.iter().any(|r| r.name == rule) {
+                format!("`{rule}` takes no allow() — delete the item or narrow it instead")
+            } else {
+                let known: Vec<&str> = suppressible().map(|r| r.name).collect();
+                format!("unknown rule `{rule}` in allow() — known rules: {}", known.join(", "))
+            });
             continue;
         }
         // A trailing directive guards its own line; a directive on a
@@ -277,7 +280,7 @@ fn line_has_code(masked: &Masked, idx: &LineIndex, line: usize) -> bool {
     masked.text.get(lo..hi).is_some_and(|s| s.bytes().any(|b| !b.is_ascii_whitespace()))
 }
 
-fn snippet_of(src: &str, idx: &LineIndex, line: usize) -> String {
+pub(crate) fn snippet_of(src: &str, idx: &LineIndex, line: usize) -> String {
     let (lo, hi) = idx.line_span(line, src.len());
     let text = src.get(lo..hi).unwrap_or("").trim();
     let mut out: String = text.chars().take(120).collect();
@@ -309,9 +312,10 @@ impl Config {
     }
 }
 
-/// Runs the analyzer. The only IO in this crate: directory walks and
-/// file reads, both sorted so the scan order (and therefore the
-/// report) is deterministic.
+/// Runs the analyzer: the per-file rules file by file, then the
+/// workspace pass (`pub-reach`) over every file scanned. The only IO
+/// in this crate: directory walks and file reads, both sorted so the
+/// scan order (and therefore the report) is deterministic.
 pub fn run(config: &Config) -> Result<Report, String> {
     let include_fixtures = !config.paths.is_empty();
     let mut files: Vec<PathBuf> = Vec::new();
@@ -331,6 +335,7 @@ pub fn run(config: &Config) -> Result<Report, String> {
     files.dedup();
 
     let mut report = Report { rules_checked: RULES.len(), ..Report::default() };
+    let mut scanned = Vec::new();
     for file in &files {
         let rel = relpath(&config.root, file);
         let kind = classify(&rel, include_fixtures);
@@ -339,8 +344,11 @@ pub fn run(config: &Config) -> Result<Report, String> {
         }
         let src = std::fs::read_to_string(file)
             .map_err(|e| format!("i2p-lint: cannot read {}: {e}", file.display()))?;
-        scan_file(&rel, &src, kind, &mut report);
+        let masked = lexer::mask(&src);
+        scan_file(&rel, &src, &masked, kind, &mut report);
+        scanned.push(Scanned { rel, src, masked, kind });
     }
+    reach::check(&scanned, &mut report);
     report.sort();
     Ok(report)
 }
@@ -387,7 +395,7 @@ mod tests {
 
     fn scan_str(rel: &str, src: &str) -> Report {
         let mut r = Report { rules_checked: RULES.len(), ..Report::default() };
-        scan_file(rel, src, classify(rel, true), &mut r);
+        scan_file(rel, src, &lexer::mask(src), classify(rel, true), &mut r);
         r.sort();
         r
     }
@@ -457,6 +465,16 @@ mod tests {
         let r = scan_str("crates/sim/src/x.rs", src);
         assert_eq!(r.findings.len(), 1);
         assert_eq!(r.findings[0].rule, DIRECTIVE_RULE);
+    }
+
+    #[test]
+    fn pub_reach_takes_no_allow() {
+        let src = "// i2plint: allow(pub-reach) -- kept for later\npub fn f() {}\n";
+        let r = scan_str("crates/sim/src/x.rs", src);
+        assert_eq!(r.findings.len(), 1);
+        assert_eq!(r.findings[0].rule, DIRECTIVE_RULE);
+        assert!(r.findings[0].message.contains("takes no allow()"));
+        assert!(r.allows.is_empty());
     }
 
     #[test]

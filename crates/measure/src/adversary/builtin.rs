@@ -146,7 +146,7 @@ impl Deanon {
     pub const TUNNELS: usize = 600;
 
     /// Malicious routers the chain-hook evaluation injects.
-    pub const CHAIN_MALICIOUS: usize = 8;
+    const CHAIN_MALICIOUS: usize = 8;
 
     /// The malicious-router grid at full monitoring strength.
     pub fn grid(lab: &AdversaryLab<'_>) -> Vec<AttackScenario> {

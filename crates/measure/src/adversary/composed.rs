@@ -133,11 +133,6 @@ impl Composed {
         &self.members
     }
 
-    /// The escalation grid the chain sweeps.
-    pub fn variants(&self) -> &[ChainKnobs] {
-        &self.variants
-    }
-
     fn uses_keyspace(&self) -> bool {
         chain_uses_keyspace(&self.members)
     }

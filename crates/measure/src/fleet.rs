@@ -68,7 +68,7 @@ impl Vantage {
     /// persistent per-pair component with a fresh daily one
     /// ([`params::FRESH_DRAW_PROB`]); this is what keeps multi-day
     /// blacklist windows from trivially uniting to 100 % (Fig. 13).
-    pub fn sees(&self, peer: &PeerRecord, day: u64) -> bool {
+    fn sees(&self, peer: &PeerRecord, day: u64) -> bool {
         if !peer.online(day as i64) {
             return false;
         }
@@ -227,7 +227,7 @@ impl Fleet {
 /// per-peer path every [`Fleet`] method routes through. It stays the
 /// reference implementation (and test oracle) for the bitset
 /// [`crate::engine::HarvestEngine`].
-pub fn harvest_union_of(world: &World, vantages: &[Vantage], day: u64) -> DailyHarvest {
+fn harvest_union_of(world: &World, vantages: &[Vantage], day: u64) -> DailyHarvest {
     let mut records = FxHashMap::default();
     for peer in world.online_peers(day) {
         if vantages.iter().any(|v| v.sees(peer, day)) {

@@ -35,7 +35,7 @@ use std::sync::{Mutex, PoisonError};
 /// ([`SnapshotSource::read_ahead`]). A lazy snapshot holds two decoded
 /// days (`i2p-store`'s `CACHE_SEGMENTS`), so it decodes a batch of two
 /// on two workers and still decodes each day once.
-pub const READ_AHEAD_DAYS: u64 = 2;
+const READ_AHEAD_DAYS: u64 = 2;
 
 /// The accumulators a pass feeds. A fold that is not wanted is never
 /// fed, so no figure's bytes depend on which others share the pass.

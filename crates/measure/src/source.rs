@@ -129,7 +129,7 @@ pub trait SnapshotSource {
     /// does nothing, which is right for the live engine and the eager
     /// snapshot; a lazy snapshot decodes the days it does not hold. The
     /// figure pass calls it before each batch of
-    /// [`READ_AHEAD_DAYS`](crate::pass::READ_AHEAD_DAYS) days.
+    /// `pass::READ_AHEAD_DAYS` days.
     fn read_ahead(&self, _days: Range<u64>, _workers: usize) {}
 
     /// Visits the id of every peer the first `k` vantages saw on `day`,

@@ -169,7 +169,7 @@ pub fn pick_target(world: &World, days: Range<u64>) -> u32 {
 
 /// The attacker's `nonce`-th candidate identity for `day`. Keyed by day
 /// so the stream models re-grinding at every rotation boundary.
-pub fn sybil_identity(attacker_seed: u64, day: u64, nonce: u64) -> Hash256 {
+fn sybil_identity(attacker_seed: u64, day: u64, nonce: u64) -> Hash256 {
     let mut material = [0u8; 26];
     material[..2].copy_from_slice(b"sy");
     material[2..10].copy_from_slice(&attacker_seed.to_be_bytes());
@@ -212,7 +212,7 @@ pub fn grind_sybils(
 
 /// Outcome of one simulated lookup walk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LookupOutcome {
+struct LookupOutcome {
     /// Whether the record was retrieved from an honest holder.
     pub found: bool,
     /// Floodfills queried before the walk ended.
@@ -237,7 +237,7 @@ pub struct LookupOutcome {
 ///   record (lookup poisoning).
 ///
 /// The walk ends on found, exhaustion, or the `max_queries` budget.
-pub fn lookup_target(
+fn lookup_target(
     pop: &[keyspace::FloodfillPos],
     key: &Hash256,
     day: u64,
@@ -311,7 +311,7 @@ fn mean_coverage(engine: &HarvestEngine<'_>, world: &World) -> f64 {
 /// The attacked placement: the paper's rule plus the fully ground
 /// Sybil fleet for every day — the one definition both the sweep and
 /// the `--capture` engine build from.
-pub fn attack_config(world: &World, cfg: &SybilConfig, target_id: u32, count: usize) -> KeyspaceConfig {
+fn attack_config(world: &World, cfg: &SybilConfig, target_id: u32, count: usize) -> KeyspaceConfig {
     let target = world.peers[target_id as usize].hash;
     let mut sybils: FxHashMap<u64, Vec<Hash256>> = FxHashMap::default();
     for day in cfg.days.clone() {
@@ -326,7 +326,7 @@ pub fn attack_config(world: &World, cfg: &SybilConfig, target_id: u32, count: us
 /// Runs one point of the sweep: grind per day, rebuild the
 /// keyspace-routed harvest under attack, measure placement eclipse,
 /// lookup failure, and census damage.
-pub fn run_point(world: &World, fleet: &Fleet, cfg: &SybilConfig, target_id: u32, count: usize) -> SybilPoint {
+fn run_point(world: &World, fleet: &Fleet, cfg: &SybilConfig, target_id: u32, count: usize) -> SybilPoint {
     let target = world.peers[target_id as usize].hash;
     let ks = attack_config(world, cfg, target_id, count);
     let engine = HarvestEngine::build_faulted(

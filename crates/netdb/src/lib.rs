@@ -28,4 +28,4 @@ pub use kbucket::KBucketTable;
 pub use lookup::{IterativeLookup, LookupConfig};
 pub use messages::{DatabaseLookup, DatabaseStore, LookupKind, NetDbPayload, SearchReply};
 pub use routing_key::RoutingKey;
-pub use store::{NetDbStore, StoreConfig, StoredEntry};
+pub use store::{NetDbStore, StoreConfig};

@@ -21,9 +21,9 @@ use std::sync::Arc;
 /// How many floodfills a record is published/flooded to (§4.2).
 pub const REPLICATION: usize = 3;
 /// Floodfill RouterInfo expiry (§4.3).
-pub const FLOODFILL_RI_EXPIRY: Duration = Duration::from_hours(1);
+const FLOODFILL_RI_EXPIRY: Duration = Duration::from_hours(1);
 /// Non-floodfill routers keep RouterInfos much longer (on disk).
-pub const ROUTER_RI_EXPIRY: Duration = Duration::from_hours(24);
+const ROUTER_RI_EXPIRY: Duration = Duration::from_hours(24);
 
 /// Store behaviour configuration.
 #[derive(Clone, Copy, Debug)]
@@ -35,11 +35,11 @@ pub struct StoreConfig {
 
 /// A stored record plus bookkeeping.
 #[derive(Clone, Debug)]
-pub struct StoredEntry {
+struct StoredEntry {
     /// The record.
-    pub payload: NetDbPayload,
+    payload: NetDbPayload,
     /// When we received it.
-    pub received: SimTime,
+    received: SimTime,
 }
 
 /// The local netDb store of one router.

@@ -32,6 +32,6 @@ pub mod router;
 
 pub use config::RouterConfig;
 pub use net::{NetMsg, TestNet};
-pub use profile::{PeerProfile, ProfileBook, Tier};
-pub use reseed::{ReseedFile, ReseedServer, RESEED_ANSWER_SIZE};
+pub use profile::{PeerProfile, ProfileBook};
+pub use reseed::{ReseedFile, ReseedServer};
 pub use router::Router;

@@ -87,7 +87,7 @@ pub enum NetMsg {
 
 impl NetMsg {
     /// Approximate wire size for bandwidth accounting.
-    pub fn wire_size(&self) -> usize {
+    fn wire_size(&self) -> usize {
         match self {
             NetMsg::Store(_) => 900,
             NetMsg::Lookup(_) => 200,

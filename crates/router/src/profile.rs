@@ -4,15 +4,15 @@
 //! profile drives tunnel-hop selection. "These are all situations under
 //! which a router would be penalized by the I2P ranking algorithm and
 //! therefore have less chances of being chosen to participate in peers'
-//! tunnels" (Hoang et al. §4.1). We model the three classic profile
-//! dimensions (speed, capacity, integration) plus a failure count, and
-//! derive the selection weight used by `i2p_tunnel::select`.
+//! tunnels" (Hoang et al. §4.1). We model two of the classic profile
+//! dimensions (speed and capacity) plus a failure count, and derive the
+//! selection weight used by `i2p_tunnel::select`.
 
 use i2p_data::{BandwidthClass, FxHashMap, Hash256, SimTime};
 
 /// Profile tier, recomputed from scores.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, PartialOrd, Ord)]
-pub enum Tier {
+enum Tier {
     /// Recently failing peers — excluded from selection.
     Failing,
     /// Everyone else.
@@ -32,9 +32,6 @@ pub struct PeerProfile {
     pub speed: f64,
     /// Tunnel-acceptance capacity score.
     pub capacity: f64,
-    /// Integration: how well-connected the peer appears (floodfills and
-    /// long-lived peers integrate more).
-    pub integration: f64,
     /// Consecutive recent failures.
     pub recent_failures: u32,
     /// When the last failure happened (failure streaks decay: a peer is
@@ -46,7 +43,7 @@ pub struct PeerProfile {
 
 /// Failure streaks older than this are forgiven (the I2P profiler uses
 /// decaying failure statistics).
-pub const FAILURE_DECAY: i2p_data::Duration = i2p_data::Duration::from_mins(10);
+const FAILURE_DECAY: i2p_data::Duration = i2p_data::Duration::from_mins(10);
 
 impl PeerProfile {
     /// Fresh profile seeded from the advertised bandwidth class.
@@ -56,7 +53,6 @@ impl PeerProfile {
             bandwidth,
             speed: base,
             capacity: base / 4.0,
-            integration: 0.0,
             recent_failures: 0,
             last_failure: SimTime(0),
             last_seen: now,
@@ -85,14 +81,8 @@ impl PeerProfile {
         self.last_seen = now;
     }
 
-    /// Records evidence of integration (e.g. the peer answered lookups).
-    pub fn record_integration(&mut self, now: SimTime) {
-        self.integration += 1.0;
-        self.last_seen = now;
-    }
-
     /// The peer's tier.
-    pub fn tier(&self) -> Tier {
+    fn tier(&self) -> Tier {
         if self.recent_failures >= 3 {
             return Tier::Failing;
         }
@@ -107,7 +97,7 @@ impl PeerProfile {
 
     /// The peer's tier at `now`: failure streaks older than
     /// [`FAILURE_DECAY`] no longer condemn the peer.
-    pub fn tier_at(&self, now: SimTime) -> Tier {
+    fn tier_at(&self, now: SimTime) -> Tier {
         if self.recent_failures >= 3 && now.since(self.last_failure) > FAILURE_DECAY {
             // Stale streak: judge on capacity/speed alone.
             let fast_speed = self.speed >= 256.0;
@@ -123,12 +113,12 @@ impl PeerProfile {
 
     /// Tunnel-selection weight: bandwidth-class base scaled by tier.
     /// Failing peers get 0 ("less chances of being chosen", §4.1).
-    pub fn selection_weight(&self) -> u32 {
+    fn selection_weight(&self) -> u32 {
         self.weight_for_tier(self.tier())
     }
 
     /// Selection weight at `now` (failure streaks decay).
-    pub fn selection_weight_at(&self, now: SimTime) -> u32 {
+    fn selection_weight_at(&self, now: SimTime) -> u32 {
         self.weight_for_tier(self.tier_at(now))
     }
 
@@ -249,10 +239,9 @@ mod tests {
     fn book_entry_creates_once() {
         let mut book = ProfileBook::new();
         let h = Hash256::digest(b"p");
-        book.entry(h, BandwidthClass::L, SimTime(0)).record_integration(SimTime(0));
+        book.entry(h, BandwidthClass::L, SimTime(0));
         book.entry(h, BandwidthClass::X, SimTime(1)); // class ignored on reuse
         assert_eq!(book.len(), 1);
-        assert_eq!(book.get(&h).unwrap().integration, 1.0);
         assert_eq!(book.get(&h).unwrap().bandwidth, BandwidthClass::L);
     }
 }

@@ -15,7 +15,7 @@ use i2p_data::{PeerIp, RouterInfo, SimTime};
 use std::sync::Arc;
 
 /// RouterInfos per reseed answer (≈75 each from two servers, §4.2).
-pub const RESEED_ANSWER_SIZE: usize = 75;
+const RESEED_ANSWER_SIZE: usize = 75;
 
 /// A reseed server: holds a rolling window of RouterInfos it knows.
 #[derive(Clone, Debug)]

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 /// Minimum uptime before the automatic floodfill health check passes
 /// (stability/uptime tests, Hoang et al. §2.1.2).
-pub const AUTO_FLOODFILL_MIN_UPTIME: Duration = Duration::from_hours(2);
+const AUTO_FLOODFILL_MIN_UPTIME: Duration = Duration::from_hours(2);
 
 /// Tunnel participant state at a relay hop.
 #[derive(Clone, Debug)]
@@ -395,7 +395,7 @@ impl Router {
     /// abandoned (and the hops penalised) immediately instead of waiting
     /// out the attempt timeout — the fail-fast behaviour that separates
     /// an RST-injecting censor from a null-routing one.
-    pub fn on_peer_unreachable(&mut self, peer: Hash256, now: SimTime) {
+    fn on_peer_unreachable(&mut self, peer: Hash256, now: SimTime) {
         let mut failed: Vec<u32> = self
             .pending_builds
             .iter()

@@ -1,4 +1,4 @@
-//! # i2p-sim — the world model and discrete-event substrate
+//! # i2p-sim — the world model
 //!
 //! Generates a deterministic, calibrated population of I2P peers over the
 //! paper's three-month study window and exposes the per-day views the
@@ -7,9 +7,6 @@
 //! * [`params`] — every calibration constant, each annotated with the
 //!   Hoang et al. anchor that pins it. The measurement code never reads
 //!   these; only the world generator does.
-//! * [`event`] — a small generic discrete-event queue (the protocol-level
-//!   `TestNet` in `i2p-router` embeds its own; this one drives day-scale
-//!   world evolution and is reusable in benches).
 //! * [`peer`] — per-peer attributes: bandwidth class, floodfill status,
 //!   reachability (public / firewalled / hidden / switching), country and
 //!   AS, longevity (Weibull churn), IP-rotation behaviour (static /
@@ -21,7 +18,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod params;
 pub mod peer;
 pub mod world;

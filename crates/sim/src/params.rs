@@ -38,7 +38,7 @@ pub const TAIL_PRESENCE_PROB: f64 = 0.35;
 /// span plus tail presence). Used to size the arrival rate:
 /// `E[L_c] + TAIL_PRESENCE_PROB · (E[L_i] − E[L_c])` =
 /// 19.1 + 0.35·(26.2 − 19.1) ≈ 21.6.
-pub const EXPECTED_ONLINE_DAYS: f64 = 21.6;
+const EXPECTED_ONLINE_DAYS: f64 = 21.6;
 
 /// Daily Poisson arrival rate: TARGET_DAILY_PEERS / EXPECTED_ONLINE_DAYS.
 pub fn arrivals_per_day() -> f64 {
@@ -91,8 +91,7 @@ pub const HIDDEN_ONLY_SHARE: f64 = 0.044;
 /// Peers that flip between firewalled and hidden day to day (the 2.6 K
 /// overlap group in Fig. 6).
 pub const SWITCHING_SHARE: f64 = 0.081;
-/// Published-IP but U-flagged peers (rest).
-pub const UNREACHABLE_PUBLISHED_SHARE: f64 = 0.039;
+// Published-IP but U-flagged peers take the rest (3.9 %).
 
 /// Probability a switching peer is in *hidden* posture on a given day.
 pub const SWITCH_HIDDEN_PROB: f64 = 0.5;
@@ -119,8 +118,8 @@ pub const IP_STATIC_SHARE: f64 = 0.26;
 pub const IP_DYNAMIC_SHARE: f64 = 0.575;
 /// Fast-dynamic share (daily-ish re-allocation, still same AS).
 pub const IP_FAST_DYNAMIC_SHARE: f64 = 0.13;
-/// Roamer share (VPN/Tor-routed: new AS nearly every rotation).
-pub const IP_ROAMER_SHARE: f64 = 0.035;
+// Roamers (VPN/Tor-routed: new AS nearly every rotation) take the
+// rest (3.5 %).
 
 /// Dynamic rotation interval: lognormal μ (ln days).
 pub const IP_DYNAMIC_MU: f64 = 2.5; // median ≈ 12 days
@@ -172,20 +171,20 @@ pub const W_SHAPE: f64 = 0.45;
 /// Gamma shape of the publish-visibility weight u (milder).
 pub const U_SHAPE: f64 = 0.8;
 /// Non-floodfill capture strength at the 8 MB/s cap.
-pub const A_NONFF_8M: f64 = 1.95;
+const A_NONFF_8M: f64 = 1.95;
 /// Low-bandwidth floor of the capture scaling (fraction of A_NONFF_8M
 /// retained at 128 KB/s).
-pub const A_SCALE_FLOOR: f64 = 0.46;
+const A_SCALE_FLOOR: f64 = 0.46;
 /// Floodfill store-capture strength (bandwidth-independent above the
 /// 128 KB/s floodfill minimum).
 pub const F_STORE: f64 = 0.42;
 /// Floodfill tunnel-capture share (floodfills spend bandwidth on netDb
 /// service, capturing fewer tunnels than a pure relay).
-pub const FF_TUNNEL_SHARE: f64 = 0.20;
+const FF_TUNNEL_SHARE: f64 = 0.20;
 
 /// Bandwidth scaling `s(b) ∈ [0, 1]`: log-linear from 128 KB/s to the
 /// 8 MB/s bloom-filter cap (§4.1).
-pub fn bandwidth_scale(shared_kbps: u32) -> f64 {
+fn bandwidth_scale(shared_kbps: u32) -> f64 {
     let b = (shared_kbps.max(16)) as f64;
     let s = (b / 128.0).ln() / (8192.0_f64 / 128.0).ln();
     s.clamp(-0.4, 1.0)
@@ -231,14 +230,10 @@ mod tests {
     fn shares_sum_to_one() {
         let s: f64 = CLASS_SHARES.iter().sum();
         assert!((s - 1.0).abs() < 1e-9, "class shares sum {s}");
-        let r = PUBLIC_SHARE
-            + FIREWALLED_ONLY_SHARE
-            + HIDDEN_ONLY_SHARE
-            + SWITCHING_SHARE
-            + UNREACHABLE_PUBLISHED_SHARE;
-        assert!((r - 1.0).abs() < 1e-9, "reachability shares sum {r}");
-        let ip = IP_STATIC_SHARE + IP_DYNAMIC_SHARE + IP_FAST_DYNAMIC_SHARE + IP_ROAMER_SHARE;
-        assert!((ip - 1.0).abs() < 1e-9, "ip shares sum {ip}");
+        let r = PUBLIC_SHARE + FIREWALLED_ONLY_SHARE + HIDDEN_ONLY_SHARE + SWITCHING_SHARE;
+        assert!((1.0 - r - 0.039).abs() < 1e-9, "U-flagged rest {}", 1.0 - r);
+        let ip = IP_STATIC_SHARE + IP_DYNAMIC_SHARE + IP_FAST_DYNAMIC_SHARE;
+        assert!((1.0 - ip - 0.035).abs() < 1e-9, "roamer rest {}", 1.0 - ip);
         let ff: f64 = FLOODFILL_CLASS_MIX.iter().sum();
         assert!((ff - 1.0).abs() < 1e-9, "floodfill mix sum {ff}");
     }

@@ -140,7 +140,7 @@ impl DayIndex {
     }
 
     /// Ids online on at least one indexed day.
-    pub fn ever_ids(&self) -> &[u32] {
+    fn ever_ids(&self) -> &[u32] {
         &self.ever
     }
 
@@ -163,7 +163,7 @@ impl DayIndex {
     /// Whether any peer in shard `shard` can possibly be online on
     /// `day`: the shard's join/end envelope covers it. Days outside the
     /// envelope are provably empty without touching a `PeerRecord`.
-    pub fn shard_live_on(&self, shard: usize, day: i64) -> bool {
+    fn shard_live_on(&self, shard: usize, day: i64) -> bool {
         self.shard_min_join.get(shard).is_some_and(|&join| join <= day)
             && self.shard_max_end.get(shard).is_some_and(|&end| day < end)
     }

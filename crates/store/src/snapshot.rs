@@ -98,7 +98,7 @@ impl WireRecords {
     }
 
     /// Appends the one record `write` appends to the buffer.
-    pub fn push_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+    fn push_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
         let start = self.bytes.len();
         write(&mut self.bytes);
         self.spans.push((start, self.bytes.len()));

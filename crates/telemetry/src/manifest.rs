@@ -19,7 +19,7 @@ use crate::timing::{SpanRecord, TimingReport};
 use std::collections::BTreeMap;
 
 /// Manifest schema tag; bump the suffix on breaking shape changes.
-pub const SCHEMA: &str = "i2p-telemetry/1";
+const SCHEMA: &str = "i2p-telemetry/1";
 
 /// What ran: the subcommand name and the resolved config knobs.
 #[derive(Clone, Debug, Default)]

@@ -68,14 +68,6 @@ impl BlockList {
         }
     }
 
-    /// Number of entries that are *active* (blocking) on `day`.
-    pub fn active_len(&self, day: u64) -> usize {
-        self.last_seen
-            .values()
-            .filter(|&&seen| seen <= day && day - seen < self.window_days)
-            .count()
-    }
-
     /// Total entries ever recorded.
     pub fn total_len(&self) -> usize {
         self.last_seen.len()
@@ -124,16 +116,5 @@ mod tests {
         bl.observe(ip(9), 0);
         bl.whitelist(ip(9));
         assert!(!bl.is_blocked(&ip(9), 0));
-    }
-
-    #[test]
-    fn active_len_counts_window() {
-        let mut bl = BlockList::new(1);
-        bl.observe(ip(1), 0);
-        bl.observe(ip(2), 1);
-        assert_eq!(bl.active_len(0), 1);
-        assert_eq!(bl.active_len(1), 1);
-        assert_eq!(bl.active_len(2), 0);
-        assert_eq!(bl.total_len(), 2);
     }
 }

@@ -188,16 +188,6 @@ impl Fabric {
         self.listeners.insert(ep, router)
     }
 
-    /// Deregisters an endpoint.
-    pub fn deregister(&mut self, ep: &Endpoint) -> Option<Hash256> {
-        self.listeners.remove(ep)
-    }
-
-    /// Number of live endpoints.
-    pub fn listener_count(&self) -> usize {
-        self.listeners.len()
-    }
-
     /// Deterministic one-way latency between two IPs.
     pub fn latency(&self, from: PeerIp, to: PeerIp) -> Duration {
         let p = self.profile.unwrap_or(LinkProfile::DEFAULT);
@@ -214,11 +204,9 @@ impl Fabric {
 
     /// Attempts to send `size` bytes from `from_ip` to `to` at `now`.
     ///
-    /// Blocking applies symmetrically to the *remote* peer's address, as
-    /// a censor at the sender's upstream sees both directions: sends
-    /// toward a blocked IP are dropped, and (for modelling replies)
-    /// [`Fabric::reply_blocked`] reports whether return traffic from a
-    /// blocked IP would be dropped.
+    /// Blocking applies to the *remote* peer's address, as a censor at
+    /// the sender's upstream sees it: sends toward a blocked IP are
+    /// dropped.
     pub fn send(&mut self, from_ip: PeerIp, to: Endpoint, size: usize, now: SimTime) -> DeliveryOutcome {
         let _tally = i2p_telemetry::tally("transport.send");
         i2p_telemetry::count_one(i2p_telemetry::Counter::MessagesSent);
@@ -282,13 +270,6 @@ impl Fabric {
         }
     }
 
-    /// Whether a reply *from* `remote` would be dropped on `day`.
-    pub fn reply_blocked(&self, remote: PeerIp, day: u64) -> bool {
-        self.blocklist
-            .as_ref()
-            .is_some_and(|bl| bl.is_blocked(&remote, day))
-    }
-
     /// Traffic counters so far.
     pub fn stats(&self) -> FabricStats {
         self.stats
@@ -336,8 +317,6 @@ mod tests {
         f.set_blocklist(bl);
         assert_eq!(f.send(PeerIp::V4(1), ep(2), 10, SimTime(0)), DeliveryOutcome::NullRouted);
         assert_eq!(f.stats().null_routed, 1);
-        assert!(f.reply_blocked(PeerIp::V4(2), 0));
-        assert!(!f.reply_blocked(PeerIp::V4(3), 0));
     }
 
     #[test]
@@ -462,7 +441,5 @@ mod tests {
         let new = Hash256::digest(b"new");
         assert_eq!(f.register(ep(5), old), None);
         assert_eq!(f.register(ep(5), new), Some(old));
-        assert_eq!(f.deregister(&ep(5)), Some(new));
-        assert_eq!(f.listener_count(), 0);
     }
 }

@@ -24,7 +24,7 @@ pub const HANDSHAKE_SIZES: [usize; 4] = [288, 304, 448, 48];
 
 /// The fixed wire size of handshake step `0..4` (`HANDSHAKE_SIZES` as
 /// a total function, so steps never index the table out of range).
-pub const fn step_size(step: u8) -> usize {
+const fn step_size(step: u8) -> usize {
     match step {
         0 => 288,
         1 => 304,
@@ -38,14 +38,6 @@ pub const fn step_size(step: u8) -> usize {
 fn be_u64_head(bytes: &[u8]) -> Result<u64, HandshakeError> {
     match bytes.get(..8).and_then(|s| <[u8; 8]>::try_from(s).ok()) {
         Some(head) => Ok(u64::from_be_bytes(head)),
-        None => Err(HandshakeError::Protocol),
-    }
-}
-
-/// 32 hash bytes starting at `lo`; protocol error on a short message.
-fn hash_at(bytes: &[u8], lo: usize) -> Result<Hash256, HandshakeError> {
-    match bytes.get(lo..lo + 32).and_then(|s| s.try_into().ok()) {
-        Some(h) => Ok(Hash256(h)),
         None => Err(HandshakeError::Protocol),
     }
 }
@@ -92,7 +84,7 @@ enum State {
     /// Responder: created sent, waiting for confirm-A.
     RespSentCreated(SharedSecret),
     /// Responder: established.
-    RespDone(SharedSecret, Hash256),
+    RespDone(SharedSecret),
     /// Handshake failed.
     Failed,
 }
@@ -197,10 +189,9 @@ impl Handshake {
                     self.state = State::Failed;
                     return Err(HandshakeError::BadAuth);
                 }
-                let peer = hash_at(&msg.bytes, 32)?;
                 let mut body = Vec::with_capacity(48);
                 body.extend_from_slice(&hmac_sha256(&shared.0, &self.local_hash.0));
-                self.state = State::RespDone(shared, peer);
+                self.state = State::RespDone(shared);
                 Ok(Some(HandshakeMsg { step: 3, bytes: pad_to(body, step_size(3), rng) }))
             }
             // Initiator receives SessionConfirmB.
@@ -227,16 +218,7 @@ impl Handshake {
     pub fn session_key(&self) -> Option<SharedSecret> {
         match &self.state {
             State::InitDone(s, peer) if *peer != Hash256::ZERO => Some(*s),
-            State::RespDone(s, _) => Some(*s),
-            _ => None,
-        }
-    }
-
-    /// The authenticated peer hash (responder side only; the initiator
-    /// knows whom it dialled).
-    pub fn peer_hash(&self) -> Option<Hash256> {
-        match &self.state {
-            State::RespDone(_, peer) => Some(*peer),
+            State::RespDone(s) => Some(*s),
             _ => None,
         }
     }
@@ -281,7 +263,6 @@ mod tests {
         assert_eq!(sizes, HANDSHAKE_SIZES.to_vec(), "fingerprintable fixed sizes");
         assert_eq!(a.session_key(), b.session_key());
         assert!(a.session_key().is_some());
-        assert_eq!(b.peer_hash(), Some(a_hash));
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //!   **288, 304, 448, 48 bytes** (§2.2.2).
 //! * [`dpi`] — a flow classifier that detects those lengths, reproducing
 //!   the paper's observation that I2P is DPI-fingerprintable today.
-//! * [`session`] — established sessions carrying encrypted, MAC'd frames.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +24,6 @@ pub mod dpi;
 pub mod fabric;
 pub mod handshake;
 pub mod ntcp2;
-pub mod session;
 pub mod ssu;
 
 pub use blocklist::BlockList;
@@ -33,4 +31,3 @@ pub use dpi::{classify_flow, FlowVerdict};
 pub use fabric::{CensorMode, DeliveryOutcome, Endpoint, Fabric, LinkProfile};
 pub use handshake::{Handshake, HandshakeMsg, HANDSHAKE_SIZES};
 pub use ntcp2::Ntcp2Handshake;
-pub use session::Session;

@@ -18,7 +18,7 @@ use i2p_data::Hash256;
 /// 0–31 bytes per frame plus variable-length options blocks; we use a
 /// wider envelope so the four messages' sizes overlap with common TLS
 /// record sizes.
-pub const PAD_RANGE: (usize, usize) = (0, 64);
+const PAD_RANGE: (usize, usize) = (0, 64);
 
 /// The base (unpadded) sizes — deliberately *not* the NTCP constants, so
 /// even the minimum-padding case differs from the legacy signature.

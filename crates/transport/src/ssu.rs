@@ -20,7 +20,7 @@ use i2p_data::{Hash256, PeerIp};
 
 /// Messages of the introduction protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum IntroMessage {
+enum IntroMessage {
     /// Alice → introducer: please introduce me to `target` (tag
     /// authenticates that the introducer really serves that peer).
     RelayRequest {
@@ -84,7 +84,7 @@ impl IntroducerTable {
     /// Handles a RelayRequest: validates the tag and produces the
     /// RelayIntro (to Bob) and RelayResponse (to Alice), or `None` if
     /// the tag does not match (stale RouterInfo or forgery).
-    pub fn handle_request(
+    fn handle_request(
         &self,
         msg: &IntroMessage,
     ) -> Option<(Hash256, IntroMessage, IntroMessage)> {
@@ -104,7 +104,7 @@ impl IntroducerTable {
 }
 
 /// Bob's (firewalled peer's) side: reacting to a RelayIntro.
-pub fn firewalled_on_intro(msg: &IntroMessage) -> Option<(PeerIp, u16, IntroMessage)> {
+fn firewalled_on_intro(msg: &IntroMessage) -> Option<(PeerIp, u16, IntroMessage)> {
     let IntroMessage::RelayIntro { alice_ip, alice_port } = msg else {
         return None;
     };

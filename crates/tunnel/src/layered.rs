@@ -61,7 +61,7 @@ impl TunnelKeys {
     }
 
     /// Hop side: hop `index` (0 = gateway) peels its layer.
-    pub fn peel(&self, index: usize, msg: &mut LayeredMessage) {
+    fn peel(&self, index: usize, msg: &mut LayeredMessage) {
         assert_eq!(msg.hops_done, index, "hops must process in order");
         ChaCha20::xor(&self.keys[index], &layer_nonce(msg.msg_id), &mut msg.body);
         msg.hops_done += 1;

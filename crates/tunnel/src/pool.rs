@@ -14,7 +14,7 @@ use i2p_data::{Duration, Hash256, SimTime};
 pub const TUNNEL_LIFETIME: Duration = Duration::from_mins(10);
 
 /// Maximum hops per tunnel (§2.1.1).
-pub const MAX_HOPS: usize = 7;
+const MAX_HOPS: usize = 7;
 
 /// Tunnel direction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -38,13 +38,6 @@ impl TunnelConfig {
     /// The I2P default: 2-hop tunnels (the paper's Fig. 1 depiction),
     /// two per direction.
     pub const DEFAULT: TunnelConfig = TunnelConfig { length: 2, pool_size: 2 };
-
-    /// Validates the hop count.
-    pub fn validated(self) -> Self {
-        assert!(self.length <= MAX_HOPS, "tunnels comprise up to seven hops");
-        assert!(self.pool_size >= 1);
-        self
-    }
 }
 
 /// A built tunnel.
@@ -63,7 +56,7 @@ pub struct Tunnel {
 
 impl Tunnel {
     /// Whether the tunnel is still usable at `now`.
-    pub fn is_live(&self, now: SimTime) -> bool {
+    fn is_live(&self, now: SimTime) -> bool {
         now.since(self.built) < TUNNEL_LIFETIME
     }
 
@@ -95,7 +88,7 @@ impl TunnelPool {
 
     /// Allocates the next local tunnel id (used by tests and by callers
     /// that do not carry a network-wide build id).
-    pub fn next_id(&mut self) -> u32 {
+    fn next_id(&mut self) -> u32 {
         self.next_id += 1;
         self.next_id
     }
@@ -158,11 +151,6 @@ impl TunnelPool {
         self.live(now).max_by_key(|t| t.built)
     }
 
-    /// How many new tunnels are needed to reach `target` live ones.
-    pub fn deficit(&self, target: usize, now: SimTime) -> usize {
-        target.saturating_sub(self.live_count(now))
-    }
-
     /// Drops every tunnel immediately — forced rotation / client session
     /// teardown. Build counters are preserved. Returns how many tunnels
     /// were dropped.
@@ -188,20 +176,6 @@ mod tests {
         assert_eq!(pool.live_count(SimTime(Duration::from_mins(9).as_millis())), 1);
         assert_eq!(pool.live_count(SimTime(Duration::from_mins(10).as_millis())), 0);
         assert_eq!(pool.expire(SimTime(Duration::from_mins(10).as_millis())), 1);
-    }
-
-    #[test]
-    fn deficit_drives_rotation() {
-        let mut pool = TunnelPool::new();
-        let cfg = TunnelConfig::DEFAULT.validated();
-        assert_eq!(pool.deficit(cfg.pool_size, SimTime(0)), 2);
-        pool.add(TunnelDirection::Inbound, vec![h(1), h(2)], SimTime(0));
-        assert_eq!(pool.deficit(cfg.pool_size, SimTime(0)), 1);
-        pool.add(TunnelDirection::Inbound, vec![h(3), h(4)], SimTime(0));
-        assert_eq!(pool.deficit(cfg.pool_size, SimTime(0)), 0);
-        // Ten minutes later both are dead again.
-        let later = SimTime(Duration::from_mins(10).as_millis());
-        assert_eq!(pool.deficit(cfg.pool_size, later), 2);
     }
 
     #[test]

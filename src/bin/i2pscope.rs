@@ -79,6 +79,25 @@ options:
                          override the I2PSCOPE_* environment knobs
 ";
 
+/// Why a run failed. Both kinds exit 2; only a usage error reprints
+/// the usage text.
+enum Failure {
+    /// Bad arguments: from `parse_args` or a command's flag checks.
+    Usage(String),
+    /// The command itself failed (store, IO, adversary spec).
+    Run(String),
+}
+
+impl Failure {
+    fn usage(message: impl Into<String>) -> Self {
+        Failure::Usage(message.into())
+    }
+
+    fn run(error: impl std::fmt::Display) -> Self {
+        Failure::Run(error.to_string())
+    }
+}
+
 struct Args {
     knobs: Knobs,
     format: Format,
@@ -179,10 +198,10 @@ fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("{flag} {v:?} is not a valid {}", std::any::type_name::<T>()))
 }
 
-fn run() -> Result<String, String> {
+fn run() -> Result<String, Failure> {
     let mut argv = std::env::args();
     argv.next(); // program name
-    let (command, args) = parse_args(argv)?;
+    let (command, args) = parse_args(argv).map_err(Failure::Usage)?;
     // Engine fills (and the capture signing on their workers) read
     // I2PSCOPE_THREADS themselves: export the resolved knob so that
     // `--threads N` governs them exactly as I2PSCOPE_THREADS=N does.
@@ -208,26 +227,25 @@ fn run() -> Result<String, String> {
     // The manifest snapshots counters/spans after the command (plus
     // the calibration probe); notices go to stderr so stdout stays
     // byte-identical to an untraced run.
-    for note in telemetry.finish(&command, &args.knobs)? {
+    for note in telemetry.finish(&command, &args.knobs).map_err(Failure::Run)? {
         eprintln!("{note}");
     }
     Ok(out)
 }
 
-fn dispatch(command: &str, args: &Args) -> Result<String, String> {
+fn dispatch(command: &str, args: &Args) -> Result<String, Failure> {
     match command {
         "census" => Ok(cli::census(&args.knobs, args.format, &args.figs)),
         "harvest" => {
-            let out = args.out.as_ref().ok_or("harvest needs --out FILE")?;
-            cli::harvest(&args.knobs, out, args.resume).map_err(|e| e.to_string())
+            let out = args.out.as_ref().ok_or_else(|| Failure::usage("harvest needs --out FILE"))?;
+            cli::harvest(&args.knobs, out, args.resume).map_err(Failure::run)
         }
         "figures" => match (&args.from, args.live) {
             (Some(path), false) => {
-                cli::figures_from(path, args.format, &args.figs, args.verify)
-                    .map_err(|e| e.to_string())
+                cli::figures_from(path, args.format, &args.figs, args.verify).map_err(Failure::run)
             }
             (None, true) => Ok(cli::figures_live(&args.knobs, args.format, &args.figs)),
-            _ => Err("figures needs exactly one of --from FILE or --live".to_string()),
+            _ => Err(Failure::usage("figures needs exactly one of --from FILE or --live")),
         },
         "sweep" => Ok(cli::sweep(&args.knobs, args.format)),
         "sybil" => cli::sybil(
@@ -236,7 +254,7 @@ fn dispatch(command: &str, args: &Args) -> Result<String, String> {
             args.sybils.clone(),
             args.capture.as_deref(),
         )
-        .map_err(|e| e.to_string()),
+        .map_err(Failure::run),
         "adversary" => {
             if args.list {
                 return Ok(cli::adversary_catalog());
@@ -244,30 +262,32 @@ fn dispatch(command: &str, args: &Args) -> Result<String, String> {
             let spec = match args.adversary.clone().or_else(cli::adversary_from_env) {
                 Some(spec) => spec,
                 None => {
-                    return Err(format!(
+                    return Err(Failure::usage(format!(
                         "adversary needs a name (positional, --adversary NAME, or \
                          I2PSCOPE_ADVERSARY); registered: {}",
                         cli::adversary_names().join(", ")
-                    ))
+                    )))
                 }
             };
             cli::adversary(&args.knobs, &spec, args.format, args.capture.as_deref())
+                .map_err(Failure::Run)
         }
         "validate" => validate(args),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(format!("unknown command {other:?}")),
+        other => Err(Failure::usage(format!("unknown command {other:?}"))),
     }
 }
 
 /// `i2pscope validate` — schema-checks a run manifest (and optionally
 /// a Chrome trace) written by `--telemetry`/`--trace`, or dumps the
 /// manifest's deterministic counters for cross-run diffing.
-fn validate(args: &Args) -> Result<String, String> {
-    let path = args.manifest.as_ref().ok_or("validate needs --manifest FILE")?;
+fn validate(args: &Args) -> Result<String, Failure> {
+    let path =
+        args.manifest.as_ref().ok_or_else(|| Failure::usage("validate needs --manifest FILE"))?;
     let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("reading {}: {e}", path.display()))?;
+        .map_err(|e| Failure::Run(format!("reading {}: {e}", path.display())))?;
     let summary = i2pscope::telemetry::manifest::validate_manifest(&text)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
+        .map_err(|e| Failure::Run(format!("{}: {e}", path.display())))?;
     if args.counters {
         return Ok(summary.counter_dump());
     }
@@ -281,9 +301,9 @@ fn validate(args: &Args) -> Result<String, String> {
     );
     if let Some(trace) = &args.trace {
         let text = std::fs::read_to_string(trace)
-            .map_err(|e| format!("reading {}: {e}", trace.display()))?;
+            .map_err(|e| Failure::Run(format!("reading {}: {e}", trace.display())))?;
         let events = i2pscope::telemetry::manifest::validate_trace(&text)
-            .map_err(|e| format!("{}: {e}", trace.display()))?;
+            .map_err(|e| Failure::Run(format!("{}: {e}", trace.display())))?;
         out.push_str(&format!("trace OK: events={events}\n"));
     }
     Ok(out)
@@ -295,8 +315,12 @@ fn main() -> ExitCode {
             print!("{out}");
             ExitCode::SUCCESS
         }
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
             eprintln!("i2pscope: {e}\n\n{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(Failure::Run(e)) => {
+            eprintln!("i2pscope: {e}");
             ExitCode::from(2)
         }
     }

@@ -241,7 +241,7 @@ impl FigId {
     ];
 
     /// The figure's span label in the telemetry timing plane.
-    pub fn span_name(self) -> &'static str {
+    fn span_name(self) -> &'static str {
         match self {
             FigId::Fig4 => "measure.render_fig4",
             FigId::Fig5 => "measure.render_fig5",
@@ -673,7 +673,7 @@ impl TelemetryConfig {
     }
 
     /// True when any telemetry output was requested.
-    pub fn requested(&self) -> bool {
+    fn requested(&self) -> bool {
         self.manifest.is_some() || self.trace.is_some()
     }
 
@@ -714,7 +714,7 @@ impl TelemetryConfig {
 
 /// The knob echo archived in every run manifest — the same facts the
 /// audit line prints, as explicit string pairs.
-pub fn knob_pairs(knobs: &Knobs) -> Vec<(String, String)> {
+fn knob_pairs(knobs: &Knobs) -> Vec<(String, String)> {
     vec![
         ("seed".to_string(), knobs.seed.to_string()),
         ("scale".to_string(), knobs.scale.to_string()),

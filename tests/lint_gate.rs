@@ -83,6 +83,7 @@ fn every_rule_class_fires_in_its_fixture() {
     assert_eq!(rules_hit(&report, "panic_audit"), ["panic-audit"]);
     assert_eq!(rules_hit(&report, "index_literal"), ["index-literal"]);
     assert_eq!(rules_hit(&report, "unsafe_audit"), ["unsafe-audit"]);
+    assert_eq!(rules_hit(&report, "pub_reach"), ["pub-reach"]);
 }
 
 #[test]

@@ -296,7 +296,9 @@ fn threads_flag_governs_the_figure_pass() {
     // `--threads 1` and `3`, and each manifest's `measure.figure_workers`
     // gauge holds the flag's value. A replay loads each of its 6 days
     // once, in one `store.segment_load` span on whichever worker loads
-    // it; the live pass loads none.
+    // it; the live pass loads none. A damaged copy of the archive is a
+    // run error (exit 2, one `i2pscope: ` line on stderr), and naming no
+    // source is a usage error (exit 2 and the usage text).
     let dir = std::env::temp_dir().join(format!("i2pscope-pass-threads-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let archive = dir.join("figures.i2ps");
@@ -340,6 +342,23 @@ fn threads_flag_governs_the_figure_pass() {
         assert!(out_1 == out_3, "{source:?} prints different bytes at --threads 1 and 3");
         assert_eq!(counters_1, counters_3, "{source:?} counters vary with --threads");
     }
+    let bytes = std::fs::read(&archive).expect("archive written");
+    let damaged = dir.join("damaged.i2ps");
+    std::fs::write(&damaged, &bytes[..bytes.len() / 2]).expect("damaged copy");
+    let refused = |args: &[&str]| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_i2pscope"));
+        for (name, _) in std::env::vars().filter(|(name, _)| name.starts_with("I2PSCOPE_")) {
+            cmd.env_remove(name);
+        }
+        let out = cmd.args(args).output().expect("run i2pscope");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        String::from_utf8(out.stderr).expect("utf-8 stderr")
+    };
+    let stderr = refused(&["figures", "--from", damaged.to_str().expect("utf-8 temp path")]);
+    assert!(stderr.starts_with("i2pscope: ") && stderr.lines().count() == 1, "{stderr}");
+    let stderr = refused(&["figures"]);
+    assert!(stderr.starts_with("i2pscope: figures needs"), "{stderr}");
+    assert!(stderr.contains("\nusage: i2pscope"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
